@@ -15,6 +15,7 @@
 #include "fftgrad/quant/half.h"
 #include "fftgrad/quant/range_float.h"
 #include "fftgrad/sparse/topk.h"
+#include "fftgrad/telemetry/telemetry.h"
 #include "fftgrad/util/rng.h"
 
 namespace {
@@ -61,11 +62,35 @@ void BM_FftForward(benchmark::State& state) {
   for (auto _ : state) {
     plan.rfft(g, bins);
     benchmark::DoNotOptimize(bins.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * sizeof(float)));
 }
-BENCHMARK(BM_FftForward)->Arg(1 << 16)->Arg(1 << 20)->Arg((1 << 20) + 1);  // last: Bluestein
+void BM_FftInverse(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto g = gradient_like(n);
+  fft::FftPlan plan(n);
+  std::vector<fft::cfloat> bins(plan.real_bins());
+  plan.rfft(g, bins);
+  std::vector<float> out(n);
+  for (auto _ : state) {
+    plan.irfft(bins, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * sizeof(float)));
+}
+
+/// 2^20 + 1 runs the full-length Bluestein path. The repository benchmark's
+/// sizes follow: 333,834 (the MLP gradient; its 166,917-point half runs
+/// Bluestein), 15,013 (ResNetMini's odd prime) and 65,536 (a chunk, 2^16).
+void fft_sizes(benchmark::internal::Benchmark* b) {
+  b->Arg(1 << 16)->Arg(1 << 20)->Arg((1 << 20) + 1)->Arg(333834)->Arg(15013);
+}
+BENCHMARK(BM_FftForward)->Apply(fft_sizes);
+BENCHMARK(BM_FftInverse)->Apply(fft_sizes);
 
 void BM_TopKSelect(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
@@ -172,6 +197,7 @@ class JsonEmittingReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
+  fftgrad::telemetry::init_from_env();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   JsonEmittingReporter reporter;

@@ -5,13 +5,20 @@
 // two sizes run an iterative radix-2 Cooley-Tukey; every other size runs
 // Bluestein's chirp-z algorithm on top of a padded power-of-two plan, so
 // any gradient length is supported without copying into padded buffers at
-// the call site.
+// the call site. Bluestein's padded buffer is allocated per call: a plan
+// keeps no scratch between calls, so one const plan may be shared by any
+// number of threads.
 //
 // Real transforms (what the compressor uses — gradients are real 1-D
 // signals) are exposed as rfft/irfft over the non-redundant half spectrum
-// of n/2 + 1 bins; irfft enforces the conjugate symmetry implicitly by
-// mirroring, so rfft followed by irfft reproduces the input to float
-// round-off.
+// of n/2 + 1 bins. For even n, rfft packs the signal into n/2 complex
+// values, runs the n/2-point plan and splits the result into the real
+// spectrum in one O(n) pass; irfft is the exact mirror. That is about half
+// the work of an n-point complex transform, and an even-n plan builds its
+// n-point machinery only when forward()/inverse() is first called. Odd n
+// runs the n-point complex transform. irfft enforces the conjugate
+// symmetry implicitly, so rfft followed by irfft reproduces the input to
+// float round-off.
 #pragma once
 
 #include <complex>

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "fftgrad/fft/fft.h"
@@ -131,9 +133,39 @@ TEST_P(RealFftRoundTrip, IrfftInvertsRfft) {
   }
 }
 
+// 333,834 (an MLP gradient, Bluestein half) and 15,013 (ResNetMini, odd
+// prime) are the codec's real workload sizes.
 INSTANTIATE_TEST_SUITE_P(Sizes, RealFftRoundTrip,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 9, 17, 64, 100, 255, 256, 1000,
-                                           4096, 10007));
+                                           4096, 10007, 15013, 333834));
+
+class RealFftAgainstReference : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RealFftAgainstReference, RfftMatchesNaiveDft) {
+  const std::size_t n = GetParam();
+  util::Rng rng(5 * n + 2);
+  std::vector<float> signal(n);
+  std::vector<cfloat> embedded(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    signal[i] = static_cast<float>(rng.normal());
+    embedded[i] = cfloat(signal[i], 0.0f);
+  }
+  FftPlan plan(n);
+  std::vector<cfloat> bins(plan.real_bins());
+  plan.rfft(signal, bins);
+  const auto expected = reference_dft(embedded);
+  const double tol = 1e-4 * std::sqrt(static_cast<double>(n));
+  for (std::size_t k = 0; k < bins.size(); ++k) {
+    EXPECT_NEAR(bins[k].real(), expected[k].real(), tol) << "bin " << k << " n=" << n;
+    EXPECT_NEAR(bins[k].imag(), expected[k].imag(), tol) << "bin " << k << " n=" << n;
+  }
+}
+
+// Even sizes run an n/2-point transform plus a split pass: 2 and 4 are the
+// edge cases of the split, 64 has a radix-2 half, and 6, 12, 100, 202 and
+// 366 have a Bluestein half. Odd sizes 3 and 65 run the full-length path.
+INSTANTIATE_TEST_SUITE_P(Sizes, RealFftAgainstReference,
+                         ::testing::Values(2, 3, 4, 6, 12, 64, 65, 100, 202, 366));
 
 TEST(RealFft, BinCountIsHalfSpectrumPlusDc) {
   EXPECT_EQ(FftPlan(8).real_bins(), 5u);
@@ -228,6 +260,64 @@ TEST(FftPlan, IrfftProjectsNonHermitianDcToReal) {
   std::vector<float> out(4);
   plan.irfft(bins, out);
   for (float v : out) EXPECT_NEAR(v, 1.0f, 1e-5f);
+
+  // n = 12 takes the split pass, which handles bins 0 and n/2 apart from
+  // the rest. DC 12 and Nyquist 12 encode 1 + (-1)^i; their imaginary
+  // parts must be dropped.
+  FftPlan plan12(12);
+  std::vector<cfloat> bins12(plan12.real_bins(), cfloat(0, 0));
+  bins12.front() = cfloat(12, 99);
+  bins12.back() = cfloat(12, -99);
+  std::vector<float> out12(12);
+  plan12.irfft(bins12, out12);
+  for (std::size_t i = 0; i < out12.size(); ++i) {
+    EXPECT_NEAR(out12[i], i % 2 == 0 ? 2.0f : 0.0f, 1e-5f) << i;
+  }
+}
+
+TEST(FftPlan, SharedConstPlanIsThreadSafe) {
+  // A plan keeps no scratch between calls, so one const plan serves any
+  // number of threads, including a race on forward()'s first-use build.
+  constexpr int kThreads = 4;
+  for (const std::size_t n : {std::size_t{333834}, std::size_t{65536}}) {
+    util::Rng rng(n);
+    std::vector<float> signal(n);
+    std::vector<cfloat> embedded(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      signal[i] = static_cast<float>(rng.normal(0.0, 0.1));
+      embedded[i] = cfloat(signal[i], 0.0f);
+    }
+    const FftPlan reference(n);
+    std::vector<cfloat> bins(reference.real_bins()), spectrum(n);
+    std::vector<float> recovered(n);
+    reference.rfft(signal, bins);
+    reference.irfft(bins, recovered);
+    reference.forward(embedded, spectrum);
+
+    const FftPlan shared(n);
+    std::vector<std::vector<cfloat>> thread_bins(kThreads), thread_spectrum(kThreads);
+    std::vector<std::vector<float>> thread_recovered(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        thread_bins[t].resize(shared.real_bins());
+        thread_recovered[t].resize(n);
+        thread_spectrum[t].resize(n);
+        shared.rfft(signal, thread_bins[t]);
+        shared.irfft(thread_bins[t], thread_recovered[t]);
+        shared.forward(embedded, thread_spectrum[t]);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(std::memcmp(thread_bins[t].data(), bins.data(), bins.size() * sizeof(cfloat)), 0)
+          << "n=" << n << " thread " << t;
+      EXPECT_EQ(std::memcmp(thread_recovered[t].data(), recovered.data(), n * sizeof(float)), 0)
+          << "n=" << n << " thread " << t;
+      EXPECT_EQ(std::memcmp(thread_spectrum[t].data(), spectrum.data(), n * sizeof(cfloat)), 0)
+          << "n=" << n << " thread " << t;
+    }
+  }
 }
 
 }  // namespace

@@ -186,24 +186,27 @@ TEST(FftIdentities, ImpulseHasFlatSpectrum) {
 }
 
 TEST(FftIdentities, BluesteinMatchesRadix2OnCommonSizes) {
-  // Force both code paths on the same data: n=64 runs radix-2; embed the
-  // same signal in an n=64 transform computed via a size-65 plan minus
-  // checking... simplest: compare rfft(64) against the naive O(n^2) already
-  // covered; here instead check Bluestein self-consistency: parseval.
-  const std::size_t n = 65;  // prime factor -> Bluestein
-  util::Rng rng(14);
-  std::vector<float> signal(n);
-  double time_energy = 0.0;
-  for (float& v : signal) {
-    v = static_cast<float>(rng.normal());
-    time_energy += static_cast<double>(v) * v;
+  // rfft of a real signal must equal forward() of the same signal embedded
+  // as complex, whichever route each takes. n = 128: a 64-point radix-2
+  // half plus the split pass against a 128-point radix-2. n = 100: a
+  // 50-point Bluestein half plus the split against a 100-point Bluestein.
+  // n = 65: the full-length Bluestein path.
+  for (const std::size_t n : {std::size_t{128}, std::size_t{100}, std::size_t{65}}) {
+    util::Rng rng(14 + n);
+    std::vector<float> signal(n);
+    std::vector<fft::cfloat> embedded(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      signal[i] = static_cast<float>(rng.normal());
+      embedded[i] = fft::cfloat(signal[i], 0.0f);
+    }
+    const auto bins = fft::rfft(signal);
+    const auto spectrum = fft::fft(embedded);
+    ASSERT_EQ(bins.size(), n / 2 + 1);
+    for (std::size_t k = 0; k < bins.size(); ++k) {
+      EXPECT_NEAR(bins[k].real(), spectrum[k].real(), 1e-3f) << "n=" << n << " bin " << k;
+      EXPECT_NEAR(bins[k].imag(), spectrum[k].imag(), 1e-3f) << "n=" << n << " bin " << k;
+    }
   }
-  const auto bins = fft::rfft(signal);
-  double freq_energy = std::norm(bins[0]);
-  for (std::size_t k = 1; k < bins.size(); ++k) freq_energy += 2.0 * std::norm(bins[k]);
-  // odd n: no unpaired Nyquist bin
-  freq_energy /= static_cast<double>(n);
-  EXPECT_NEAR(freq_energy, time_energy, 1e-3 * time_energy);
 }
 
 // ---------------------------------------------------------------------------
