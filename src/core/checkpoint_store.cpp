@@ -76,8 +76,8 @@ std::string CheckpointStore::path_for(std::uint64_t epoch) const {
 }
 
 void CheckpointStore::save(const TrainerCheckpoint& ckpt) {
-  const std::vector<std::uint8_t> blob = ckpt.serialize();
-  const std::string final_path = path_for(ckpt.next_epoch);
+  const std::vector<std::uint8_t> blob = frame_state(ckpt);
+  const std::string final_path = path_for(ckpt.state.iteration);
   // Same-directory temp file: rename() is then a metadata-only atomic swap,
   // never a cross-filesystem copy.
   const std::string tmp_path = final_path + ".tmp";
@@ -120,11 +120,11 @@ std::vector<std::string> CheckpointStore::files() const {
   return names;
 }
 
-std::optional<TrainerCheckpoint> CheckpointStore::latest() const {
+std::optional<util::Untrusted<TrainerCheckpoint>> CheckpointStore::latest() const {
   for (const std::string& name : files()) {
     const fs::path path = fs::path(dir_) / name;
     try {
-      return TrainerCheckpoint::deserialize(read_file(path));
+      return parse_state<TrainerCheckpoint>(read_file(path));
     } catch (const std::exception& error) {
       // Torn write or bit rot: the CRC (or the structural checks) rejected
       // the blob; fall back to the next-newest retained checkpoint.

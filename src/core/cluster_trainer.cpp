@@ -8,14 +8,13 @@
 #include "fftgrad/analysis/causality.h"
 #include "fftgrad/core/error_feedback.h"
 #include "fftgrad/core/registry.h"
-#include "fftgrad/nn/loss.h"
+#include "fftgrad/core/replica.h"
 #include "fftgrad/telemetry/ledger.h"
 #include "fftgrad/telemetry/metrics.h"
 #include "fftgrad/telemetry/trace.h"
 #include "fftgrad/util/annotated_mutex.h"
 #include "fftgrad/util/crc32.h"
 #include "fftgrad/util/stats.h"
-#include "fftgrad/util/timer.h"
 
 namespace fftgrad::core {
 namespace {
@@ -23,94 +22,6 @@ namespace {
 /// Bounded retries for one rejoin state transfer. The transfer fate is
 /// cluster-agreed (peer_transfer's `ok`), so every rank gives up together.
 constexpr std::size_t kRejoinTransferAttempts = 8;
-
-/// Everything a rejoining rank cannot reconstruct locally, shipped from the
-/// handshake's donor as the payload of a CRC-framed wire packet. The
-/// residuals are the donor's (the rejoiner's own were lost with its stack);
-/// they only shape what the rejoiner *sends*, so replica identity — which
-/// rests on params and momentum — is exact.
-struct RejoinState {
-  std::uint64_t iteration = 0;  ///< the iteration the survivors are entering
-  std::vector<float> params;
-  std::vector<std::vector<float>> velocity;
-  std::vector<float> residual;  ///< donor's EF residual ({} if no EF codec)
-  double theta = 0.0;           ///< donor codec's current theta
-  bool fallback_active = false;  ///< lossless-codec fallback already applied
-  std::vector<std::uint8_t> controller_state;  ///< RecoveryController sync
-  // Donor's rollback snapshot, so a rollback decided before the rejoiner's
-  // next snapshot point restores the same weights everywhere.
-  bool has_snapshot = false;
-  std::uint64_t snapshot_iteration = 0;
-  std::vector<float> snapshot_params;
-  std::vector<std::vector<float>> snapshot_velocity;
-  std::vector<float> snapshot_residual;
-};
-
-void put_floats(std::vector<std::uint8_t>& blob, std::span<const float> values) {
-  wire::put<std::uint64_t>(blob, values.size());
-  wire::put_span<float>(blob, values);
-}
-
-void put_buffers(std::vector<std::uint8_t>& blob,
-                 const std::vector<std::vector<float>>& buffers) {
-  wire::put<std::uint64_t>(blob, buffers.size());
-  for (const std::vector<float>& buffer : buffers) put_floats(blob, buffer);
-}
-
-std::vector<float> get_floats(wire::Reader& reader) {
-  std::vector<float> values(reader.get_count(sizeof(float)));
-  reader.get_span<float>(values);
-  return values;
-}
-
-std::vector<std::vector<float>> get_buffers(wire::Reader& reader) {
-  std::vector<std::vector<float>> buffers(reader.get_count(sizeof(std::uint64_t)));
-  for (std::vector<float>& buffer : buffers) buffer = get_floats(reader);
-  return buffers;
-}
-
-std::vector<std::uint8_t> serialize_rejoin_state(const RejoinState& state) {
-  std::vector<std::uint8_t> blob;
-  wire::put<std::uint64_t>(blob, state.iteration);
-  put_floats(blob, state.params);
-  put_buffers(blob, state.velocity);
-  put_floats(blob, state.residual);
-  wire::put<double>(blob, state.theta);
-  wire::put<std::uint8_t>(blob, state.fallback_active ? 1 : 0);
-  wire::put<std::uint64_t>(blob, state.controller_state.size());
-  wire::put_span<std::uint8_t>(blob, state.controller_state);
-  wire::put<std::uint8_t>(blob, state.has_snapshot ? 1 : 0);
-  if (state.has_snapshot) {
-    wire::put<std::uint64_t>(blob, state.snapshot_iteration);
-    put_floats(blob, state.snapshot_params);
-    put_buffers(blob, state.snapshot_velocity);
-    put_floats(blob, state.snapshot_residual);
-  }
-  return blob;
-}
-
-/// Throws std::runtime_error on truncation (the outer frame CRC has already
-/// rejected corruption, so this only fires on a protocol bug).
-RejoinState parse_rejoin_state(std::span<const std::uint8_t> blob) {
-  wire::Reader reader(blob);
-  RejoinState state;
-  state.iteration = reader.get<std::uint64_t>();
-  state.params = get_floats(reader);
-  state.velocity = get_buffers(reader);
-  state.residual = get_floats(reader);
-  state.theta = reader.get<double>();
-  state.fallback_active = reader.get<std::uint8_t>() != 0;
-  state.controller_state.resize(reader.get_count(1));
-  reader.get_span<std::uint8_t>(state.controller_state);
-  state.has_snapshot = reader.get<std::uint8_t>() != 0;
-  if (state.has_snapshot) {
-    state.snapshot_iteration = reader.get<std::uint64_t>();
-    state.snapshot_params = get_floats(reader);
-    state.snapshot_velocity = get_buffers(reader);
-    state.snapshot_residual = get_floats(reader);
-  }
-  return state;
-}
 
 }  // namespace
 
@@ -147,16 +58,14 @@ ClusterTrainResult cluster_train(
     const std::size_t rank = ctx.rank();
     analysis::CausalityTracker& causality = cluster.causality();
     nn::Network model = model_factory();
-    nn::SgdOptimizer optimizer(config.momentum);
-    nn::SoftmaxCrossEntropy criterion;
-    util::Rng batch_rng(config.seed * 7919 + rank);
-
-    const std::size_t grad_size = model.param_count();
-    std::vector<float> gradient(grad_size);
-    std::vector<float> reconstructed(grad_size);
-    std::vector<float> averaged(grad_size);
+    Replica replica(model, config.momentum);
+    util::Rng batch_rng = batch_stream(config.seed, rank);
+    const std::size_t grad_size = replica.size();
     std::unique_ptr<GradientCompressor> codec = compressor_factory(rank);
     if (!codec) throw std::logic_error("cluster_train: compressor factory returned null");
+    // The replica state's view of this rank's codec; stays valid when a
+    // codec fallback swaps the codec behind the pointer.
+    const RankCodecs codecs(&codec, 1);
 
     // Rank 0 is the ledger's designated recorder: one manifest per
     // cluster.run(), one iteration row per step (SimCluster's collective
@@ -165,16 +74,9 @@ ClusterTrainResult cluster_train(
     const bool ledger_on = rank == 0 && ledger.enabled();
     std::vector<nn::ParamSegment> layout;
     if (ledger_on) {
-      telemetry::LedgerManifest manifest;
-      manifest.trainer = "cluster_train";
-      manifest.compressor = codec->name();
-      manifest.ranks = config.ranks;
-      manifest.iterations = config.iterations;
-      manifest.seed = config.seed;
-      const comm::NetworkModel& net = cluster.network();
-      manifest.network = {net.name, net.latency_s, net.bandwidth_bytes_s, net.loss_rate};
-      manifest.fault_rate = cluster.faults().attempt_failure_prob();
-      ledger.begin_run(manifest);
+      ledger.begin_run(ledger_manifest("cluster_train", *codec, config.ranks, config.iterations,
+                                       config.seed, cluster.network(),
+                                       cluster.faults().attempt_failure_prob()));
       layout = model.param_layout();
     }
 
@@ -192,78 +94,31 @@ ClusterTrainResult cluster_train(
                                                   ctx.clock().time().to_double());
     };
 
-    const auto ef_codec = [&]() {
-      return dynamic_cast<ErrorFeedbackCompressor*>(codec.get());
-    };
-
     // ---- Elastic-recovery state -------------------------------------------
     RecoveryController recovery(config.recovery);
     // In-memory rollback snapshot, refreshed every snapshot_every
     // iterations at the same points on every rank.
-    struct Snapshot {
-      bool valid = false;
-      std::uint64_t iteration = 0;
-      std::vector<float> params;
-      std::vector<std::vector<float>> velocity;
-      std::vector<float> residual;
-    } snapshot;
-
-    const auto take_snapshot = [&](std::uint64_t iter) {
-      snapshot.valid = true;
-      snapshot.iteration = iter;
-      snapshot.params.resize(grad_size);
-      model.copy_params(snapshot.params);
-      snapshot.velocity = optimizer.velocity();
-      if (const auto* ef = ef_codec()) {
-        snapshot.residual.assign(ef->residual().begin(), ef->residual().end());
-      }
-    };
-    const auto restore_snapshot = [&]() {
-      if (!snapshot.valid) return;  // nothing captured yet (consistent everywhere)
-      model.set_params(snapshot.params);
-      optimizer.set_velocity(snapshot.velocity);
-      if (auto* ef = ef_codec(); ef != nullptr && !snapshot.residual.empty()) {
-        ef->set_residual(snapshot.residual);
-      }
-    };
-
-    // Donor side of the rejoin handshake: pack the full replica state the
-    // rejoiner needs into one CRC-framed packet.
-    const auto make_rejoin_blob = [&](std::uint64_t iter) {
-      RejoinState state;
-      state.iteration = iter;
-      state.params.resize(grad_size);
-      model.copy_params(state.params);
-      state.velocity = optimizer.velocity();
-      if (const auto* ef = ef_codec()) {
-        state.residual.assign(ef->residual().begin(), ef->residual().end());
-      }
-      state.theta = codec->theta();
-      state.fallback_active = recovery.fallback_active();
-      if (recovery_enabled) state.controller_state = recovery.save_decision_state();
-      state.has_snapshot = snapshot.valid;
-      if (snapshot.valid) {
-        state.snapshot_iteration = snapshot.iteration;
-        state.snapshot_params = snapshot.params;
-        state.snapshot_velocity = snapshot.velocity;
-        state.snapshot_residual = snapshot.residual;
-      }
-      Packet packet;
-      packet.bytes = serialize_rejoin_state(state);
-      packet.elements = grad_size;
-      return wire::frame_packet(packet);
-    };
+    std::optional<ReplicaState> snapshot;
 
     // One peer_transfer per cohort member, donor -> rejoiner, with a
     // bounded cluster-agreed retry loop. All live ranks (including the
-    // just-admitted cohort) participate in every transfer op; when this
-    // rank is the receiver the framed blob lands in `received`.
+    // just-admitted cohort) participate in every transfer op; the donor
+    // packs the full replica state the rejoiner needs into one CRC-framed
+    // blob, which lands in `received` when this rank is the receiver.
     const auto run_transfers = [&](const std::vector<std::size_t>& cohort,
                                    std::uint64_t iter,
                                    std::vector<std::uint8_t>* received) {
       const std::size_t donor = ctx.rejoin_donor();
       std::vector<std::uint8_t> blob;
-      if (rank == donor) blob = make_rejoin_blob(iter);
+      if (rank == donor) {
+        RejoinBlob donated;
+        donated.state.capture(iter, replica, codecs);
+        donated.theta = codec->theta();
+        donated.fallback_active = recovery.fallback_active();
+        if (recovery_enabled) donated.controller_state = recovery.save_decision_state();
+        donated.snapshot = snapshot;
+        blob = frame_state(donated);
+      }
       for (std::size_t r : cohort) {
         bool delivered = false;
         for (std::size_t attempt = 0;
@@ -284,43 +139,8 @@ ClusterTrainResult cluster_train(
       }
     };
 
-    // Receiver side: install the donor's state and fast-forward the local
-    // batch stream to the group's iteration. Returns that iteration.
-    const auto restore_from_blob = [&](const std::vector<std::uint8_t>& framed) {
-      const wire::WireFrame frame =
-          std::move(wire::unframe_frame(framed, grad_size))
-              .release(
-                  [&](const wire::WireFrame& f) { return f.packet.elements == grad_size; },
-                  "rejoin state frame");
-      const RejoinState state = parse_rejoin_state(frame.packet.bytes);
-      model.set_params(state.params);
-      optimizer.set_velocity(state.velocity);
-      if (state.fallback_active) {
-        codec = make_compressor("none");
-      } else {
-        codec->set_theta(state.theta);
-      }
-      if (auto* ef = ef_codec(); ef != nullptr && !state.residual.empty()) {
-        ef->set_residual(state.residual);
-      }
-      if (recovery_enabled) recovery.load_decision_state(state.controller_state);
-      snapshot.valid = state.has_snapshot;
-      if (state.has_snapshot) {
-        snapshot.iteration = state.snapshot_iteration;
-        snapshot.params = state.snapshot_params;
-        snapshot.velocity = state.snapshot_velocity;
-        snapshot.residual = state.snapshot_residual;
-      }
-      // Replay the private batch stream: an uninterrupted run would have
-      // drawn exactly `iteration` batches before this point.
-      batch_rng = util::Rng(config.seed * 7919 + rank);
-      for (std::uint64_t i = 0; i < state.iteration; ++i) {
-        (void)dataset.sample(config.batch_per_rank, batch_rng);
-      }
-      return static_cast<std::size_t>(state.iteration);
-    };
-
     double last_loss = 0.0;
+    std::vector<float> hash_scratch;
 
     const auto train_loop = [&](std::size_t from) {
       for (std::size_t iter = from; iter < config.iterations; ++iter) {
@@ -335,35 +155,20 @@ ClusterTrainResult cluster_train(
           if (!admitted.empty()) run_transfers(admitted, iter, nullptr);
         }
         if (recovery_enabled && iter % config.recovery.snapshot_every == 0) {
-          take_snapshot(iter);
+          if (!snapshot) snapshot.emplace();
+          snapshot->capture(iter, replica, codecs);
         }
 
         const std::size_t skips_at_entry = rank_skips[rank];
         telemetry::LedgerIteration row;
-        util::WallSeconds forward_s{};
-        util::WallSeconds backward_s{};
-        util::WallSeconds compress_s{};
-        util::WallSeconds decompress_s{};
-        // SimCluster::run bound this thread to its rank track, so these
+        // SimCluster::run bound this thread to its rank track, so the step's
         // spans land per rank on the wall timeline (and the collective's
         // span inside allgather also lands on the simulated timeline).
         const nn::Batch batch = dataset.sample(config.batch_per_rank, batch_rng);
-        model.zero_grad();
-        {
-          telemetry::TraceSpan span("forward", "trainer");
-          util::WallTimer timer;
-          last_loss = criterion.forward(model.forward(batch.inputs), batch.labels);
-          forward_s = timer.elapsed();
-        }
+        last_loss = replica.forward(batch);
         if (compute_model != nullptr) charge("forward", compute_model->forward_s);
         losses[rank][iter] = last_loss;
-        {
-          telemetry::TraceSpan span("backward", "trainer");
-          util::WallTimer timer;
-          model.backward(criterion.backward());
-          model.copy_gradients(gradient);
-          backward_s = timer.elapsed();
-        }
+        replica.backward();
         if (compute_model != nullptr) charge("backward", compute_model->backward_s);
 
         // Compress, allgather packets, decompress every peer, average. In
@@ -371,28 +176,23 @@ ClusterTrainResult cluster_train(
         // clock, collective epoch, and membership view epoch) so the
         // happens-before and membership evidence travels with the bytes
         // and is re-verified from what actually arrived.
-        Packet packet;
         std::vector<std::uint8_t> wire;
         // The membership view this rank publishes under; captured before
         // the exchange because a crash *during* the allgather advances the
         // live view, while every peer's trailer was encoded under this one.
         const std::uint64_t publish_view = ctx.view_epoch();
-        {
-          telemetry::TraceSpan span("compress", "trainer");
-          util::WallTimer timer;
+        const Packet packet = replica.compress(*codec, [&](const Packet& compressed) {
           std::vector<std::uint8_t> trailer;
           if (causality.active()) {
             trailer = analysis::encode_trailer(
                 causality.make_trailer(rank, ctx.op_index(), publish_view));
           }
-          packet = codec->compress(gradient);
           if (ledger_on || recovery_enabled) {
-            row.grad_norm = util::l2_norm(gradient);
-            row.ratio = packet.ratio();
+            row.grad_norm = util::l2_norm(replica.gradient());
+            row.ratio = compressed.ratio();
           }
-          wire = wire::frame_packet(packet, trailer);
-          compress_s = timer.elapsed();
-        }
+          wire = wire::frame_packet(compressed, trailer);
+        });
         if (compute_model != nullptr) {
           charge("fft", compute_model->fft_s);
           charge("quant_pack", compute_model->quant_pack_s);
@@ -436,7 +236,8 @@ ClusterTrainResult cluster_train(
         // re-credit it into the residual so excluded iterations delay
         // information instead of destroying it.
         if (!frames[rank]) {
-          if (auto* ef = ef_codec()) ef->recredit_undelivered(packet);
+          auto* ef = dynamic_cast<ErrorFeedbackCompressor*>(codec.get());
+          if (ef != nullptr) ef->recredit_undelivered(packet);
         }
 
         // Re-verify the received causality trailers: the sender's publish
@@ -471,57 +272,16 @@ ClusterTrainResult cluster_train(
           }
         }
 
-        std::fill(averaged.begin(), averaged.end(), 0.0f);
-        if (decoded > 0) {
-          const float inv_decoded = 1.0f / static_cast<float>(decoded);
-          telemetry::TraceSpan span("decompress", "trainer");
-          util::WallTimer timer;
-          for (std::size_t r = 0; r < frames.size(); ++r) {
-            if (!frames[r]) continue;
-            try {
-              codec->decompress(frames[r]->packet, reconstructed);
-            } catch (const std::exception&) {
-              // Payload passed the CRC but the codec still rejected it
-              // (vanishingly rare); drop the contribution, keep the step.
-              ++rank_skips[rank];
-              peers_skipped.add(1.0);
-              continue;
-            }
-            if (ledger_on && r == rank) {
-              // Round-trip quality of this rank's own gradient: the block it
-              // sent came back through the full compress/wire/decompress
-              // path, so (gradient, reconstructed) is exactly the paper's
-              // Assumption-3.2 pair.
-              const std::span<const float> truth(gradient);
-              const std::span<const float> recon(reconstructed);
-              row.alpha = util::relative_error_alpha(truth, recon);
-              row.rms_error = util::rms_error(truth, recon);
-              for (std::size_t i = 0; i < grad_size; ++i) {
-                row.max_error = std::max(
-                    row.max_error,
-                    static_cast<double>(std::fabs(gradient[i] - reconstructed[i])));
-              }
-              row.layers.reserve(layout.size());
-              for (const nn::ParamSegment& seg : layout) {
-                row.layers.push_back(
-                    {seg.name,
-                     util::relative_error_alpha(truth.subspan(seg.offset, seg.count),
-                                                recon.subspan(seg.offset, seg.count)),
-                     util::rms_error(truth.subspan(seg.offset, seg.count),
-                                     recon.subspan(seg.offset, seg.count)),
-                     0.0});
-                for (std::size_t i = seg.offset; i < seg.offset + seg.count; ++i) {
-                  row.layers.back().max_error =
-                      std::max(row.layers.back().max_error,
-                               static_cast<double>(std::fabs(gradient[i] - reconstructed[i])));
-                }
-              }
-            }
-            for (std::size_t i = 0; i < grad_size; ++i) {
-              averaged[i] += reconstructed[i] * inv_decoded;
-            }
-          }
-          decompress_s = timer.elapsed();
+        // The ledger's round trip is this rank's own block: it came back
+        // through the full compress/wire/decompress path, so (gradient,
+        // reconstruction) is exactly the paper's Assumption-3.2 pair. A
+        // payload that passed the CRC but that the codec still rejects
+        // (vanishingly rare) drops its contribution; the step goes on.
+        const std::size_t rejected =
+            replica.average(*codec, frames, ledger_on ? &row : nullptr, rank, layout);
+        if (rejected > 0) {
+          rank_skips[rank] += rejected;
+          peers_skipped.add(static_cast<double>(rejected));
         }
         if (compute_model != nullptr && decoded > 0) {
           charge("inverse_fft", compute_model->inverse_fft_s);
@@ -533,24 +293,20 @@ ClusterTrainResult cluster_train(
         }
 
         if (decoded > 0) {
-          {
-            telemetry::TraceSpan apply_span("apply", "trainer");
-            model.set_gradients(averaged);
-            optimizer.step(model, config.learning_rate);
-          }
+          replica.apply(config.learning_rate);
           if (compute_model != nullptr) charge("apply", compute_model->apply_s);
         }
 
         // Cross-rank state-hash agreement: surviving replicas must hold
         // bit-identical parameters after every step, so a logical race is
         // caught at the iteration that caused it rather than as mysterious
-        // end-of-run divergence. `reconstructed` is dead until the next
-        // decompress, so it doubles as the hash scratch buffer.
+        // end-of-run divergence.
         if (causality.active()) {
-          model.copy_params(reconstructed);
+          hash_scratch.resize(grad_size);
+          model.copy_params(hash_scratch);
           const std::uint32_t hash = util::crc32(std::span<const std::uint8_t>(
-              reinterpret_cast<const std::uint8_t*>(reconstructed.data()),
-              reconstructed.size() * sizeof(float)));
+              reinterpret_cast<const std::uint8_t*>(hash_scratch.data()),
+              hash_scratch.size() * sizeof(float)));
           causality.check_agreement("trainer.state_hash", rank, iter, hash);
         }
 
@@ -558,15 +314,14 @@ ClusterTrainResult cluster_train(
           row.iteration = iter;
           row.loss = last_loss;
           row.sim_time_s = ctx.clock().time();
-          row.forward_s = forward_s;
-          row.backward_s = backward_s;
-          row.compress_s = compress_s;
-          row.decompress_s = decompress_s;
+          const PhaseTimes& times = replica.times();
+          row.forward_s = times.forward;
+          row.backward_s = times.backward;
+          row.compress_s = times.compress;
+          row.decompress_s = times.decompress;
           row.wire_bytes = util::byte_count(wire.size());
           row.skipped_peers = rank_skips[rank] - skips_at_entry;
-          if (const auto* ef = ef_codec()) {
-            row.ef_residual_norm = util::l2_norm(ef->residual());
-          }
+          row.ef_residual_norm = residual_norm(codec);
           ledger.end_iteration(row);
         }
 
@@ -574,15 +329,14 @@ ClusterTrainResult cluster_train(
         // flags through a real (modelled) collective so the remedy decision
         // is identical everywhere, then apply it before the next step.
         if (recovery_enabled) {
-          double residual_norm = -1.0;
-          if (const auto* ef = ef_codec()) residual_norm = util::l2_norm(ef->residual());
+          const double ef_norm = residual_norm(codec);
           float flags[4] = {
               std::isfinite(row.grad_norm) ? 0.0f : 1.0f,
               std::isfinite(last_loss) ? 0.0f : 1.0f,
               (row.ratio > 0.0 && row.ratio < config.recovery.min_ratio) ? 1.0f : 0.0f,
-              (residual_norm >= 0.0 && std::isfinite(row.grad_norm) &&
-               residual_norm > config.recovery.residual_growth_factor * row.grad_norm &&
-               residual_norm > 0.0)
+              (ef_norm >= 0.0 && std::isfinite(row.grad_norm) &&
+               ef_norm > config.recovery.residual_growth_factor * row.grad_norm &&
+               ef_norm > 0.0)
                   ? 1.0f
                   : 0.0f};
           ctx.allreduce_sum(flags);
@@ -594,7 +348,8 @@ ClusterTrainResult cluster_train(
           for (RemedyAction action : recovery.step(iter, signals)) {
             switch (action) {
               case RemedyAction::kRollback:
-                restore_snapshot();
+                // Nothing captured yet is consistent everywhere.
+                if (snapshot) snapshot->install(replica, codecs);
                 break;
               case RemedyAction::kCodecFallback:
                 codec = make_compressor("none");
@@ -619,7 +374,10 @@ ClusterTrainResult cluster_train(
     // with a recovery fate parks this thread until the survivors re-admit
     // it, then restores replica state from the donor's blob and re-enters
     // the loop at the group's iteration. A crash without a recovery fate
-    // propagates to SimCluster::run's handler as before.
+    // propagates to SimCluster::run's handler as before. The rank's codec
+    // restarts from the factory (a codec fallback comes back with the blob)
+    // and takes the donor's residual, which only shapes what the rejoiner
+    // *sends*, so replica identity is exact.
     std::size_t start_iter = 0;
     for (;;) {
       try {
@@ -628,9 +386,25 @@ ClusterTrainResult cluster_train(
       } catch (const comm::RankCrashed&) {
         if (plan.rejoin_op(rank) == std::numeric_limits<std::size_t>::max()) throw;
         if (!ctx.await_rejoin()) return;  // run drained first: the rank stays dead
-        std::vector<std::uint8_t> blob;
-        run_transfers(ctx.rejoin_cohort(), 0, &blob);
-        start_iter = restore_from_blob(blob);
+        std::vector<std::uint8_t> framed;
+        run_transfers(ctx.rejoin_cohort(), 0, &framed);
+        codec = compressor_factory(rank);  // a restarted rank's codec starts fresh
+        RejoinBlob blob = parse_state<RejoinBlob>(framed).release(
+            [&](const RejoinBlob& b) { return b.fits(replica, codecs); }, "rejoin state");
+        blob.state.install(replica, codecs);
+        if (blob.fallback_active) {
+          codec = make_compressor("none");
+        } else {
+          codec->set_theta(blob.theta);
+        }
+        if (recovery_enabled) recovery.load_decision_state(blob.controller_state);
+        snapshot = std::move(blob.snapshot);
+        // Replay the private batch stream to the group's iteration.
+        batch_rng = batch_stream(config.seed, rank);
+        for (std::uint64_t i = 0; i < blob.state.iteration; ++i) {
+          (void)dataset.sample(config.batch_per_rank, batch_rng);
+        }
+        start_iter = static_cast<std::size_t>(blob.state.iteration);
       }
     }
 

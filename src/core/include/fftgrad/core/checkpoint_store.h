@@ -1,17 +1,17 @@
 // Durable checkpoint storage with crash-safe writes and bounded retention.
 //
-// TrainerCheckpoint (fftgrad/core/trainer.h) already makes the *blob*
-// tamper-evident (magic + CRC); this store makes the *file* crash-safe: a
-// checkpoint is written to `<name>.tmp` and atomically renamed into place,
-// so a process killed mid-write leaves at worst a stale .tmp — never a
-// half-written checkpoint under the final name. Retention keeps the newest
-// K checkpoints (FFTGRAD_CKPT_KEEP, default 3) so a corrupt or regressed
-// latest can always be rolled past.
+// The state blob's CRC frame (frame_state, fftgrad/core/replica.h) makes a
+// TrainerCheckpoint tamper-evident; this store makes the *file* crash-safe:
+// a checkpoint is written to `<name>.tmp` and atomically renamed into
+// place, so a process killed mid-write leaves at worst a stale .tmp — never
+// a half-written checkpoint under the final name. Retention keeps the
+// newest K checkpoints (FFTGRAD_CKPT_KEEP, default 3) so a corrupt or
+// regressed latest can always be rolled past.
 //
 // latest() walks the retained checkpoints newest-first and returns the
-// first one whose blob deserializes (CRC-valid); torn or corrupted files
-// are skipped, which is what turns kill -9 during save() into "resume from
-// the previous epoch" instead of "resume fails".
+// first one whose blob parses (CRC-valid; train() releases it); torn or
+// corrupted files are skipped, which is what turns kill -9 during save()
+// into "resume from the previous epoch" instead of "resume fails".
 //
 // Thread contract: single-threaded by design — each rank owns its private
 // store rooted at a per-rank directory, so no two threads ever touch the
@@ -37,13 +37,13 @@ class CheckpointStore {
   const std::string& dir() const { return dir_; }
   std::size_t keep() const { return keep_; }
 
-  /// Atomically persist `ckpt` (keyed by its next_epoch) and prune beyond
+  /// Atomically persist `ckpt` (keyed by its next epoch) and prune beyond
   /// the retention limit. Throws std::runtime_error on IO failure.
   void save(const TrainerCheckpoint& ckpt);
 
-  /// Newest checkpoint whose blob passes deserialization; nullopt when none
-  /// is valid (empty store, or every retained file is corrupt).
-  std::optional<TrainerCheckpoint> latest() const;
+  /// Newest checkpoint whose blob parses; nullopt when none is valid
+  /// (empty store, or every retained file is corrupt).
+  std::optional<util::Untrusted<TrainerCheckpoint>> latest() const;
 
   /// Retained checkpoint file names (no directory), newest first.
   std::vector<std::string> files() const;

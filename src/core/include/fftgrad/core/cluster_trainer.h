@@ -4,12 +4,12 @@
 // peers' packets locally — the paper's exact deployment (every GPU keeps a
 // copy of the global gradient after allgather).
 //
-// This is the executable counterpart of the sequential DistributedTrainer:
-// that one folds the rank loop onto a single replica (bit-identical update
-// math, 1/p the memory) and is what the figure benches use; this one keeps
-// p real replicas and real message passing, and exists to demonstrate and
-// test that the two are equivalent (test_cluster_trainer asserts parity)
-// and to serve as the template for a real MPI/NCCL integration.
+// Both this and the sequential DistributedTrainer run the step of
+// fftgrad/core/replica.h and end bit-identical (test_cluster_trainer
+// asserts it). That one folds the rank loop onto a single replica for the
+// figure benches; this one keeps p real replicas and real message passing,
+// carries faults, recovery and rejoin, and is the template for a real
+// MPI/NCCL integration.
 #pragma once
 
 #include <cstddef>
@@ -106,12 +106,11 @@ struct ClusterTrainResult {
 /// crash into a bounded outage — at each iteration top the survivors
 /// admit any rank whose rejoin op has been reached (SimCluster's
 /// membership handshake) and the handshake's donor (its lowest live rank)
-/// ships the rejoiner a CRC-framed state blob (params, momentum, EF
-/// residual, codec/theta state, recovery-controller decision state, and
-/// the current rollback snapshot) through peer_transfer, charged at real
-/// NetworkModel cost. The rejoiner replays its batch-RNG stream to the
-/// group's iteration and re-enters the BSP loop; from then on it is
-/// bit-identical to the other replicas. When config.recovery is enabled,
+/// ships the rejoiner a framed RejoinBlob (fftgrad/core/replica.h) through
+/// peer_transfer, charged at real NetworkModel cost. The rejoiner checks
+/// its shapes, replays its batch-RNG stream to the group's iteration and
+/// re-enters the BSP loop; from then on it is bit-identical to the other
+/// replicas. When config.recovery is enabled,
 /// the RecoveryController additionally maps monitor conditions to
 /// automatic remedies (rollback / lossless-codec fallback / theta
 /// relaxation), each recorded as a ledger `remediation` row.

@@ -5,19 +5,19 @@
 // allgather (the paper uses NCCL allgather for all algorithms since sparse
 // allreduce is unsupported), decompressed, and averaged; all replicas then
 // apply the same averaged update. Because replicas stay bit-identical
-// under that scheme, the trainer executes the rank loop sequentially over
-// a single model instance — numerically indistinguishable from p replicas,
-// at 1/p the memory — while the simulated per-iteration wall time is
-// accounted as
+// under that scheme, the trainer folds the rank loop onto one model at 1/p
+// the memory, running cluster_train's step (fftgrad/core/replica.h) and
+// ending bit-identical to it. The simulated per-iteration wall time is
 //
-//     max over ranks(compute + compress) + allgather(compressed blocks)
+//     max over ranks(compute + codec) + allgather(compressed blocks)
 //     + (every `param_sync_every` iters) broadcast(parameters)
 //
 // exactly the BSP timeline of Fig 1b/Sec 4.
 //
 // Two timing modes:
 //  * measured (default)  — compute/compression charge actual wall time of
-//    this host's substrate; communication comes from the NetworkModel.
+//    this host's substrate (a rank's decode charge is its 1/p share of the
+//    p decodes); communication comes from the NetworkModel.
 //  * paper-scale (set PaperScale) — gradient bytes are rescaled to the
 //    paper's real model sizes (AlexNet 250MB, ResNet32 6MB), compute is
 //    charged at the paper's measured per-iteration GPU time, and
@@ -32,10 +32,12 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "fftgrad/comm/network_model.h"
 #include "fftgrad/core/compressor.h"
+#include "fftgrad/core/replica.h"
 #include "fftgrad/core/theta_schedule.h"
 #include "fftgrad/nn/dataset.h"
 #include "fftgrad/nn/network.h"
@@ -95,25 +97,27 @@ struct TrainResult {
 using CompressorFactory = std::function<std::unique_ptr<GradientCompressor>(std::size_t rank)>;
 
 /// Full training state at an epoch boundary: everything needed to resume a
-/// crashed run bit-identically — model parameters, optimizer momentum,
-/// each rank's error-feedback residual, each rank's batch-stream RNG, and
-/// the accounting totals (sim time / wire bytes / iteration count, so the
-/// param-sync broadcast cadence stays aligned). serialize() produces a
-/// CRC-protected blob; deserialize() rejects any corruption.
+/// crashed run bit-identically — the replica state, each rank's batch-stream
+/// RNG, and the accounting totals (sim time / wire bytes / iteration count,
+/// so the param-sync broadcast cadence stays aligned). frame_state() and
+/// parse_state() (fftgrad/core/replica.h) turn it into its blob and back.
 struct TrainerCheckpoint {
-  std::uint64_t next_epoch = 0;        ///< first epoch the resumed run executes
+  ReplicaState state;  ///< state.iteration: first epoch the resumed run executes
   double sim_time_s = 0.0;
   double total_wire_bytes = 0.0;
   std::uint64_t total_iters = 0;
-  std::vector<float> params;
-  std::vector<std::vector<float>> velocity;   ///< optimizer momentum buffers
-  std::vector<std::vector<float>> residuals;  ///< per-rank EF residuals ({} if none)
   std::vector<std::array<std::uint64_t, 6>> rng_states;  ///< per-rank batch streams
   std::vector<EpochRecord> epochs;     ///< records of the completed epochs
 
-  std::vector<std::uint8_t> serialize() const;
-  /// Throws std::runtime_error on truncation, bad magic, or CRC mismatch.
-  static TrainerCheckpoint deserialize(std::span<const std::uint8_t> blob);
+  /// The release check: one RNG state per codec, and a fitting state.
+  bool fits(Replica& replica, RankCodecs codecs) const {
+    if (rng_states.size() != codecs.size()) {
+      throw std::invalid_argument("train: checkpoint rank count does not match the config");
+    }
+    return state.fits(replica, codecs);
+  }
+  void write(std::vector<std::uint8_t>& bytes) const;
+  static TrainerCheckpoint read(wire::Reader& reader);
 };
 
 /// Checkpoint behaviour for one train() call.
@@ -124,9 +128,10 @@ struct CheckpointOptions {
   /// ...). Called on the training thread at epoch boundaries.
   std::function<void(const TrainerCheckpoint&)> sink;
   /// Resume from this checkpoint instead of the shared initialization.
-  /// The run continues at `resume->next_epoch` and reproduces the
-  /// uninterrupted run's weights bit-for-bit.
-  const TrainerCheckpoint* resume = nullptr;
+  /// train() releases it through fits() before writing anything (else
+  /// std::invalid_argument), continues at `state.iteration` and reproduces
+  /// the uninterrupted run's weights bit-for-bit.
+  util::Untrusted<TrainerCheckpoint>* resume = nullptr;
 };
 
 class DistributedTrainer {

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
-#include "fftgrad/core/error_feedback.h"
 #include "fftgrad/nn/loss.h"
 #include "fftgrad/perfmodel/cost_model.h"
 #include "fftgrad/telemetry/ledger.h"
@@ -13,15 +12,14 @@
 #include "fftgrad/telemetry/trace.h"
 #include "fftgrad/util/logging.h"
 #include "fftgrad/util/stats.h"
-#include "fftgrad/util/timer.h"
 
 namespace fftgrad::core {
 namespace {
 
-/// Per-rank phase durations of one simulated iteration, used to lay the
-/// Fig 2-style spans onto each rank's simulated track. The phase order
-/// mirrors the trainer's cost accounting (decompress is part of the
-/// per-rank codec time charged before the exchange).
+/// Per-rank phase durations of one simulated iteration, as charged: the
+/// Fig 2-style spans of each rank's simulated track and the ledger's phase
+/// columns (decompress is part of the codec time charged before the
+/// exchange).
 struct RankPhaseTimes {
   double forward = 0.0;
   double backward = 0.0;
@@ -29,110 +27,32 @@ struct RankPhaseTimes {
   double decompress = 0.0;
 };
 
-constexpr std::uint32_t kCheckpointMagic = 0x4647434bu;  // "FGCK"
-
-/// Serialization helpers for the nested float buffers.
-void put_floats(std::vector<std::uint8_t>& bytes, const std::vector<float>& values) {
-  wire::put<std::uint64_t>(bytes, values.size());
-  wire::put_span<const float>(bytes, values);
-}
-
-std::vector<float> get_floats(wire::Reader& reader) {
-  std::vector<float> values(reader.get_count(sizeof(float)));
-  reader.get_span<float>(values);
-  return values;
-}
-
-void put_float_lists(std::vector<std::uint8_t>& bytes,
-                     const std::vector<std::vector<float>>& lists) {
-  wire::put<std::uint64_t>(bytes, lists.size());
-  for (const auto& list : lists) put_floats(bytes, list);
-}
-
-std::vector<std::vector<float>> get_float_lists(wire::Reader& reader) {
-  std::vector<std::vector<float>> lists(reader.get_count(sizeof(std::uint64_t)));
-  for (auto& list : lists) list = get_floats(reader);
-  return lists;
-}
-
 }  // namespace
 
-std::vector<std::uint8_t> TrainerCheckpoint::serialize() const {
-  std::vector<std::uint8_t> bytes;
-  // Reserve the exact blob size up front (also sidesteps a GCC 12
-  // -Wstringop-overflow false positive on the growing inserts).
-  std::size_t total = 2 * sizeof(std::uint32_t)  // magic + crc
-                      + 7 * sizeof(std::uint64_t)  // scalars and top-level counts
-                      + 2 * sizeof(double) + params.size() * sizeof(float) +
-                      sizeof(std::uint64_t) * (velocity.size() + residuals.size()) +
-                      rng_states.size() * 6 * sizeof(std::uint64_t) +
-                      epochs.size() * (sizeof(std::uint64_t) + 7 * sizeof(double));
-  for (const auto& list : velocity) total += list.size() * sizeof(float);
-  for (const auto& list : residuals) total += list.size() * sizeof(float);
-  bytes.reserve(total);
-  wire::put<std::uint32_t>(bytes, kCheckpointMagic);
-  wire::put<std::uint32_t>(bytes, 0);  // CRC patched below
-  wire::put<std::uint64_t>(bytes, next_epoch);
+// EpochRecord and the RNG states are fixed-width PODs: written as raw spans.
+static_assert(std::is_trivially_copyable_v<EpochRecord> && sizeof(EpochRecord) == 64);
+
+void TrainerCheckpoint::write(std::vector<std::uint8_t>& bytes) const {
+  state.write(bytes);
   wire::put<double>(bytes, sim_time_s);
   wire::put<double>(bytes, total_wire_bytes);
   wire::put<std::uint64_t>(bytes, total_iters);
-  put_floats(bytes, params);
-  put_float_lists(bytes, velocity);
-  put_float_lists(bytes, residuals);
   wire::put<std::uint64_t>(bytes, rng_states.size());
-  for (const auto& state : rng_states) {
-    for (std::uint64_t word : state) wire::put<std::uint64_t>(bytes, word);
-  }
+  wire::put_span<const std::array<std::uint64_t, 6>>(bytes, rng_states);
   wire::put<std::uint64_t>(bytes, epochs.size());
-  for (const EpochRecord& record : epochs) {
-    wire::put<std::uint64_t>(bytes, record.epoch);
-    wire::put<double>(bytes, record.train_loss);
-    wire::put<double>(bytes, record.test_accuracy);
-    wire::put<double>(bytes, record.theta);
-    wire::put<double>(bytes, record.lr);
-    wire::put<double>(bytes, record.sim_time_s);
-    wire::put<double>(bytes, record.mean_alpha);
-    wire::put<double>(bytes, record.mean_ratio);
-  }
-  const std::uint32_t crc =
-      util::crc32(std::span<const std::uint8_t>(bytes).subspan(2 * sizeof(std::uint32_t)));
-  std::memcpy(bytes.data() + sizeof(std::uint32_t), &crc, sizeof(crc));
-  return bytes;
+  wire::put_span<const EpochRecord>(bytes, epochs);
 }
 
-TrainerCheckpoint TrainerCheckpoint::deserialize(std::span<const std::uint8_t> blob) {
-  wire::Reader reader(blob);
-  if (reader.get<std::uint32_t>() != kCheckpointMagic) {
-    throw std::runtime_error("checkpoint: bad magic");
-  }
-  const auto expected_crc = reader.get<std::uint32_t>();
-  const std::uint32_t actual_crc = util::crc32(blob.subspan(2 * sizeof(std::uint32_t)));
-  if (actual_crc != expected_crc) {
-    throw std::runtime_error("checkpoint: checksum mismatch");
-  }
+TrainerCheckpoint TrainerCheckpoint::read(wire::Reader& reader) {
   TrainerCheckpoint ckpt;
-  ckpt.next_epoch = reader.get<std::uint64_t>();
+  ckpt.state = ReplicaState::read(reader);
   ckpt.sim_time_s = reader.get<double>();
   ckpt.total_wire_bytes = reader.get<double>();
   ckpt.total_iters = reader.get<std::uint64_t>();
-  ckpt.params = get_floats(reader);
-  ckpt.velocity = get_float_lists(reader);
-  ckpt.residuals = get_float_lists(reader);
-  ckpt.rng_states.resize(reader.get_count(6 * sizeof(std::uint64_t)));
-  for (auto& state : ckpt.rng_states) {
-    for (std::uint64_t& word : state) word = reader.get<std::uint64_t>();
-  }
-  ckpt.epochs.resize(reader.get_count(8 * sizeof(double)));
-  for (EpochRecord& record : ckpt.epochs) {
-    record.epoch = static_cast<std::size_t>(reader.get<std::uint64_t>());
-    record.train_loss = reader.get<double>();
-    record.test_accuracy = reader.get<double>();
-    record.theta = reader.get<double>();
-    record.lr = reader.get<double>();
-    record.sim_time_s = reader.get<double>();
-    record.mean_alpha = reader.get<double>();
-    record.mean_ratio = reader.get<double>();
-  }
+  ckpt.rng_states.resize(reader.get_count(sizeof(std::array<std::uint64_t, 6>)));
+  reader.get_span<std::array<std::uint64_t, 6>>(ckpt.rng_states);
+  ckpt.epochs.resize(reader.get_count(sizeof(EpochRecord)));
+  reader.get_span<EpochRecord>(ckpt.epochs);
   return ckpt;
 }
 
@@ -181,10 +101,9 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   // gets its own trace process.
   if (telemetry::Tracer::global().enabled()) telemetry::Tracer::global().begin_sim_session();
   model_.set_params(initial_params_);
-  nn::SgdOptimizer optimizer(config_.momentum);
-  nn::SoftmaxCrossEntropy criterion;
+  Replica replica(model_, config_.momentum);
 
-  const std::size_t grad_size = model_.param_count();
+  const std::size_t grad_size = replica.size();
   const double raw_bytes = static_cast<double>(grad_size) * sizeof(float);
   // Wire-size rescale factor for paper-scale mode (1.0 in measured mode).
   const double wire_scale =
@@ -194,13 +113,13 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   std::vector<util::Rng> rank_rngs;
   for (std::size_t r = 0; r < config_.ranks; ++r) {
     compressors.push_back(factory(r));
-    rank_rngs.emplace_back(config_.seed * 7919 + r);
+    rank_rngs.push_back(batch_stream(config_.seed, r));
   }
 
-  std::vector<float> rank_grad(grad_size);
-  std::vector<float> rank_recon(grad_size);
   std::vector<float> mean_true(grad_size);
-  std::vector<float> mean_recon(grad_size);
+  // Every rank's packet of the current iteration as the allgather would
+  // deliver it, decoded together once all ranks have compressed.
+  std::vector<std::optional<wire::WireFrame>> exchanged(config_.ranks);
   std::vector<util::Bytes> block_bytes(config_.ranks);
 
   TrainResult result;
@@ -219,16 +138,10 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   std::uint64_t ledger_iter = 0;  ///< row index within this run (resume-safe)
   std::vector<nn::ParamSegment> ledger_layout;
   if (ledger_on) {
-    telemetry::LedgerManifest manifest;
-    manifest.trainer = "distributed_trainer";
-    manifest.compressor = compressors[0]->name();
-    manifest.ranks = config_.ranks;
-    manifest.iterations = config_.epochs * config_.iters_per_epoch;
-    manifest.seed = config_.seed;
-    manifest.network = {config_.network.name, config_.network.latency_s,
-                        config_.network.bandwidth_bytes_s, config_.network.loss_rate};
-    manifest.fault_rate = 0.0;  // the sequential trainer has no fault plan
-    ledger.begin_run(manifest);
+    // The sequential trainer has no fault plan.
+    ledger.begin_run(ledger_manifest("distributed_trainer", *compressors[0], config_.ranks,
+                                     config_.epochs * config_.iters_per_epoch, config_.seed,
+                                     config_.network, 0.0));
     ledger_layout = model_.param_layout();
   }
 
@@ -240,31 +153,15 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   telemetry::Histogram& trainer_alpha = metrics.histogram("trainer.alpha");
 
   if (checkpoint.resume != nullptr) {
-    const TrainerCheckpoint& resume = *checkpoint.resume;
-    if (resume.params.size() != grad_size) {
-      throw std::invalid_argument("train: checkpoint parameter count does not match the model");
-    }
-    if (resume.rng_states.size() != config_.ranks ||
-        (!resume.residuals.empty() && resume.residuals.size() != config_.ranks)) {
-      throw std::invalid_argument("train: checkpoint rank count does not match the config");
-    }
-    model_.set_params(resume.params);
-    optimizer.set_velocity(resume.velocity);
-    for (std::size_t r = 0; r < config_.ranks; ++r) {
-      rank_rngs[r].load_state(resume.rng_states[r]);
-      if (!resume.residuals.empty() && !resume.residuals[r].empty()) {
-        auto* ef = dynamic_cast<ErrorFeedbackCompressor*>(compressors[r].get());
-        if (ef == nullptr) {
-          throw std::invalid_argument(
-              "train: checkpoint carries a residual but the codec has no error feedback");
-        }
-        ef->set_residual(resume.residuals[r]);
-      }
-    }
+    const TrainerCheckpoint resume = std::move(*checkpoint.resume).release(
+        [&](const TrainerCheckpoint& ckpt) { return ckpt.fits(replica, compressors); },
+        "checkpoint");
+    resume.state.install(replica, compressors);
+    for (std::size_t r = 0; r < config_.ranks; ++r) rank_rngs[r].load_state(resume.rng_states[r]);
     sim_time = resume.sim_time_s;
     total_wire = resume.total_wire_bytes;
     total_iters = static_cast<std::size_t>(resume.total_iters);
-    start_epoch = static_cast<std::size_t>(resume.next_epoch);
+    start_epoch = static_cast<std::size_t>(resume.state.iteration);
     result.epochs = resume.epochs;
     checkpoints_restored.add(1.0);
   }
@@ -273,19 +170,10 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   // exactly as this run would have.
   const auto capture_checkpoint = [&](std::size_t next_epoch) {
     TrainerCheckpoint ckpt;
-    ckpt.next_epoch = next_epoch;
+    ckpt.state.capture(next_epoch, replica, compressors);
     ckpt.sim_time_s = sim_time;
     ckpt.total_wire_bytes = total_wire;
     ckpt.total_iters = total_iters;
-    ckpt.params.resize(grad_size);
-    model_.copy_params(ckpt.params);
-    ckpt.velocity = optimizer.velocity();
-    ckpt.residuals.resize(config_.ranks);
-    for (std::size_t r = 0; r < config_.ranks; ++r) {
-      if (const auto* ef = dynamic_cast<const ErrorFeedbackCompressor*>(compressors[r].get())) {
-        ckpt.residuals[r].assign(ef->residual().begin(), ef->residual().end());
-      }
-    }
     for (const util::Rng& rng : rank_rngs) ckpt.rng_states.push_back(rng.save_state());
     ckpt.epochs = result.epochs;
     checkpoints_saved.add(1.0);
@@ -308,14 +196,10 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
       telemetry::ScopedIteration iteration_scope(
           static_cast<std::int64_t>(epoch * config_.iters_per_epoch + iter));
       std::fill(mean_true.begin(), mean_true.end(), 0.0f);
-      std::fill(mean_recon.begin(), mean_recon.end(), 0.0f);
       double slowest_rank = 0.0;
       // Ledger accumulators: per-phase sums over the rank loop (reported as
       // the across-rank mean) and the iteration's mean achieved ratio.
-      double ledger_forward_s = 0.0;
-      double ledger_backward_s = 0.0;
-      double ledger_compress_s = 0.0;
-      double ledger_decompress_s = 0.0;
+      RankPhaseTimes ledger_sum;
       double ledger_ratio_sum = 0.0;
       const double loss_before_iter = loss_sum;
 
@@ -327,39 +211,14 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
       const double iter_start_sim = sim_time;
 
       for (std::size_t r = 0; r < config_.ranks; ++r) {
-        util::WallTimer compute_timer;
         const nn::Batch batch = dataset_.sample(config_.batch_per_rank, rank_rngs[r]);
-        model_.zero_grad();
-        util::WallTimer forward_timer;
-        {
-          telemetry::TraceSpan span("forward", "trainer");
-          const tensor::Tensor logits = model_.forward(batch.inputs);
-          loss_sum +=
-              criterion.forward(logits, batch.labels) / static_cast<double>(config_.ranks);
-        }
-        const double forward_s = forward_timer.seconds();
-        util::WallTimer backward_timer;
-        {
-          telemetry::TraceSpan span("backward", "trainer");
-          model_.backward(criterion.backward());
-          model_.copy_gradients(rank_grad);
-        }
-        const double backward_s = backward_timer.seconds();
-        const double compute_s = compute_timer.seconds();
-
-        util::WallTimer compress_timer;
-        const Packet packet = [&] {
-          telemetry::TraceSpan span("compress", "trainer");
-          return compressors[r]->compress(rank_grad);
-        }();
-        const double compress_s = compress_timer.seconds();
-        util::WallTimer decompress_timer;
-        {
-          telemetry::TraceSpan span("decompress", "trainer");
-          compressors[r]->decompress(packet, rank_recon);
-        }
-        const double decompress_s = decompress_timer.seconds();
-        const double codec_s = compress_s + decompress_s;
+        loss_sum += replica.forward(batch) / static_cast<double>(config_.ranks);
+        replica.backward();
+        exchanged[r] = wire::WireFrame{replica.compress(*compressors[r], [](const Packet&) {}), {}};
+        const Packet& packet = exchanged[r]->packet;
+        const std::span<const float> rank_grad = replica.gradient();
+        const float inv_ranks = 1.0f / static_cast<float>(config_.ranks);
+        for (std::size_t i = 0; i < grad_size; ++i) mean_true[i] += rank_grad[i] * inv_ranks;
 
         const util::Bytes wire{static_cast<double>(packet.wire_bytes()) * wire_scale};
         block_bytes[r] = wire;
@@ -367,47 +226,48 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         ratio_sum += packet.ratio();
         ++ratio_count;
 
-        const float inv_ranks = 1.0f / static_cast<float>(config_.ranks);
-        for (std::size_t i = 0; i < grad_size; ++i) {
-          mean_true[i] += rank_grad[i] * inv_ranks;
-          mean_recon[i] += rank_recon[i] * inv_ranks;
-        }
-
+        RankPhaseTimes phase;
         double rank_time;
         if (config_.paper_scale) {
           // Compression + decompression, each charged at the algorithm's
-          // own modelled per-byte cost on the paper-scale message.
+          // own modelled per-byte cost on the paper-scale message; fwd+bwd
+          // ~ 3x fwd on GPU-class substrates, so the paper's combined
+          // compute figure splits 1:2.
+          const double compute = config_.paper_scale->compute_seconds;
           const double codec_model =
               2.0 * config_.paper_scale->raw_gradient_bytes *
               compressors[r]->modeled_seconds_per_byte(config_.paper_scale->throughputs);
-          rank_time = config_.paper_scale->compute_seconds + codec_model;
-          if (tracing) {
-            // fwd+bwd ~ 3x fwd on GPU-class substrates; split the paper's
-            // combined compute figure accordingly.
-            phases[r] = {config_.paper_scale->compute_seconds / 3.0,
-                         config_.paper_scale->compute_seconds * 2.0 / 3.0, codec_model / 2.0,
-                         codec_model / 2.0};
-          }
-          if (ledger_on) {
-            // Paper-scale mode reports the modelled phase split, matching
-            // what the simulated timeline was charged.
-            ledger_forward_s += config_.paper_scale->compute_seconds / 3.0;
-            ledger_backward_s += config_.paper_scale->compute_seconds * 2.0 / 3.0;
-            ledger_compress_s += codec_model / 2.0;
-            ledger_decompress_s += codec_model / 2.0;
-          }
+          rank_time = compute + codec_model;
+          phase = {compute / 3.0, compute * 2.0 / 3.0, codec_model / 2.0, codec_model / 2.0};
         } else {
-          rank_time = compute_s + codec_s;
-          if (tracing) phases[r] = {forward_s, backward_s, compress_s, decompress_s};
-          if (ledger_on) {
-            ledger_forward_s += forward_s;
-            ledger_backward_s += backward_s;
-            ledger_compress_s += compress_s;
-            ledger_decompress_s += decompress_s;
-          }
+          // The decode is charged once every packet is decoded, below.
+          const PhaseTimes& times = replica.times();
+          phase = {times.forward.to_double(), times.backward.to_double(),
+                   times.compress.to_double(), 0.0};
+          rank_time = phase.forward + phase.backward + phase.compress;
         }
-        if (ledger_on) ledger_ratio_sum += packet.ratio();
+        if (tracing) phases[r] = phase;
+        ledger_sum.forward += phase.forward;
+        ledger_sum.backward += phase.backward;
+        ledger_sum.compress += phase.compress;
+        ledger_sum.decompress += phase.decompress;
+        ledger_ratio_sum += packet.ratio();
         slowest_rank = std::max(slowest_rank, rank_time);
+      }
+
+      // Each rank of a real run decodes every packet with its own codec;
+      // the replicas are identical, so the fold decodes them once, with
+      // rank 0's.
+      if (replica.average(*compressors[0], exchanged) != 0) {
+        throw std::logic_error("DistributedTrainer: a codec rejected a packet of its own kind");
+      }
+      const std::span<const float> mean_recon = replica.averaged();
+      if (!config_.paper_scale) {
+        // Measured mode charges each rank its 1/p share of the p decodes.
+        ledger_sum.decompress = replica.times().decompress.to_double();
+        const double decode_s = ledger_sum.decompress / static_cast<double>(config_.ranks);
+        slowest_rank += decode_s;
+        for (RankPhaseTimes& phase : phases) phase.decompress = decode_s;
       }
 
       if (config_.record_alpha) {
@@ -417,11 +277,7 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
       }
 
       // Every replica applies the same averaged reconstructed gradient.
-      {
-        telemetry::TraceSpan span("apply", "trainer");
-        model_.set_gradients(mean_recon);
-        optimizer.step(model_, static_cast<float>(lr));
-      }
+      replica.apply(static_cast<float>(lr));
 
       const util::Bytes params_wire{raw_bytes * wire_scale};
       util::SimSeconds comm_s{};
@@ -470,35 +326,15 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         row.iteration = ledger_iter++;
         row.loss = loss_sum - loss_before_iter;  // this iteration's mean loss
         row.sim_time_s = util::SimSeconds(sim_time);
-        row.forward_s = util::WallSeconds(ledger_forward_s * inv_ranks);
-        row.backward_s = util::WallSeconds(ledger_backward_s * inv_ranks);
-        row.compress_s = util::WallSeconds(ledger_compress_s * inv_ranks);
-        row.decompress_s = util::WallSeconds(ledger_decompress_s * inv_ranks);
+        row.forward_s = util::WallSeconds(ledger_sum.forward * inv_ranks);
+        row.backward_s = util::WallSeconds(ledger_sum.backward * inv_ranks);
+        row.compress_s = util::WallSeconds(ledger_sum.compress * inv_ranks);
+        row.decompress_s = util::WallSeconds(ledger_sum.decompress * inv_ranks);
         row.grad_norm = util::l2_norm(mean_true);
-        row.alpha = util::relative_error_alpha(mean_true, mean_recon);
-        row.rms_error = util::rms_error(mean_true, mean_recon);
-        for (std::size_t i = 0; i < grad_size; ++i) {
-          row.max_error = std::max(
-              row.max_error, static_cast<double>(std::fabs(mean_true[i] - mean_recon[i])));
-        }
+        record_round_trip(row, mean_true, mean_recon, ledger_layout);
         row.ratio = mean_ratio;
         row.wire_bytes = wire_total;
-        if (const auto* ef =
-                dynamic_cast<const ErrorFeedbackCompressor*>(compressors[0].get())) {
-          row.ef_residual_norm = util::l2_norm(ef->residual());
-        }
-        row.layers.reserve(ledger_layout.size());
-        for (const nn::ParamSegment& seg : ledger_layout) {
-          const std::span<const float> truth(mean_true.data() + seg.offset, seg.count);
-          const std::span<const float> recon(mean_recon.data() + seg.offset, seg.count);
-          row.layers.push_back({seg.name, util::relative_error_alpha(truth, recon),
-                                util::rms_error(truth, recon), 0.0});
-          for (std::size_t i = 0; i < seg.count; ++i) {
-            row.layers.back().max_error =
-                std::max(row.layers.back().max_error,
-                         static_cast<double>(std::fabs(truth[i] - recon[i])));
-          }
-        }
+        row.ef_residual_norm = residual_norm(compressors[0]);
         ledger.end_iteration(row);
       }
 

@@ -1,16 +1,25 @@
 // Structure-aware fuzzing of the standalone wire-parsing primitives: the
-// collective packet framing that SimCluster moves between ranks, the mask
+// collective packet framing that SimCluster moves between ranks, the
+// replica-state blob (rejoin transfer and trainer checkpoint), the mask
 // codec, the packed-code reader, and wire::Reader itself. These are the
 // layers a corrupt length field reaches first — each must reject with an
 // exception before any length-derived read or allocation happens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "fftgrad/analysis/causality.h"
+#include "fftgrad/core/baseline_compressors.h"
 #include "fftgrad/core/compressor.h"
+#include "fftgrad/core/error_feedback.h"
+#include "fftgrad/core/replica.h"
+#include "fftgrad/core/trainer.h"
+#include "fftgrad/nn/models.h"
 #include "fftgrad/quant/range_float.h"
 #include "fftgrad/sparse/mask_coding.h"
 
@@ -169,6 +178,158 @@ TEST(FuzzWire, FramedTrailerNeverCrashes) {
   // as a crash or a silently different trailer.
   EXPECT_GT(stats.decoded, 0u);
   EXPECT_GT(stats.rejected, 0u);
+}
+
+namespace core = fftgrad::core;
+
+/// The receiving side of a state blob: a small replica whose one
+/// error-feedback codec and momentum are populated by one BSP step.
+struct StateReceiver {
+  fftgrad::nn::SyntheticDataset data{{4}, 2, 23};
+  fftgrad::nn::Network model;
+  core::Replica replica;
+  std::vector<std::unique_ptr<core::GradientCompressor>> codecs;
+
+  StateReceiver() : model(make_model()), replica(model, 0.9f) {
+    codecs.push_back(std::make_unique<core::ErrorFeedbackCompressor>(
+        std::make_unique<core::TopKCompressor>(0.5)));
+    fftgrad::util::Rng batches = core::batch_stream(1, 0);
+    (void)replica.forward(data.sample(4, batches));
+    replica.backward();
+    const std::optional<wire::WireFrame> frames[] = {
+        wire::WireFrame{replica.compress(*codecs[0], [](const Packet&) {}), {}}};
+    (void)replica.average(*codecs[0], frames);
+    replica.apply(0.1f);
+  }
+
+  static fftgrad::nn::Network make_model() {
+    fftgrad::util::Rng rng(41);
+    return fftgrad::nn::models::make_mlp(4, 6, 1, 2, rng);
+  }
+
+  bool fits(const core::RejoinBlob& blob) { return blob.fits(replica, codecs); }
+
+  core::RejoinBlob blob(bool with_snapshot) {
+    core::RejoinBlob blob;
+    blob.state.capture(5, replica, codecs);
+    blob.theta = 0.5;
+    blob.controller_state = {1, 2, 3};
+    if (with_snapshot) blob.snapshot = blob.state;
+    return blob;
+  }
+};
+
+TEST(FuzzWire, StateBlobNeverCrashesOrReleasesCorruption) {
+  // The rejoin blob and the trainer checkpoint share one framing and one
+  // parse (fftgrad/core/replica.h): a CRC frame around a ReplicaState-led
+  // payload. A mutated blob must be rejected by the parse; only an input
+  // identical to a valid blob may ever reach the shape-checking release.
+  StateReceiver receiver;
+  const std::vector<std::vector<std::uint8_t>> corpus = {
+      core::frame_state(receiver.blob(false)), core::frame_state(receiver.blob(true))};
+  const auto stats =
+      fftgrad::fuzz::drive(corpus, 0x57a7e5, [&](const std::vector<std::uint8_t>& bytes) {
+        const core::RejoinBlob blob =
+            core::parse_state<core::RejoinBlob>(bytes).release(
+                [&](const core::RejoinBlob& b) { return receiver.fits(b); }, "fuzzed state");
+        ASSERT_NE(std::find(corpus.begin(), corpus.end(), bytes), corpus.end())
+            << "released a blob that is not one of the valid encodings";
+        ASSERT_EQ(blob.state.params.size(), receiver.replica.size());
+      });
+  EXPECT_GT(stats.decoded, 0u);
+  EXPECT_GT(stats.rejected, 0u);
+
+  core::TrainerCheckpoint ckpt;
+  ckpt.state.capture(3, receiver.replica, receiver.codecs);
+  ckpt.rng_states.push_back({1, 2, 3, 4, 5, 6});
+  ckpt.epochs.resize(3);
+  const std::vector<std::vector<std::uint8_t>> checkpoints = {core::frame_state(ckpt)};
+  const auto ckpt_stats = fftgrad::fuzz::drive(
+      checkpoints, 0xc4ec4, [&](const std::vector<std::uint8_t>& bytes) {
+        (void)core::parse_state<core::TrainerCheckpoint>(bytes).release(
+            [&](const core::TrainerCheckpoint& c) {
+              return c.fits(receiver.replica, receiver.codecs);
+            },
+            "fuzzed checkpoint");
+        ASSERT_EQ(bytes, checkpoints.front())
+            << "released a checkpoint that is not the valid encoding";
+      });
+  EXPECT_GT(ckpt_stats.decoded, 0u);
+  EXPECT_GT(ckpt_stats.rejected, 0u);
+}
+
+TEST(FuzzWire, StateBlobParseRejectsEveryBitFlipTruncationAndRandomBuffer) {
+  StateReceiver receiver;
+  const std::vector<std::uint8_t> blob = core::frame_state(receiver.blob(true));
+  ASSERT_NO_THROW((void)core::parse_state<core::RejoinBlob>(blob));
+  const auto rejected = [](const std::vector<std::uint8_t>& bytes) {
+    try {
+      (void)core::parse_state<core::RejoinBlob>(bytes);
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+    return false;
+  };
+  for (std::size_t bit = 0; bit < blob.size() * 8; ++bit) {
+    std::vector<std::uint8_t> flipped = blob;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_TRUE(rejected(flipped)) << "accepted a blob with bit " << bit << " flipped";
+  }
+  for (std::size_t length = 0; length < blob.size(); ++length) {
+    EXPECT_TRUE(rejected(std::vector<std::uint8_t>(blob.begin(), blob.begin() + length)))
+        << "accepted a blob truncated to " << length << " bytes";
+  }
+  fftgrad::fuzz::Xorshift rng(0x5a4d0b);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::uint8_t> noise(rng.below(2 * blob.size()));
+    for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next());
+    EXPECT_TRUE(rejected(noise)) << "accepted random buffer " << trial;
+  }
+}
+
+TEST(FuzzWire, StateBlobReleaseRejectsMismatchedShapes) {
+  // A CRC-valid blob parses; its shapes are the release's to check against
+  // the receiving replica, before anything is installed.
+  StateReceiver receiver;
+  const auto expect_rejected_at_release = [&](const char* what,
+                                              void (*damage)(core::RejoinBlob&)) {
+    core::RejoinBlob blob = receiver.blob(true);
+    damage(blob);
+    fftgrad::util::Untrusted<core::RejoinBlob> parsed =
+        core::parse_state<core::RejoinBlob>(core::frame_state(blob));
+    EXPECT_THROW((void)std::move(parsed).release(
+                     [&](const core::RejoinBlob& b) { return receiver.fits(b); }, "state"),
+                 std::invalid_argument)
+        << what;
+  };
+  expect_rejected_at_release("parameter count", [](core::RejoinBlob& b) {
+    b.state.params.push_back(0.0f);
+  });
+  expect_rejected_at_release("momentum tensor count", [](core::RejoinBlob& b) {
+    b.state.velocity.pop_back();
+  });
+  expect_rejected_at_release("momentum tensor length", [](core::RejoinBlob& b) {
+    b.state.velocity.front().resize(1);
+  });
+  expect_rejected_at_release("residual count", [](core::RejoinBlob& b) {
+    b.state.residuals.push_back({});
+  });
+  expect_rejected_at_release("residual length", [](core::RejoinBlob& b) {
+    b.state.residuals.front().pop_back();
+  });
+  expect_rejected_at_release("snapshot momentum", [](core::RejoinBlob& b) {
+    b.snapshot->velocity.back().push_back(0.0f);
+  });
+
+  // A residual with no error-feedback codec behind it.
+  core::RejoinBlob blob = receiver.blob(false);
+  std::vector<std::unique_ptr<core::GradientCompressor>> plain;
+  plain.push_back(std::make_unique<core::TopKCompressor>(0.5));
+  EXPECT_THROW((void)core::parse_state<core::RejoinBlob>(core::frame_state(blob))
+                   .release([&](const core::RejoinBlob& b) {
+                     return b.fits(receiver.replica, plain);
+                   }),
+               std::invalid_argument);
 }
 
 TEST(FuzzWire, MaskDecodingNeverCrashes) {

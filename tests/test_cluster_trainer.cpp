@@ -1,16 +1,19 @@
 // cluster_train: genuinely multi-threaded BSP training over SimCluster.
 // The key assertions: all replicas stay bit-identical (the BSP invariant
 // the sequential DistributedTrainer relies on), the result matches the
-// sequential trainer's parameters for lossless exchange, and compressed
-// exchange still learns.
+// sequential trainer's parameters bit for bit under lossless, sparsifying,
+// quantizing and error-feedback codecs (both run the one step of
+// fftgrad/core/replica.h), and compressed exchange still learns.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "fftgrad/core/baseline_compressors.h"
 #include "fftgrad/core/cluster_trainer.h"
 #include "fftgrad/core/fft_compressor.h"
+#include "fftgrad/core/registry.h"
 #include "fftgrad/core/trainer.h"
 #include "fftgrad/nn/loss.h"
 #include "fftgrad/nn/models.h"
@@ -60,41 +63,41 @@ TEST(ClusterTrain, ReplicasStayBitIdenticalUnderFftCompression) {
   EXPECT_TRUE(result.replicas_identical);
 }
 
-TEST(ClusterTrain, MatchesSequentialTrainerLossless) {
+TEST(ClusterTrain, MatchesSequentialTrainerBitForBit) {
   const std::uint64_t kSeed = 7;
   nn::SyntheticDataset data({8}, 3, 13);
+  for (const char* spec : {"none", "fft", "topk", "qsgd", "ef[topk]"}) {
+    const CompressorFactory factory = [spec](std::size_t) { return make_compressor(spec); };
 
-  comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
-  ClusterTrainConfig ccfg;
-  ccfg.ranks = 3;
-  ccfg.batch_per_rank = 16;
-  ccfg.iterations = 6;
-  ccfg.learning_rate = 0.05f;
-  ccfg.seed = kSeed;
-  const ClusterTrainResult threaded = cluster_train(
-      cluster, ccfg, mlp_factory(),
-      [](std::size_t) { return std::make_unique<NoopCompressor>(); }, data);
+    comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
+    ClusterTrainConfig ccfg;
+    ccfg.ranks = 3;
+    ccfg.batch_per_rank = 16;
+    ccfg.iterations = 6;
+    ccfg.learning_rate = 0.05f;
+    ccfg.seed = kSeed;
+    const ClusterTrainResult threaded = cluster_train(cluster, ccfg, mlp_factory(), factory, data);
+    ASSERT_TRUE(threaded.replicas_identical) << spec;
 
-  TrainerConfig scfg;
-  scfg.ranks = 3;
-  scfg.batch_per_rank = 16;
-  scfg.epochs = 1;
-  scfg.iters_per_epoch = 6;
-  scfg.test_size = 16;
-  scfg.seed = kSeed;
-  util::Rng rng(999);
-  DistributedTrainer sequential(nn::models::make_mlp(8, 16, 2, 3, rng), data, scfg);
-  nn::StepLrSchedule lr({{0, 0.05f}});
-  sequential.train([](std::size_t) { return std::make_unique<NoopCompressor>(); },
-                   FixedTheta(0.0), lr);
-  std::vector<float> sequential_params(sequential.model().param_count());
-  sequential.model().copy_params(sequential_params);
+    TrainerConfig scfg;
+    scfg.ranks = 3;
+    scfg.batch_per_rank = 16;
+    scfg.epochs = 1;
+    scfg.iters_per_epoch = 6;
+    scfg.test_size = 16;
+    scfg.seed = kSeed;
+    util::Rng rng(999);
+    DistributedTrainer sequential(nn::models::make_mlp(8, 16, 2, 3, rng), data, scfg);
+    nn::StepLrSchedule lr({{0, 0.05f}});
+    // cluster_train never sets theta, so the fold keeps each codec's own.
+    sequential.train(factory, FixedTheta(make_compressor(spec)->theta()), lr);
+    std::vector<float> sequential_params(sequential.model().param_count());
+    sequential.model().copy_params(sequential_params);
 
-  ASSERT_EQ(threaded.final_params.size(), sequential_params.size());
-  for (std::size_t i = 0; i < sequential_params.size(); ++i) {
-    // Different float summation orders (allgather-average vs scaled
-    // accumulation) allow tiny round-off divergence over 6 steps.
-    EXPECT_NEAR(threaded.final_params[i], sequential_params[i], 2e-4f) << i;
+    ASSERT_EQ(threaded.final_params.size(), sequential_params.size()) << spec;
+    EXPECT_EQ(0, std::memcmp(threaded.final_params.data(), sequential_params.data(),
+                             sequential_params.size() * sizeof(float)))
+        << spec;
   }
 }
 

@@ -642,6 +642,15 @@ DistributedTrainer make_checkpoint_trainer() {
                             nn::SyntheticDataset({8}, 3, 41), checkpoint_trainer_config());
 }
 
+/// The tests' own release of a parsed checkpoint: one batch-stream state
+/// per expected rank. train() checks the shapes when it resumes.
+TrainerCheckpoint released(util::Untrusted<TrainerCheckpoint> parsed,
+                           std::size_t ranks = checkpoint_trainer_config().ranks) {
+  return std::move(parsed).release(
+      [&](const TrainerCheckpoint& ckpt) { return ckpt.rng_states.size() == ranks; },
+      "test checkpoint");
+}
+
 CompressorFactory ef_fft_factory() {
   return [](std::size_t) {
     return std::make_unique<ErrorFeedbackCompressor>(std::make_unique<FftCompressor>(
@@ -665,15 +674,15 @@ TEST(TrainerCheckpoint, RestoreReproducesTheUninterruptedRunBitForBit) {
   CheckpointOptions capture;
   capture.every_epochs = 2;
   capture.sink = [&](const TrainerCheckpoint& ckpt) {
-    if (ckpt.next_epoch == 4) blob = ckpt.serialize();
+    if (ckpt.state.iteration == 4) blob = frame_state(ckpt);
   };
   first.train(ef_fft_factory(), theta, lr, capture);
   ASSERT_FALSE(blob.empty());
+  EXPECT_EQ(released(parse_state<TrainerCheckpoint>(blob)).state.iteration, 4u);
 
   // A fresh trainer (fresh model object, fresh optimizer) resumes from the
   // serialized blob and must land on bit-identical weights and records.
-  const TrainerCheckpoint restored = TrainerCheckpoint::deserialize(blob);
-  EXPECT_EQ(restored.next_epoch, 4u);
+  util::Untrusted<TrainerCheckpoint> restored = parse_state<TrainerCheckpoint>(blob);
   DistributedTrainer second = make_checkpoint_trainer();
   CheckpointOptions resume;
   resume.resume = &restored;
@@ -697,13 +706,13 @@ TEST(TrainerCheckpoint, RestoreReproducesTheUninterruptedRunBitForBit) {
 
 TEST(TrainerCheckpoint, SerializationRoundTripsEveryField) {
   TrainerCheckpoint ckpt;
-  ckpt.next_epoch = 9;
+  ckpt.state.iteration = 9;
   ckpt.sim_time_s = 1.5;
   ckpt.total_wire_bytes = 4096.0;
   ckpt.total_iters = 123;
-  ckpt.params = {1.0f, -2.5f, 3.25f};
-  ckpt.velocity = {{0.1f, 0.2f}, {}, {0.3f}};
-  ckpt.residuals = {{-1.0f}, {2.0f, 4.0f}};
+  ckpt.state.params = {1.0f, -2.5f, 3.25f};
+  ckpt.state.velocity = {{0.1f, 0.2f}, {}, {0.3f}};
+  ckpt.state.residuals = {{-1.0f}, {2.0f, 4.0f}};
   ckpt.rng_states.push_back({1, 2, 3, 4, 5, 6});
   EpochRecord record;
   record.epoch = 8;
@@ -716,14 +725,14 @@ TEST(TrainerCheckpoint, SerializationRoundTripsEveryField) {
   record.mean_ratio = 10.0;
   ckpt.epochs.push_back(record);
 
-  const TrainerCheckpoint back = TrainerCheckpoint::deserialize(ckpt.serialize());
-  EXPECT_EQ(back.next_epoch, ckpt.next_epoch);
+  const TrainerCheckpoint back = released(parse_state<TrainerCheckpoint>(frame_state(ckpt)), 1);
+  EXPECT_EQ(back.state.iteration, ckpt.state.iteration);
   EXPECT_EQ(back.sim_time_s, ckpt.sim_time_s);
   EXPECT_EQ(back.total_wire_bytes, ckpt.total_wire_bytes);
   EXPECT_EQ(back.total_iters, ckpt.total_iters);
-  EXPECT_EQ(back.params, ckpt.params);
-  EXPECT_EQ(back.velocity, ckpt.velocity);
-  EXPECT_EQ(back.residuals, ckpt.residuals);
+  EXPECT_EQ(back.state.params, ckpt.state.params);
+  EXPECT_EQ(back.state.velocity, ckpt.state.velocity);
+  EXPECT_EQ(back.state.residuals, ckpt.state.residuals);
   ASSERT_EQ(back.rng_states.size(), 1u);
   EXPECT_EQ(back.rng_states[0], ckpt.rng_states[0]);
   ASSERT_EQ(back.epochs.size(), 1u);
@@ -734,31 +743,85 @@ TEST(TrainerCheckpoint, SerializationRoundTripsEveryField) {
 
 TEST(TrainerCheckpoint, RejectsCorruptAndTruncatedBlobs) {
   TrainerCheckpoint ckpt;
-  ckpt.params = {1.0f, 2.0f, 3.0f};
+  ckpt.state.params = {1.0f, 2.0f, 3.0f};
   ckpt.rng_states.push_back({1, 2, 3, 4, 5, 6});
-  const std::vector<std::uint8_t> blob = ckpt.serialize();
-  ASSERT_NO_THROW((void)TrainerCheckpoint::deserialize(blob));
+  const std::vector<std::uint8_t> blob = frame_state(ckpt);
+  ASSERT_NO_THROW((void)parse_state<TrainerCheckpoint>(blob));
 
   for (std::size_t at : {std::size_t{0}, std::size_t{5}, blob.size() / 2, blob.size() - 1}) {
     std::vector<std::uint8_t> damaged = blob;
     damaged[at] ^= 0x10;
-    EXPECT_THROW((void)TrainerCheckpoint::deserialize(damaged), std::runtime_error) << at;
+    EXPECT_THROW((void)parse_state<TrainerCheckpoint>(damaged), std::runtime_error) << at;
   }
   const std::vector<std::uint8_t> truncated(blob.begin(), blob.begin() + blob.size() / 2);
-  EXPECT_THROW((void)TrainerCheckpoint::deserialize(truncated), std::runtime_error);
-  EXPECT_THROW((void)TrainerCheckpoint::deserialize({}), std::runtime_error);
+  EXPECT_THROW((void)parse_state<TrainerCheckpoint>(truncated), std::runtime_error);
+  EXPECT_THROW((void)parse_state<TrainerCheckpoint>({}), std::runtime_error);
 }
 
 TEST(TrainerCheckpoint, RejectsMismatchedShapes) {
   const nn::StepLrSchedule lr({{0, 0.05f}});
   TrainerCheckpoint wrong;
-  wrong.params = {1.0f};  // wrong parameter count
+  wrong.state.params = {1.0f};  // wrong parameter count
   wrong.rng_states.resize(3, {1, 2, 3, 4, 5, 6});
+  util::Untrusted<TrainerCheckpoint> parsed = util::untrusted(std::move(wrong));
   DistributedTrainer trainer = make_checkpoint_trainer();
   CheckpointOptions resume;
-  resume.resume = &wrong;
+  resume.resume = &parsed;
   EXPECT_THROW(trainer.train(ef_fft_factory(), FixedTheta(0.5), lr, resume),
                std::invalid_argument);
+}
+
+/// A CRC-valid blob of a real epoch-2 checkpoint, with `damage` applied to
+/// its state before it is framed.
+std::vector<std::uint8_t> damaged_checkpoint(void (*damage)(ReplicaState&)) {
+  DistributedTrainer trainer = make_checkpoint_trainer();
+  std::vector<std::uint8_t> blob;
+  CheckpointOptions capture;
+  capture.every_epochs = 2;
+  capture.sink = [&](const TrainerCheckpoint& ckpt) {
+    if (ckpt.state.iteration != 2) return;
+    TrainerCheckpoint copy = ckpt;
+    damage(copy.state);
+    blob = frame_state(copy);
+  };
+  trainer.train(ef_fft_factory(), FixedTheta(0.5), nn::StepLrSchedule({{0, 0.05f}}), capture);
+  return blob;
+}
+
+/// Resuming from `blob` must throw std::invalid_argument before the
+/// checkpoint touches the model: it still holds the shared initialization.
+void expect_rejected_before_any_step(const std::vector<std::uint8_t>& blob) {
+  ASSERT_FALSE(blob.empty());
+  util::Untrusted<TrainerCheckpoint> parsed = parse_state<TrainerCheckpoint>(blob);
+  DistributedTrainer trainer = make_checkpoint_trainer();
+  std::vector<float> initial(trainer.model().param_count());
+  trainer.model().copy_params(initial);
+  CheckpointOptions resume;
+  resume.resume = &parsed;
+  EXPECT_THROW(trainer.train(ef_fft_factory(), FixedTheta(0.5),
+                             nn::StepLrSchedule({{0, 0.05f}}), resume),
+               std::invalid_argument);
+  std::vector<float> after(initial.size());
+  trainer.model().copy_params(after);
+  EXPECT_EQ(after, initial);
+}
+
+TEST(TrainerCheckpoint, RejectsMismatchedMomentumBeforeAnyStep) {
+  // Right parameter count, 1-element momentum buffers: without the shape
+  // check the first SGD step writes past the end of every buffer.
+  expect_rejected_before_any_step(damaged_checkpoint([](ReplicaState& state) {
+    ASSERT_FALSE(state.velocity.empty());
+    for (std::vector<float>& buffer : state.velocity) buffer.resize(1);
+  }));
+}
+
+TEST(TrainerCheckpoint, RejectsMismatchedResidualBeforeAnyStep) {
+  // A residual of the wrong length would be silently zeroed by the next
+  // compress, breaking the bit-for-bit resume without any error.
+  expect_rejected_before_any_step(damaged_checkpoint([](ReplicaState& state) {
+    ASSERT_EQ(state.residuals.size(), 3u);
+    state.residuals[1].resize(state.residuals[1].size() - 1);
+  }));
 }
 
 }  // namespace

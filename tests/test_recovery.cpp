@@ -10,6 +10,9 @@
 //   * CheckpointStore — atomic temp+rename writes, bounded retention, and
 //     the kill-mid-write regression (a torn newest file must never shadow
 //     the previous valid checkpoint);
+//   * the rejoin blob — a CRC-valid blob whose momentum, residual or
+//     snapshot does not fit the receiving replica is rejected at release,
+//     before anything is installed;
 //   * ErrorFeedbackCompressor::recredit_undelivered — the degraded-mode
 //     residual fix: an excluded own contribution is re-credited, not aged
 //     out;
@@ -41,6 +44,7 @@
 #include "fftgrad/core/error_feedback.h"
 #include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/core/recovery.h"
+#include "fftgrad/core/replica.h"
 #include "fftgrad/nn/models.h"
 #include "fftgrad/telemetry/ledger.h"
 
@@ -244,10 +248,21 @@ std::string fresh_store_dir(const char* tag) {
 
 TrainerCheckpoint checkpoint_at(std::uint64_t epoch) {
   TrainerCheckpoint ckpt;
-  ckpt.next_epoch = epoch;
-  ckpt.params = {static_cast<float>(epoch), 2.0f, 3.0f};
+  ckpt.state.iteration = epoch;
+  ckpt.state.params = {static_cast<float>(epoch), 2.0f, 3.0f};
   ckpt.rng_states.push_back({epoch, 2, 3, 4, 5, 6});
   return ckpt;
+}
+
+/// The store tests' release of what latest() parsed: the three-parameter,
+/// one-rank checkpoint checkpoint_at() writes.
+TrainerCheckpoint released(std::optional<util::Untrusted<TrainerCheckpoint>> latest) {
+  if (!latest) throw std::runtime_error("no valid checkpoint in the store");
+  return std::move(*latest).release(
+      [](const TrainerCheckpoint& ckpt) {
+        return ckpt.state.params.size() == 3 && ckpt.rng_states.size() == 1;
+      },
+      "stored checkpoint");
 }
 
 TEST(CheckpointStore_, RetainsTheNewestKAndLatestWins) {
@@ -257,10 +272,11 @@ TEST(CheckpointStore_, RetainsTheNewestKAndLatestWins) {
   ASSERT_EQ(names.size(), 3u);
   EXPECT_EQ(names[0], "ckpt-00000005.fgck");
   EXPECT_EQ(names[2], "ckpt-00000003.fgck");
-  const auto latest = store.latest();
+  auto latest = store.latest();
   ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->next_epoch, 5u);
-  EXPECT_EQ(latest->params[0], 5.0f);
+  const TrainerCheckpoint newest = released(std::move(latest));
+  EXPECT_EQ(newest.state.iteration, 5u);
+  EXPECT_EQ(newest.state.params[0], 5.0f);
 }
 
 TEST(CheckpointStore_, ZeroKeepRetainsEverything) {
@@ -280,24 +296,126 @@ TEST(CheckpointStore_, KillMidWriteNeverShadowsThePreviousCheckpoint) {
   { std::ofstream(dir + "/ckpt-00000003.fgck.tmp") << "half-written"; }
   EXPECT_EQ(store.files().size(), 2u);
   ASSERT_TRUE(store.latest().has_value());
-  EXPECT_EQ(store.latest()->next_epoch, 2u);
+  EXPECT_EQ(released(store.latest()).state.iteration, 2u);
 
   // The worst case a non-atomic writer could produce — a torn blob under
   // the final name — must be skipped in favor of the previous valid file.
-  const std::vector<std::uint8_t> good = checkpoint_at(3).serialize();
+  const std::vector<std::uint8_t> good = frame_state(checkpoint_at(3));
   {
     std::ofstream torn(dir + "/ckpt-00000003.fgck", std::ios::binary);
     torn.write(reinterpret_cast<const char*>(good.data()),
                static_cast<std::streamsize>(good.size() / 2));
   }
   ASSERT_EQ(store.files().size(), 3u);
-  const auto latest = store.latest();
+  auto latest = store.latest();
   ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->next_epoch, 2u);
+  EXPECT_EQ(released(std::move(latest)).state.iteration, 2u);
 
   // Once a complete epoch-3 checkpoint lands (atomic save), it wins.
   store.save(checkpoint_at(3));
-  EXPECT_EQ(store.latest()->next_epoch, 3u);
+  EXPECT_EQ(released(store.latest()).state.iteration, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Rejoin blob: the shape check before anything is installed
+
+/// A rank that has taken `steps` BSP steps alone, with an error-feedback
+/// codec: its momentum and residual are populated.
+struct SteppedRank {
+  nn::Network model;
+  Replica replica;
+  util::Rng batches = batch_stream(3, 0);
+  std::vector<std::unique_ptr<GradientCompressor>> codecs;
+
+  SteppedRank(const nn::SyntheticDataset& data, std::size_t steps)
+      : model(make_model()), replica(model, 0.9f) {
+    codecs.push_back(std::make_unique<ErrorFeedbackCompressor>(std::make_unique<FftCompressor>(
+        FftCompressorOptions{.theta = 0.5, .quantizer_bits = 10})));
+    for (std::size_t i = 0; i < steps; ++i) {
+      (void)replica.forward(data.sample(8, batches));
+      replica.backward();
+      const std::optional<wire::WireFrame> frames[] = {
+          wire::WireFrame{replica.compress(*codecs[0], [](const Packet&) {}), {}}};
+      EXPECT_EQ(replica.average(*codecs[0], frames), 0u);
+      replica.apply(0.05f);
+    }
+  }
+
+  static nn::Network make_model() {
+    util::Rng rng(31);
+    return nn::models::make_mlp(8, 16, 2, 3, rng);
+  }
+
+  std::vector<float> params() {
+    std::vector<float> out(replica.size());
+    model.copy_params(out);
+    return out;
+  }
+};
+
+/// The donor's blob with `damage` applied before framing must parse (the
+/// CRC is valid) and be rejected at release, leaving the receiver's
+/// parameters, momentum and residual untouched.
+void expect_rejoin_blob_rejected(void (*damage)(RejoinBlob&)) {
+  const nn::SyntheticDataset data({8}, 3, 19);
+  SteppedRank donor(data, 3);
+  SteppedRank receiver(data, 1);
+  RejoinBlob blob;
+  blob.state.capture(3, donor.replica, donor.codecs);
+  blob.snapshot = blob.state;
+  damage(blob);
+  util::Untrusted<RejoinBlob> parsed = parse_state<RejoinBlob>(frame_state(blob));
+
+  const std::vector<float> params = receiver.params();
+  const std::vector<std::vector<float>> velocity = receiver.replica.optimizer().velocity();
+  const auto* ef = dynamic_cast<const ErrorFeedbackCompressor*>(receiver.codecs[0].get());
+  const std::vector<float> residual(ef->residual().begin(), ef->residual().end());
+  EXPECT_THROW((void)std::move(parsed).release(
+                   [&](const RejoinBlob& b) { return b.fits(receiver.replica, receiver.codecs); },
+                   "rejoin state"),
+               std::invalid_argument);
+  EXPECT_EQ(receiver.params(), params);
+  EXPECT_EQ(receiver.replica.optimizer().velocity(), velocity);
+  EXPECT_TRUE(std::equal(residual.begin(), residual.end(), ef->residual().begin(),
+                         ef->residual().end()));
+}
+
+TEST(RejoinBlob_, AnIntactBlobFitsAndInstallsTheDonorsState) {
+  const nn::SyntheticDataset data({8}, 3, 19);
+  SteppedRank donor(data, 3);
+  SteppedRank receiver(data, 1);
+  RejoinBlob blob;
+  blob.state.capture(3, donor.replica, donor.codecs);
+  blob.theta = 0.5;
+  blob.snapshot = blob.state;
+  const RejoinBlob back = parse_state<RejoinBlob>(frame_state(blob))
+                              .release(
+                                  [&](const RejoinBlob& b) {
+                                    return b.fits(receiver.replica, receiver.codecs);
+                                  },
+                                  "rejoin state");
+  back.state.install(receiver.replica, receiver.codecs);
+  EXPECT_EQ(receiver.params(), donor.params());
+  EXPECT_EQ(receiver.replica.optimizer().velocity(), donor.replica.optimizer().velocity());
+  ASSERT_TRUE(back.snapshot.has_value());
+  EXPECT_EQ(back.snapshot->params, blob.state.params);
+}
+
+TEST(RejoinBlob_, RejectsMismatchedMomentumBeforeInstalling) {
+  expect_rejoin_blob_rejected([](RejoinBlob& blob) {
+    for (std::vector<float>& buffer : blob.state.velocity) buffer.resize(1);
+  });
+}
+
+TEST(RejoinBlob_, RejectsMismatchedResidualBeforeInstalling) {
+  expect_rejoin_blob_rejected([](RejoinBlob& blob) {
+    ASSERT_EQ(blob.state.residuals.size(), 1u);
+    blob.state.residuals[0].pop_back();
+  });
+}
+
+TEST(RejoinBlob_, RejectsAMismatchedSnapshotBeforeInstalling) {
+  expect_rejoin_blob_rejected([](RejoinBlob& blob) { blob.snapshot->velocity.pop_back(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -521,6 +639,32 @@ TEST(RecoveryCluster, PoisonedGradientRollsBackAndRecovers) {
   EXPECT_EQ(row.string_or("action", ""), "rollback");
   ASSERT_NE(row.find("recovered"), nullptr);
   EXPECT_TRUE(row.find("recovered")->boolean);
+}
+
+TEST(RecoveryCluster, RejoinAfterCodecFallbackTakesThePreFallbackSnapshot) {
+  // The fallback to the lossless codec fires at the end of iteration 2 on
+  // every rank; the donor's rollback snapshot, taken at the top of that
+  // iteration, still carries an error-feedback residual. Rank 2 crashes
+  // after the fallback and restarts its codec from the factory, so the
+  // snapshot fits it and the rank rejoins bit-identical.
+  comm::FaultPlan plan;
+  plan.crashes.push_back({.rank = 2, .at_op = 6, .rejoin_at_op = 8});
+  comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56(), plan);
+  ClusterTrainConfig cfg = small_config(4, 10);
+  cfg.recovery = enabled_policy();
+  cfg.recovery.ratio_collapse_streak = 3;
+  cfg.recovery.snapshot_every = 2;
+  nn::SyntheticDataset data({8}, 3, 37);
+  const ClusterTrainResult result = cluster_train(
+      cluster, cfg, mlp_factory(),
+      [](std::size_t) {
+        return std::make_unique<ErrorFeedbackCompressor>(std::make_unique<PaddedCompressor>());
+      },
+      data);
+  EXPECT_EQ(result.rejoined_ranks, 1u);
+  EXPECT_EQ(result.crashed_ranks, 0u);
+  EXPECT_EQ(result.remediations, 1u);
+  EXPECT_TRUE(result.replicas_identical);
 }
 
 TEST(RecoveryCluster, RatioCollapseFallsBackToTheLosslessCodec) {
