@@ -16,8 +16,8 @@
 //     controller state) over the modelled network and the rejoiner replays
 //     its RNG stream, ending bit-identical to the survivors.
 //
-// The recovery controller is armed too (FFTGRAD_RECOVERY semantics, here
-// set in code), so monitor conditions would map to automatic remedies —
+// The recovery controller is armed too (ClusterTrainConfig::recovery), so
+// monitor conditions would map to automatic remedies —
 // on this healthy-codec run it stays idle, which is itself the point.
 //
 // The same schedule runs once fault-free for comparison. Both runs print a
@@ -30,7 +30,6 @@
 // collective cost (the faulty run's gap is the sampled retransmit cost the
 // RetryPolicy expectation terms reconcile), round-trip quality, EF
 // residual norm — which `run_report chaos.jsonl` turns into a report.
-// FFTGRAD_LEDGER_* tune the health-monitor thresholds (see README.md).
 #include <cmath>
 #include <cstdio>
 #include <memory>

@@ -9,8 +9,7 @@
 // records each of the three runs as its own ledger run (manifest +
 // per-iteration rows + summary); `run_report train.jsonl` then prints the
 // per-phase breakdown, the model-error table per collective, and a
-// cross-run diff of the three codecs. FFTGRAD_LEDGER_* tune the
-// health-monitor thresholds (see README.md).
+// cross-run diff of the three codecs.
 #include <cstdio>
 #include <memory>
 

@@ -92,7 +92,15 @@ for preset in "${presets[@]}"; do
   # The analyze preset is a compile-time gate: -fanalyzer findings surface
   # as build errors, and it produces no test binaries to run.
   [[ "$preset" == analyze ]] && continue
-  run_step "$preset" test ctest --preset "$preset" -j "$jobs"
+  # The labels that get their own reported row below run only there: the
+  # full-suite step excludes them, so each test runs once per preset.
+  own_rows=(chaos causality)
+  if [[ "$preset" == default || "$preset" == asan ]]; then
+    own_rows+=(ledger recovery critpath profile)
+  fi
+  [[ "$run_fuzz" == 1 ]] && own_rows+=(fuzz)
+  own_rows_regex="^($(IFS='|'; echo "${own_rows[*]}"))\$"
+  run_step "$preset" test ctest --preset "$preset" -j "$jobs" -LE "$own_rows_regex"
   # The chaos label (seeded fault-injection plans) gets its own reported
   # row: a hang or schedule divergence under a sanitizer should be visible
   # as a chaos failure, not buried in the full-suite step.

@@ -1,12 +1,11 @@
 // Violation reporting for the correctness-analysis layer.
 //
 // Every checker in fftgrad/analysis (CheckedMutex lock-order tracking,
-// SharedState access tracking, FFTGRAD_ASSERT_HELD) funnels detected
-// problems through report_violation(). The default handler prints the
-// diagnostic to stderr and aborts — a concurrency invariant violation is
-// never a recoverable condition in production code — but tests install a
-// counting handler so violations can be asserted on without killing the
-// process.
+// FFTGRAD_ASSERT_HELD) funnels detected problems through
+// report_violation(). The default handler prints the diagnostic to stderr
+// and aborts — a concurrency invariant violation is never a recoverable
+// condition in production code — but tests install a counting handler so
+// violations can be asserted on without killing the process.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +15,7 @@
 
 namespace fftgrad::analysis {
 
-/// kind is a short stable tag ("lock-order", "assert-held", "shared-state",
+/// kind is a short stable tag ("lock-order", "assert-held",
 /// "mutex-misuse"); message carries the specifics.
 using ViolationHandler = void (*)(const char* kind, const std::string& message);
 

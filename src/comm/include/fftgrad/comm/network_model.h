@@ -105,7 +105,6 @@ struct NetworkModel {
   static NetworkModel ethernet_1g();
   static NetworkModel ethernet_10g();
   static NetworkModel infiniband_fdr56();
-  static NetworkModel pcie_intranode();
 };
 
 }  // namespace fftgrad::comm

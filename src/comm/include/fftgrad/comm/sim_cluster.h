@@ -147,20 +147,6 @@ class RankContext {
   /// ranks drop out of the sum.
   void allreduce_sum(std::span<float> data);
 
-  /// Broadcast `data` from `root` to every rank (sizes must match).
-  void broadcast(std::span<float> data, std::size_t root);
-
-  /// Gather every rank's byte block at `root` (PS-style funnel: the root's
-  /// clock is charged the serialized inbound transfers, other ranks their
-  /// own send). Non-root ranks receive an empty vector.
-  std::vector<std::vector<std::uint8_t>> gather(std::span<const std::uint8_t> send,
-                                                std::size_t root);
-
-  /// Ring reduce-scatter of an equal-size float vector: returns this rank's
-  /// reduced chunk (chunk r covers indices [r*n/p, (r+1)*n/p) with the
-  /// remainder going to the last rank). All ranks must pass equal sizes.
-  std::vector<float> reduce_scatter_sum(std::span<const float> data);
-
   /// Membership handshake: re-admit every crashed rank whose plan rejoin
   /// op has been reached. Pure plan + op-index arithmetic decides
   /// eligibility, so all live ranks agree without touching shared state;

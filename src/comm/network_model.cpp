@@ -106,9 +106,4 @@ NetworkModel NetworkModel::infiniband_fdr56() {
   return make_model("infiniband-FDR56", SimSeconds(1e-6), BytesPerSecond(56e9 / 8.0));
 }
 
-NetworkModel NetworkModel::pcie_intranode() {
-  // ~PCIe gen3 x16 effective
-  return make_model("pcie-intranode", SimSeconds(5e-7), BytesPerSecond(12e9));
-}
-
 }  // namespace fftgrad::comm

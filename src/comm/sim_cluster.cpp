@@ -452,129 +452,6 @@ void RankContext::allreduce_sum(std::span<float> data) {
   c.barrier_wait(rank_);
 }
 
-void RankContext::broadcast(std::span<float> data, std::size_t root) {
-  static telemetry::Counter& calls =
-      telemetry::MetricsRegistry::global().counter("comm.broadcast.calls");
-  note_collective(calls, rank_ == root ? util::byte_count(data.size_bytes()) : util::Bytes{});
-  telemetry::TraceSpan span("broadcast", "comm");
-  const std::size_t op = begin_collective();
-  SimCluster& c = *cluster_;
-  if (root >= c.ranks_) throw std::invalid_argument("broadcast: bad root");
-  if (rank_ == root) {
-    c.tracker_.on_publish(rank_, op);
-    cp_edge(rank_, "publish", clock_.time(), op);
-  }
-  c.float_slots_[rank_] = data;
-  c.barrier_wait(rank_);
-  if (c.tracker_.active()) c.tracker_.check_view(rank_, op, view_epoch_seen_);
-  if (c.dead_[root] != 0) throw std::runtime_error("broadcast: root rank crashed");
-  c.tracker_.on_consume(rank_, root, op);
-  cp_edge(rank_, "consume", clock_.time(), op, static_cast<std::int32_t>(root));
-  auto src = c.float_slots_[root];
-  if (src.size() != data.size()) {
-    throw std::invalid_argument("broadcast: mismatched sizes across ranks");
-  }
-  if (rank_ != root) std::copy(src.begin(), src.end(), data.begin());
-  const util::Bytes bytes = util::byte_count(data.size() * sizeof(float));
-  const util::SimSeconds cost_s = c.network_.broadcast_time(bytes, c.ranks_);
-  if (cost_s > util::SimSeconds(0.0)) {
-    cp_span(rank_, "collective", clock_.time(), clock_.time() + cost_s, op);
-  }
-  clock_.advance(cost_s);
-  if (ledger_records(rank_)) {
-    telemetry::RunLedger::global().record_collective(
-        {"broadcast", op, bytes, cost_s, cost_s, util::SimSeconds(0.0), 0, 0});
-  }
-  c.barrier_wait(rank_);
-}
-
-std::vector<std::vector<std::uint8_t>> RankContext::gather(std::span<const std::uint8_t> send,
-                                                           std::size_t root) {
-  static telemetry::Counter& calls =
-      telemetry::MetricsRegistry::global().counter("comm.gather.calls");
-  note_collective(calls, util::byte_count(send.size()));
-  telemetry::TraceSpan span("gather", "comm");
-  const std::size_t op = begin_collective();
-  SimCluster& c = *cluster_;
-  if (root >= c.ranks_) throw std::invalid_argument("gather: bad root");
-  c.tracker_.on_publish(rank_, op);
-  cp_edge(rank_, "publish", clock_.time(), op);
-  c.byte_slots_[rank_] = send;
-  c.barrier_wait(rank_);
-  if (c.tracker_.active()) c.tracker_.check_view(rank_, op, view_epoch_seen_);
-  std::vector<std::vector<std::uint8_t>> gathered;
-  util::SimSeconds cost_s{};
-  util::Bytes payload = util::byte_count(send.size());
-  if (rank_ == root) {
-    gathered.resize(c.ranks_);
-    payload = util::Bytes{};
-    for (std::size_t r = 0; r < c.ranks_; ++r) {
-      if (c.dead_[r] != 0) continue;  // crashed peers contribute nothing
-      c.tracker_.on_consume(rank_, r, op);
-      cp_edge(rank_, "consume", clock_.time(), op, static_cast<std::int32_t>(r));
-      gathered[r].assign(c.byte_slots_[r].begin(), c.byte_slots_[r].end());
-      payload += util::byte_count(c.byte_slots_[r].size());
-      if (r != root) cost_s += c.network_.p2p_time(util::byte_count(c.byte_slots_[r].size()));
-    }
-  } else {
-    cost_s = c.network_.p2p_time(util::byte_count(send.size()));
-  }
-  if (cost_s > util::SimSeconds(0.0)) {
-    cp_span(rank_, "collective", clock_.time(), clock_.time() + cost_s, op);
-  }
-  clock_.advance(cost_s);
-  if (ledger_records(rank_)) {
-    telemetry::RunLedger::global().record_collective(
-        {"gather", op, payload, cost_s, cost_s, util::SimSeconds(0.0), 0, 0});
-  }
-  c.barrier_wait(rank_);
-  return gathered;
-}
-
-std::vector<float> RankContext::reduce_scatter_sum(std::span<const float> data) {
-  static telemetry::Counter& calls =
-      telemetry::MetricsRegistry::global().counter("comm.reduce_scatter.calls");
-  note_collective(calls, util::byte_count(data.size_bytes()));
-  telemetry::TraceSpan span("reduce_scatter", "comm");
-  const std::size_t op = begin_collective();
-  SimCluster& c = *cluster_;
-  c.tracker_.on_publish(rank_, op);
-  cp_edge(rank_, "publish", clock_.time(), op);
-  c.float_slots_[rank_] = {const_cast<float*>(data.data()), data.size()};
-  c.barrier_wait(rank_);
-  if (c.tracker_.active()) c.tracker_.check_view(rank_, op, view_epoch_seen_);
-  const std::size_t n = data.size();
-  const std::size_t base = n / c.ranks_;
-  const std::size_t begin = rank_ * base;
-  const std::size_t end = rank_ + 1 == c.ranks_ ? n : begin + base;
-  std::vector<float> chunk(end - begin, 0.0f);
-  for (std::size_t r = 0; r < c.ranks_; ++r) {
-    if (c.dead_[r] != 0) continue;
-    c.tracker_.on_consume(rank_, r, op);
-    cp_edge(rank_, "consume", clock_.time(), op, static_cast<std::int32_t>(r));
-    auto peer = c.float_slots_[r];
-    if (peer.size() != n) {
-      throw std::invalid_argument("reduce_scatter_sum: mismatched sizes across ranks");
-    }
-    for (std::size_t i = begin; i < end; ++i) chunk[i - begin] += peer[i];
-  }
-  // Ring reduce-scatter: p-1 steps of one chunk each.
-  const util::Bytes chunk_bytes = util::byte_count(base * sizeof(float));
-  const util::SimSeconds cost_s =
-      static_cast<double>(c.ranks_ - 1) * c.network_.p2p_time(chunk_bytes);
-  if (cost_s > util::SimSeconds(0.0)) {
-    cp_span(rank_, "collective", clock_.time(), clock_.time() + cost_s, op);
-  }
-  clock_.advance(cost_s);
-  if (ledger_records(rank_)) {
-    telemetry::RunLedger::global().record_collective(
-        {"reduce_scatter", op, util::byte_count(data.size_bytes()), cost_s, cost_s,
-         util::SimSeconds(0.0), 0, 0});
-  }
-  c.barrier_wait(rank_);
-  return chunk;
-}
-
 std::vector<std::size_t> RankContext::admit_rejoins() {
   SimCluster& c = *cluster_;
   if (!c.faults_.has_recovery()) return {};

@@ -9,6 +9,7 @@
 #include "fftgrad/quant/range_float.h"
 #include "fftgrad/sparse/mask_coding.h"
 #include "fftgrad/sparse/pack.h"
+#include "fftgrad/sparse/topk.h"
 #include "fftgrad/telemetry/trace.h"
 #include "fftgrad/util/stats.h"
 
@@ -38,8 +39,7 @@ void NoopCompressor::decompress(const Packet& packet, std::span<float> out) {
 // ---------------------------------------------------------------------------
 // TopKCompressor
 
-TopKCompressor::TopKCompressor(double theta, sparse::TopKMethod method)
-    : theta_(theta), method_(method) {
+TopKCompressor::TopKCompressor(double theta) : theta_(theta) {
   if (theta < 0.0 || theta >= 1.0) {
     throw std::invalid_argument("TopKCompressor: theta must be in [0, 1)");
   }
@@ -65,21 +65,7 @@ Packet TopKCompressor::compress(std::span<const float> gradient) {
 
   std::vector<float> magnitudes(n);
   for (std::size_t i = 0; i < n; ++i) magnitudes[i] = std::fabs(gradient[i]);
-  sparse::Bitmap mask(n);
-  if (kept_target >= n) {
-    for (std::size_t i = 0; i < n; ++i) mask.set(i);
-  } else {
-    const sparse::TopKResult sel = sparse::topk_threshold(magnitudes, kept_target, method_);
-    std::size_t ties = kept_target - sel.above;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (magnitudes[i] > sel.threshold) {
-        mask.set(i);
-      } else if (magnitudes[i] == sel.threshold && ties > 0) {
-        mask.set(i);
-        --ties;
-      }
-    }
-  }
+  const sparse::Bitmap mask = sparse::topk_mask(magnitudes, kept_target);
   auto& pool = parallel::ThreadPool::global();
   const std::vector<float> kept = sparse::pack_bitmap<float>(pool, gradient, mask);
 

@@ -206,7 +206,7 @@ ClusterTrainResult cluster_train(
         // accumulation. Every rank sees identical bytes, so every rank skips
         // the identical peers and replicas stay bit-identical.
         std::vector<std::optional<wire::WireFrame>> frames(gathered.size());
-        std::size_t decoded = 0;
+        std::size_t unframed = 0;
         for (std::size_t r = 0; r < gathered.size(); ++r) {
           if (gathered[r].empty()) {
             ++rank_skips[rank];
@@ -223,7 +223,7 @@ ClusterTrainResult cluster_train(
                                   return frame.packet.elements == grad_size;
                                 },
                                 "peer gradient frame");
-            ++decoded;
+            ++unframed;
           } catch (const std::exception&) {
             ++rank_skips[rank];
             peers_skipped.add(1.0);
@@ -276,17 +276,20 @@ ClusterTrainResult cluster_train(
         // through the full compress/wire/decompress path, so (gradient,
         // reconstruction) is exactly the paper's Assumption-3.2 pair. A
         // payload that passed the CRC but that the codec still rejects
-        // (vanishingly rare) drops its contribution; the step goes on.
+        // (vanishingly rare) drops its contribution like a missing one: the
+        // average is renormalized over the rest, and with nothing left the
+        // step applies no update.
         const std::size_t rejected =
             replica.average(*codec, frames, ledger_on ? &row : nullptr, rank, layout);
         if (rejected > 0) {
           rank_skips[rank] += rejected;
           peers_skipped.add(static_cast<double>(rejected));
         }
-        if (compute_model != nullptr && decoded > 0) {
+        if (compute_model != nullptr && unframed > 0) {
           charge("inverse_fft", compute_model->inverse_fft_s);
           charge("dequant", compute_model->dequant_s);
         }
+        const std::size_t decoded = unframed - rejected;
         if (decoded < gathered.size()) {
           ++rank_degraded[rank];
           degraded_iters.add(1.0);

@@ -9,36 +9,13 @@
 #include "fftgrad/quant/half.h"
 #include "fftgrad/sparse/mask_coding.h"
 #include "fftgrad/sparse/pack.h"
+#include "fftgrad/sparse/topk.h"
 #include "fftgrad/telemetry/trace.h"
 
 namespace fftgrad::core {
 namespace {
 
 constexpr std::uint8_t kFlagQuantized = 1;
-
-/// Build the exact-k keep bitmap over frequency bins (ties at the threshold
-/// broken by bin order, matching sparse::apply_topk_inplace).
-sparse::Bitmap keep_mask(std::span<const float> magnitudes, std::size_t k,
-                         sparse::TopKMethod method) {
-  sparse::Bitmap mask(magnitudes.size());
-  if (k >= magnitudes.size()) {
-    for (std::size_t i = 0; i < magnitudes.size(); ++i) mask.set(i);
-    return mask;
-  }
-  if (k == 0) return mask;
-  const sparse::TopKResult sel = sparse::topk_threshold(magnitudes, k, method);
-  std::size_t ties_to_keep = k - sel.above;
-  for (std::size_t i = 0; i < magnitudes.size(); ++i) {
-    const float m = magnitudes[i];
-    if (m > sel.threshold) {
-      mask.set(i);
-    } else if (m == sel.threshold && ties_to_keep > 0) {
-      mask.set(i);
-      --ties_to_keep;
-    }
-  }
-  return mask;
-}
 
 }  // namespace
 
@@ -118,7 +95,7 @@ Packet FftCompressor::compress(std::span<const float> gradient) {
   {
     telemetry::TraceSpan span("fft.lowpass", "codec");
     for (std::size_t i = 0; i < bins; ++i) magnitudes[i] = std::abs(spectrum[i]);
-    mask = keep_mask(magnitudes, kept_target, options_.topk_method);
+    mask = sparse::topk_mask(magnitudes, kept_target);
   }
 
   // Stage 6 (gather part): pack surviving bins densely, in bin order.
@@ -143,7 +120,7 @@ Packet FftCompressor::compress(std::span<const float> gradient) {
       normalized.resize(parts.size());
       const float inv_peak = 1.0f / peak;
       for (std::size_t i = 0; i < parts.size(); ++i) normalized[i] = parts[i] * inv_peak;
-      if (!quantizer_ || !options_.freeze_quantizer) calibrate_quantizer(normalized);
+      if (!quantizer_) calibrate_quantizer(normalized);
     }
   }
 

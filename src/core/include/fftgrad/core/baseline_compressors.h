@@ -14,7 +14,6 @@
 #pragma once
 
 #include "fftgrad/core/compressor.h"
-#include "fftgrad/sparse/topk.h"
 #include "fftgrad/util/rng.h"
 
 namespace fftgrad::core {
@@ -31,8 +30,7 @@ class NoopCompressor : public GradientCompressor {
 
 class TopKCompressor : public GradientCompressor {
  public:
-  explicit TopKCompressor(double theta,
-                          sparse::TopKMethod method = sparse::TopKMethod::kNthElement);
+  explicit TopKCompressor(double theta);
 
   std::string name() const override;
   Packet compress(std::span<const float> gradient) override;
@@ -49,7 +47,6 @@ class TopKCompressor : public GradientCompressor {
 
  private:
   double theta_;
-  sparse::TopKMethod method_;
 };
 
 class QsgdCompressor : public GradientCompressor {

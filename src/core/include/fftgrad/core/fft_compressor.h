@@ -26,7 +26,6 @@
 #include "fftgrad/core/compressor.h"
 #include "fftgrad/fft/fft.h"
 #include "fftgrad/quant/range_float.h"
-#include "fftgrad/sparse/topk.h"
 
 namespace fftgrad::core {
 
@@ -34,12 +33,6 @@ struct FftCompressorOptions {
   double theta = 0.85;      ///< fraction of frequency bins dropped
   int quantizer_bits = 10;  ///< N of the range-based float; 0 = no quantization
   bool use_fp16_stage = true;
-  sparse::TopKMethod topk_method = sparse::TopKMethod::kNthElement;
-  /// Calibrate the quantizer from the first gradient and keep it for the
-  /// rest of training (paper: "estimate min and max from the first few
-  /// iterations"). If false, re-tune on every packet (costlier, slightly
-  /// more accurate).
-  bool freeze_quantizer = true;
 };
 
 class FftCompressor : public GradientCompressor {

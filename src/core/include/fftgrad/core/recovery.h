@@ -59,11 +59,6 @@ struct RecoveryPolicy {
   /// Theta multiplier applied by kThetaRelax (theta is the fraction of
   /// information *dropped*, so < 1 relaxes the compression).
   double theta_relax_factor = 0.5;
-
-  /// FFTGRAD_RECOVERY=1 (or =on) enables the defaults above;
-  /// FFTGRAD_RECOVERY_SNAPSHOT_EVERY / _STREAK / _MIN_RATIO /
-  /// _RESIDUAL_FACTOR / _THETA_FACTOR override individual knobs.
-  static RecoveryPolicy from_env();
 };
 
 enum class RemedyAction { kNone, kRollback, kCodecFallback, kThetaRelax };

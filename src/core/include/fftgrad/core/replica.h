@@ -91,11 +91,12 @@ class Replica {
   }
 
   /// Decode the exchanged `frames` in rank order with `codec` into
-  /// averaged(), each scaled by 1/n for the n present ones (absent: dropped
-  /// by the exchange); a packet the codec rejects is left out of the sum.
-  /// Frame `own` carries this replica's gradient(): with a `round_trip`
-  /// row, its reconstruction fills the row's round-trip block. Returns the
-  /// rejected count.
+  /// averaged(), the mean over the present ones (absent: dropped by the
+  /// exchange) that the codec decodes: each is scaled by 1/n for the n
+  /// present, and when the codec rejects some the sum is renormalized by
+  /// n/decoded. Frame `own` carries this replica's gradient(): with a
+  /// `round_trip` row, its reconstruction fills the row's round-trip block.
+  /// Returns the rejected count; averaged() is zero when nothing decoded.
   std::size_t average(GradientCompressor& codec,
                       std::span<const std::optional<wire::WireFrame>> frames,
                       telemetry::LedgerIteration* round_trip = nullptr, std::size_t own = 0,

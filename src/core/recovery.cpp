@@ -1,6 +1,5 @@
 #include "fftgrad/core/recovery.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -21,23 +20,6 @@ std::uint8_t cause_id(const char* cause) {
   throw std::logic_error(std::string("recovery: unknown cause '") + cause + "'");
 }
 
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-         std::strcmp(v, "false") != 0;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    return fallback;
-  }
-}
-
 /// Whether `signals` still shows the condition that opened a pending
 /// remediation for `cause`. An active lossless fallback ends a ratio
 /// collapse by construction (exact delivery cannot collapse), so its
@@ -54,24 +36,6 @@ bool condition_present(const RecoverySignals& signals, const char* cause,
 }
 
 }  // namespace
-
-RecoveryPolicy RecoveryPolicy::from_env() {
-  RecoveryPolicy policy;
-  policy.enabled = env_flag("FFTGRAD_RECOVERY");
-  policy.snapshot_every = static_cast<std::size_t>(
-      env_double("FFTGRAD_RECOVERY_SNAPSHOT_EVERY",
-                 static_cast<double>(policy.snapshot_every)));
-  if (policy.snapshot_every == 0) policy.snapshot_every = 1;
-  policy.ratio_collapse_streak = static_cast<std::size_t>(env_double(
-      "FFTGRAD_RECOVERY_STREAK", static_cast<double>(policy.ratio_collapse_streak)));
-  if (policy.ratio_collapse_streak == 0) policy.ratio_collapse_streak = 1;
-  policy.min_ratio = env_double("FFTGRAD_RECOVERY_MIN_RATIO", policy.min_ratio);
-  policy.residual_growth_factor =
-      env_double("FFTGRAD_RECOVERY_RESIDUAL_FACTOR", policy.residual_growth_factor);
-  policy.theta_relax_factor =
-      env_double("FFTGRAD_RECOVERY_THETA_FACTOR", policy.theta_relax_factor);
-  return policy;
-}
 
 const char* remedy_action_name(RemedyAction action) {
   switch (action) {

@@ -70,6 +70,12 @@ std::size_t Replica::average(GradientCompressor& codec,
     }
     for (std::size_t i = 0; i < averaged_.size(); ++i) averaged_[i] += reconstructed_[i] * inv_n;
   }
+  // Renormalize over the packets that decoded. A step without rejections
+  // never reaches this, so its arithmetic stays the 1/n sum above.
+  if (rejected > 0 && rejected < n) {
+    const float scale = static_cast<float>(n) / static_cast<float>(n - rejected);
+    for (float& v : averaged_) v *= scale;
+  }
   times_.decompress = timer.elapsed();
   return rejected;
 }

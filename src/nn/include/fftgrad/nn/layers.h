@@ -95,59 +95,6 @@ class ReLU : public Layer {
   tensor::Tensor mask_;
 };
 
-/// max(x, slope*x): keeps a small gradient on the negative side, an
-/// alternative to BatchNorm for avoiding dead units.
-class LeakyReLU : public Layer {
- public:
-  explicit LeakyReLU(float slope = 0.01f) : slope_(slope) {}
-  std::string name() const override;
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
-
- private:
-  float slope_;
-  tensor::Tensor input_cache_;
-};
-
-class Tanh : public Layer {
- public:
-  std::string name() const override { return "tanh"; }
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
-
- private:
-  tensor::Tensor output_cache_;
-};
-
-/// Inverted dropout: active only between train(true) calls; scales kept
-/// activations by 1/(1-p) so evaluation needs no rescaling.
-class Dropout : public Layer {
- public:
-  Dropout(float probability, std::uint64_t seed);
-  std::string name() const override;
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
-  void set_training(bool training) { training_ = training; }
-  bool training() const { return training_; }
-
- private:
-  float probability_;
-  bool training_ = true;
-  util::Rng rng_;
-  tensor::Tensor mask_;
-};
-
-/// Collapse each channel plane to its mean: (N, C, H, W) -> (N, C).
-class GlobalAvgPool2d : public Layer {
- public:
-  std::string name() const override { return "gavgpool"; }
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
-
- private:
-  std::vector<std::size_t> in_shape_;
-};
-
 /// Non-overlapping max pooling (window == stride).
 class MaxPool2d : public Layer {
  public:
@@ -190,30 +137,6 @@ class ResidualBlock : public Layer {
   BatchNorm2d bn1_, bn2_;
   ReLU relu1_;
   tensor::Tensor pre_activation_;  // bn2 output + skip, cached for the final ReLU
-};
-
-/// Inception-style unit: parallel 1x1 / 3x3 / 5x5 convolution branches
-/// (each followed by batch norm + ReLU), concatenated along the channel
-/// axis. This is the "sparse fan-out" structure the paper singles out as
-/// hard to overlap with communication: several small convolutions replace
-/// one large kernel, shrinking per-layer compute below per-layer comm.
-class InceptionBlock : public Layer {
- public:
-  /// Output channels = 3 * branch_channels.
-  InceptionBlock(std::size_t in_channels, std::size_t branch_channels, util::Rng& rng);
-
-  std::string name() const override;
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
-  std::vector<Param> params() override;
-
-  std::size_t out_channels() const { return 3 * branch_channels_; }
-
- private:
-  std::size_t branch_channels_;
-  Conv2d conv1_, conv3_, conv5_;
-  BatchNorm2d bn1_, bn3_, bn5_;
-  ReLU relu1_, relu3_, relu5_;
 };
 
 }  // namespace fftgrad::nn

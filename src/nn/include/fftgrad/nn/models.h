@@ -31,14 +31,4 @@ Network make_alexnet_mini(std::size_t side, std::size_t classes, util::Rng& rng)
 Network make_resnet_mini(std::size_t side, std::size_t blocks, std::size_t classes,
                          util::Rng& rng);
 
-/// VGG-style stack: two conv3x3+BN+ReLU stages with pooling, then a dense
-/// head; side must be divisible by 4.
-Network make_vgg_mini(std::size_t side, std::size_t classes, util::Rng& rng);
-
-/// Inception-style: stem conv + `blocks` InceptionBlocks + global average
-/// pooling + dense(classes) — the "sparse fan-out" regime of the paper's
-/// overlap discussion.
-Network make_inception_mini(std::size_t side, std::size_t blocks, std::size_t classes,
-                            util::Rng& rng);
-
 }  // namespace fftgrad::nn::models

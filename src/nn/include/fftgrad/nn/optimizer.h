@@ -13,10 +13,9 @@ namespace fftgrad::nn {
 class SgdOptimizer {
  public:
   /// Velocity buffers are sized lazily from the network on the first step.
-  explicit SgdOptimizer(float momentum = 0.9f, float weight_decay = 0.0f)
-      : momentum_(momentum), weight_decay_(weight_decay) {}
+  explicit SgdOptimizer(float momentum = 0.9f) : momentum_(momentum) {}
 
-  /// v = momentum*v + grad (+ wd*param); param -= lr * v.
+  /// v = momentum*v + grad; param -= lr * v.
   void step(Network& net, float lr);
 
   float momentum() const { return momentum_; }
@@ -31,7 +30,6 @@ class SgdOptimizer {
 
  private:
   float momentum_;
-  float weight_decay_;
   std::vector<std::vector<float>> velocity_;
 };
 

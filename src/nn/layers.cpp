@@ -314,121 +314,6 @@ tensor::Tensor ReLU::backward(const tensor::Tensor& grad_out) {
 }
 
 // ---------------------------------------------------------------------------
-// LeakyReLU
-
-std::string LeakyReLU::name() const { return "leakyrelu(" + std::to_string(slope_) + ")"; }
-
-tensor::Tensor LeakyReLU::forward(const tensor::Tensor& x) {
-  input_cache_ = x;
-  tensor::Tensor y(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i] > 0.0f ? x[i] : slope_ * x[i];
-  return y;
-}
-
-tensor::Tensor LeakyReLU::backward(const tensor::Tensor& grad_out) {
-  if (grad_out.size() != input_cache_.size()) {
-    throw std::invalid_argument("LeakyReLU: bad grad shape");
-  }
-  tensor::Tensor grad_in(grad_out.shape());
-  for (std::size_t i = 0; i < grad_out.size(); ++i) {
-    grad_in[i] = input_cache_[i] > 0.0f ? grad_out[i] : slope_ * grad_out[i];
-  }
-  return grad_in;
-}
-
-// ---------------------------------------------------------------------------
-// Tanh
-
-tensor::Tensor Tanh::forward(const tensor::Tensor& x) {
-  output_cache_ = tensor::Tensor(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    output_cache_[i] = std::tanh(x[i]);
-  }
-  return output_cache_;
-}
-
-tensor::Tensor Tanh::backward(const tensor::Tensor& grad_out) {
-  if (grad_out.size() != output_cache_.size()) throw std::invalid_argument("Tanh: bad grad shape");
-  tensor::Tensor grad_in(grad_out.shape());
-  for (std::size_t i = 0; i < grad_out.size(); ++i) {
-    grad_in[i] = grad_out[i] * (1.0f - output_cache_[i] * output_cache_[i]);
-  }
-  return grad_in;
-}
-
-// ---------------------------------------------------------------------------
-// Dropout
-
-Dropout::Dropout(float probability, std::uint64_t seed)
-    : probability_(probability), rng_(seed) {
-  if (probability < 0.0f || probability >= 1.0f) {
-    throw std::invalid_argument("Dropout: probability must be in [0, 1)");
-  }
-}
-
-std::string Dropout::name() const { return "dropout(" + std::to_string(probability_) + ")"; }
-
-tensor::Tensor Dropout::forward(const tensor::Tensor& x) {
-  if (!training_ || probability_ == 0.0f) {
-    mask_ = tensor::Tensor();  // marks pass-through for backward
-    return x;
-  }
-  mask_ = tensor::Tensor(x.shape());
-  tensor::Tensor y(x.shape());
-  const float keep_scale = 1.0f / (1.0f - probability_);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const bool keep = !rng_.bernoulli(probability_);
-    mask_[i] = keep ? keep_scale : 0.0f;
-    y[i] = x[i] * mask_[i];
-  }
-  return y;
-}
-
-tensor::Tensor Dropout::backward(const tensor::Tensor& grad_out) {
-  if (mask_.empty()) return grad_out;  // was a pass-through forward
-  if (grad_out.size() != mask_.size()) throw std::invalid_argument("Dropout: bad grad shape");
-  tensor::Tensor grad_in(grad_out.shape());
-  for (std::size_t i = 0; i < grad_out.size(); ++i) grad_in[i] = grad_out[i] * mask_[i];
-  return grad_in;
-}
-
-// ---------------------------------------------------------------------------
-// GlobalAvgPool2d
-
-tensor::Tensor GlobalAvgPool2d::forward(const tensor::Tensor& x) {
-  if (x.rank() != 4) throw std::invalid_argument("GlobalAvgPool2d: expected NCHW input");
-  in_shape_ = x.shape();
-  const std::size_t batch = x.dim(0), c = x.dim(1), plane = x.dim(2) * x.dim(3);
-  tensor::Tensor y({batch, c});
-  const float inv = 1.0f / static_cast<float>(plane);
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* src = x.data() + (n * c + ch) * plane;
-      float acc = 0.0f;
-      for (std::size_t i = 0; i < plane; ++i) acc += src[i];
-      y.at(n, ch) = acc * inv;
-    }
-  }
-  return y;
-}
-
-tensor::Tensor GlobalAvgPool2d::backward(const tensor::Tensor& grad_out) {
-  const std::size_t batch = in_shape_[0], c = in_shape_[1];
-  const std::size_t plane = in_shape_[2] * in_shape_[3];
-  if (grad_out.size() != batch * c) throw std::invalid_argument("GlobalAvgPool2d: bad grad shape");
-  tensor::Tensor grad_in(in_shape_);
-  const float inv = 1.0f / static_cast<float>(plane);
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float g = grad_out.at(n, ch) * inv;
-      float* dst = grad_in.data() + (n * c + ch) * plane;
-      for (std::size_t i = 0; i < plane; ++i) dst[i] = g;
-    }
-  }
-  return grad_in;
-}
-
-// ---------------------------------------------------------------------------
 // MaxPool2d
 
 std::string MaxPool2d::name() const { return "maxpool(" + std::to_string(window_) + ")"; }
@@ -544,71 +429,6 @@ std::vector<Param> ResidualBlock::params() {
   for (Param p : bn1_.params()) all.push_back(p);
   for (Param p : conv2_.params()) all.push_back(p);
   for (Param p : bn2_.params()) all.push_back(p);
-  return all;
-}
-
-// ---------------------------------------------------------------------------
-// InceptionBlock
-
-InceptionBlock::InceptionBlock(std::size_t in_channels, std::size_t branch_channels,
-                               util::Rng& rng)
-    : branch_channels_(branch_channels),
-      conv1_(in_channels, branch_channels, 1, 1, 0, rng),
-      conv3_(in_channels, branch_channels, 3, 1, 1, rng),
-      conv5_(in_channels, branch_channels, 5, 1, 2, rng),
-      bn1_(branch_channels),
-      bn3_(branch_channels),
-      bn5_(branch_channels) {}
-
-std::string InceptionBlock::name() const {
-  return "inception(3x" + std::to_string(branch_channels_) + ")";
-}
-
-tensor::Tensor InceptionBlock::forward(const tensor::Tensor& x) {
-  const tensor::Tensor b1 = relu1_.forward(bn1_.forward(conv1_.forward(x)));
-  const tensor::Tensor b3 = relu3_.forward(bn3_.forward(conv3_.forward(x)));
-  const tensor::Tensor b5 = relu5_.forward(bn5_.forward(conv5_.forward(x)));
-  const std::size_t batch = b1.dim(0), c = branch_channels_;
-  const std::size_t plane = b1.dim(2) * b1.dim(3);
-  tensor::Tensor y({batch, 3 * c, b1.dim(2), b1.dim(3)});
-  for (std::size_t n = 0; n < batch; ++n) {
-    float* dst = y.data() + n * 3 * c * plane;
-    std::copy(b1.data() + n * c * plane, b1.data() + (n + 1) * c * plane, dst);
-    std::copy(b3.data() + n * c * plane, b3.data() + (n + 1) * c * plane, dst + c * plane);
-    std::copy(b5.data() + n * c * plane, b5.data() + (n + 1) * c * plane, dst + 2 * c * plane);
-  }
-  return y;
-}
-
-tensor::Tensor InceptionBlock::backward(const tensor::Tensor& grad_out) {
-  const std::size_t batch = grad_out.dim(0), c = branch_channels_;
-  if (grad_out.rank() != 4 || grad_out.dim(1) != 3 * c) {
-    throw std::invalid_argument("InceptionBlock: bad grad shape");
-  }
-  const std::size_t h = grad_out.dim(2), w = grad_out.dim(3);
-  const std::size_t plane = h * w;
-  tensor::Tensor d1({batch, c, h, w}), d3({batch, c, h, w}), d5({batch, c, h, w});
-  for (std::size_t n = 0; n < batch; ++n) {
-    const float* src = grad_out.data() + n * 3 * c * plane;
-    std::copy(src, src + c * plane, d1.data() + n * c * plane);
-    std::copy(src + c * plane, src + 2 * c * plane, d3.data() + n * c * plane);
-    std::copy(src + 2 * c * plane, src + 3 * c * plane, d5.data() + n * c * plane);
-  }
-  const tensor::Tensor g1 = conv1_.backward(bn1_.backward(relu1_.backward(d1)));
-  const tensor::Tensor g3 = conv3_.backward(bn3_.backward(relu3_.backward(d3)));
-  const tensor::Tensor g5 = conv5_.backward(bn5_.backward(relu5_.backward(d5)));
-  tensor::Tensor grad_in(g1.shape());
-  for (std::size_t i = 0; i < grad_in.size(); ++i) grad_in[i] = g1[i] + g3[i] + g5[i];
-  return grad_in;
-}
-
-std::vector<Param> InceptionBlock::params() {
-  std::vector<Param> all;
-  for (Layer* layer : {static_cast<Layer*>(&conv1_), static_cast<Layer*>(&bn1_),
-                       static_cast<Layer*>(&conv3_), static_cast<Layer*>(&bn3_),
-                       static_cast<Layer*>(&conv5_), static_cast<Layer*>(&bn5_)}) {
-    for (Param p : layer->params()) all.push_back(p);
-  }
   return all;
 }
 

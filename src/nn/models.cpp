@@ -57,45 +57,4 @@ Network make_resnet_mini(std::size_t side, std::size_t blocks, std::size_t class
   return net;
 }
 
-Network make_vgg_mini(std::size_t side, std::size_t classes, util::Rng& rng) {
-  if (side % 4 != 0) throw std::invalid_argument("make_vgg_mini: side must be divisible by 4");
-  Network net;
-  for (const auto& [cin, cout] : {std::pair<std::size_t, std::size_t>{3, 16}, {16, 16}}) {
-    net.add(std::make_unique<Conv2d>(cin, cout, 3, 1, 1, rng));
-    net.add(std::make_unique<BatchNorm2d>(cout));
-    net.add(std::make_unique<ReLU>());
-  }
-  net.add(std::make_unique<MaxPool2d>(2));
-  for (const auto& [cin, cout] : {std::pair<std::size_t, std::size_t>{16, 32}, {32, 32}}) {
-    net.add(std::make_unique<Conv2d>(cin, cout, 3, 1, 1, rng));
-    net.add(std::make_unique<BatchNorm2d>(cout));
-    net.add(std::make_unique<ReLU>());
-  }
-  net.add(std::make_unique<MaxPool2d>(2));
-  net.add(std::make_unique<Flatten>());
-  const std::size_t features = 32 * (side / 4) * (side / 4);
-  net.add(std::make_unique<Dense>(features, 128, rng));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<Dense>(128, classes, rng));
-  return net;
-}
-
-Network make_inception_mini(std::size_t side, std::size_t blocks, std::size_t classes,
-                            util::Rng& rng) {
-  (void)side;  // fully convolutional until the global pool
-  Network net;
-  net.add(std::make_unique<Conv2d>(3, 12, 3, 1, 1, rng));
-  net.add(std::make_unique<BatchNorm2d>(12));
-  net.add(std::make_unique<ReLU>());
-  std::size_t channels = 12;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    auto block = std::make_unique<InceptionBlock>(channels, 8, rng);
-    channels = block->out_channels();
-    net.add(std::move(block));
-  }
-  net.add(std::make_unique<GlobalAvgPool2d>());
-  net.add(std::make_unique<Dense>(channels, classes, rng));
-  return net;
-}
-
 }  // namespace fftgrad::nn::models

@@ -20,9 +20,7 @@ void SgdOptimizer::step(Network& net, float lr) {
     auto grad = params[p].grad->flat();
     auto& vel = velocity_[p];
     for (std::size_t i = 0; i < value.size(); ++i) {
-      float g = grad[i];
-      if (weight_decay_ != 0.0f) g += weight_decay_ * value[i];
-      vel[i] = momentum_ * vel[i] + g;
+      vel[i] = momentum_ * vel[i] + grad[i];
       value[i] -= lr * vel[i];
     }
   }

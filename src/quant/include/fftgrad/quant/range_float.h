@@ -35,19 +35,12 @@
 
 namespace fftgrad::quant {
 
-/// How encode() maps a value onto the representable ladder. The paper's
-/// Alg. 1 truncates the mantissa (round toward zero); rounding to the
-/// nearest representable value halves the expected error at the same bit
-/// budget and is offered as an ablatable improvement.
-enum class RangeRounding : std::uint8_t { kTruncate = 0, kNearest = 1 };
-
 struct RangeFloatParams {
   int bits = 10;          ///< N: total code width in bits, 3..23.
   int mantissa_bits = 4;  ///< m: kept mantissa bits, 1..min(23, N).
   float min = -1.0f;      ///< Most negative representable target.
   float max = 1.0f;       ///< Largest positive representable target.
   float eps = 1e-3f;      ///< Smallest representable positive magnitude.
-  RangeRounding rounding = RangeRounding::kTruncate;  ///< paper default
 };
 
 class RangeFloat {
@@ -73,7 +66,9 @@ class RangeFloat {
   std::uint32_t negative_codes() const { return negative_codes_; }
   std::uint32_t code_count() const { return code_count_; }
 
-  /// Quantize one value to its N-bit code (stored in the low N bits).
+  /// Quantize one value to its N-bit code (stored in the low N bits). As in
+  /// the paper's Alg. 1 the mantissa is truncated: magnitudes round toward
+  /// zero.
   std::uint32_t encode(float value) const;
 
   /// Reconstruct the representative value of a code.

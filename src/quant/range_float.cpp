@@ -65,21 +65,14 @@ RangeFloat::RangeFloat(const RangeFloatParams& params) : params_(params) {
 
 std::uint32_t RangeFloat::encode(float value) const {
   if (!(value == value)) return 0;  // NaN -> zero code
-  // Adding half of the truncation quantum to the bit pattern before the
-  // shift rounds to the nearest representable ladder value; note the
-  // pattern arithmetic is monotone in magnitude, so this is well-defined.
-  const std::uint32_t round_bias =
-      params_.rounding == RangeRounding::kNearest ? (1u << (shift_ - 1)) : 0u;
   if (value > 0.0f) {
     const float clamped = value > params_.max ? params_.max : value;
-    std::uint32_t trunc = (float_bits(clamped) + round_bias) >> shift_;
+    const std::uint32_t trunc = float_bits(clamped) >> shift_;
     if (trunc < pbase_) return 0;  // underflow to zero
-    std::uint32_t offset = trunc - pbase_ + 1;
-    if (offset > positive_codes_) offset = positive_codes_;  // rounding past max
-    return offset;
+    return trunc - pbase_ + 1;     // <= P: clamped truncates to at most max's pattern
   }
   if (value < 0.0f) {
-    const std::uint32_t trunc = (float_bits(-value) + round_bias) >> shift_;
+    const std::uint32_t trunc = float_bits(-value) >> shift_;
     if (trunc < pbase_) return 0;
     std::uint32_t offset = trunc - pbase_ + 1;
     if (offset > negative_codes_) offset = negative_codes_;  // saturate at min

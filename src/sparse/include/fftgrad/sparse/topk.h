@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <span>
 
+#include "fftgrad/sparse/bitmap.h"
+
 namespace fftgrad::sparse {
 
 enum class TopKMethod { kSort, kNthElement, kBucket };
@@ -35,10 +37,10 @@ struct TopKResult {
 TopKResult topk_threshold(std::span<const float> magnitudes, std::size_t k,
                           TopKMethod method = TopKMethod::kNthElement);
 
-/// Zero every element of `values` except the k with largest |value|.
-/// Exactly k survive (ties at the threshold are broken by index order).
-/// Returns the threshold used.
-float apply_topk_inplace(std::span<float> values, std::size_t k,
-                         TopKMethod method = TopKMethod::kNthElement);
+/// The exact-k keep mask shared by the FFT codec (over bin moduli) and the
+/// Top-k baseline (over |g|): every element whose magnitude exceeds the
+/// k-th largest, then ties at that threshold in index order, so exactly
+/// min(k, n) bits are set.
+Bitmap topk_mask(std::span<const float> magnitudes, std::size_t k);
 
 }  // namespace fftgrad::sparse

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -133,30 +132,27 @@ TopKResult topk_threshold(std::span<const float> magnitudes, std::size_t k, TopK
   return finalize(magnitudes, threshold);
 }
 
-float apply_topk_inplace(std::span<float> values, std::size_t k, TopKMethod method) {
-  if (k >= values.size()) return 0.0f;  // keep everything
-  if (k == 0) {
-    std::fill(values.begin(), values.end(), 0.0f);
-    return std::numeric_limits<float>::infinity();
+Bitmap topk_mask(std::span<const float> magnitudes, std::size_t k) {
+  Bitmap mask(magnitudes.size());
+  if (k >= magnitudes.size()) {
+    for (std::size_t i = 0; i < magnitudes.size(); ++i) mask.set(i);
+    return mask;
   }
-  std::vector<float> magnitudes(values.size());
-  parallel::parallel_for(values.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) magnitudes[i] = std::fabs(values[i]);
-  });
-  const TopKResult sel = topk_threshold(magnitudes, k, method);
+  if (k == 0) return mask;
+  const TopKResult sel = topk_threshold(magnitudes, k);
   // Keep all elements above the threshold plus the first (k - above) at the
   // threshold, so exactly k survive even with ties.
   std::size_t ties_to_keep = k - sel.above;
-  for (std::size_t i = 0; i < values.size(); ++i) {
+  for (std::size_t i = 0; i < magnitudes.size(); ++i) {
     const float m = magnitudes[i];
-    if (m > sel.threshold) continue;
-    if (m == sel.threshold && ties_to_keep > 0) {
+    if (m > sel.threshold) {
+      mask.set(i);
+    } else if (m == sel.threshold && ties_to_keep > 0) {
+      mask.set(i);
       --ties_to_keep;
-      continue;
     }
-    values[i] = 0.0f;
   }
-  return sel.threshold;
+  return mask;
 }
 
 }  // namespace fftgrad::sparse

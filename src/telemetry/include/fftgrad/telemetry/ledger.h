@@ -160,8 +160,8 @@ struct LedgerIteration {
   std::vector<LedgerLayerStats> layers;  ///< optional per-layer breakdown
 };
 
-/// Monitor thresholds; env-overridable via FFTGRAD_LEDGER_* (see
-/// telemetry::init_from_env).
+/// Monitor thresholds. Programs run with these defaults; tests set their
+/// own through RunLedger::set_tolerances.
 struct LedgerTolerances {
   double alpha_bound = 1.0;
   double min_ratio = 1.0;

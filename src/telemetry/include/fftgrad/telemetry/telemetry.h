@@ -10,12 +10,7 @@
 //   FFTGRAD_LEDGER=<path>   enable the run ledger; trainers append JSONL
 //                           rows (manifest / iteration / alert / summary)
 //                           to <path>, closed at exit. Monitor thresholds
-//                           come from FFTGRAD_LEDGER_ALPHA_BOUND,
-//                           FFTGRAD_LEDGER_MIN_RATIO,
-//                           FFTGRAD_LEDGER_DRIFT_TOL,
-//                           FFTGRAD_LEDGER_DRIFT_WINDOW, and
-//                           FFTGRAD_LEDGER_RESIDUAL_FACTOR (see
-//                           LedgerTolerances for defaults).
+//                           are the LedgerTolerances defaults.
 //   FFTGRAD_PROFILE=1       enable the host-time sampling profiler; write
 //                           folded stacks (flamegraph input) plus a
 //                           hot-path report at exit. A value other than

@@ -156,19 +156,7 @@ void init_from_env() {
       if (!Profiler::global().start(hz)) profile_out_path().clear();
     }
     if (ledger != nullptr && *ledger != '\0') {
-      RunLedger& run_ledger = RunLedger::global();
-      LedgerTolerances tolerances;
-      tolerances.alpha_bound =
-          env_double("FFTGRAD_LEDGER_ALPHA_BOUND", tolerances.alpha_bound);
-      tolerances.min_ratio = env_double("FFTGRAD_LEDGER_MIN_RATIO", tolerances.min_ratio);
-      tolerances.drift_rel_tol =
-          env_double("FFTGRAD_LEDGER_DRIFT_TOL", tolerances.drift_rel_tol);
-      tolerances.drift_window = static_cast<std::size_t>(env_double(
-          "FFTGRAD_LEDGER_DRIFT_WINDOW", static_cast<double>(tolerances.drift_window)));
-      tolerances.residual_growth_factor =
-          env_double("FFTGRAD_LEDGER_RESIDUAL_FACTOR", tolerances.residual_growth_factor);
-      run_ledger.set_tolerances(tolerances);
-      if (run_ledger.open(ledger)) {
+      if (RunLedger::global().open(ledger)) {
         util::log_info() << "telemetry: run ledger to " << ledger;
       }
     }

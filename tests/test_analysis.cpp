@@ -1,7 +1,6 @@
 // Tests for the correctness-analysis layer (src/analysis): violation
-// reporting, CheckedMutex ownership + lock-order tracking, SharedState
-// cross-thread access detection, and the deterministic-schedule stress mode
-// in ThreadPool and SimCluster.
+// reporting, CheckedMutex ownership + lock-order tracking, and the
+// deterministic-schedule stress mode in ThreadPool and SimCluster.
 //
 // The checker tests are compiled only when the instrumentation is
 // (FFTGRAD_ANALYSIS builds: the asan/tsan presets, or -DFFTGRAD_ANALYSIS=ON).
@@ -20,7 +19,6 @@
 #include "fftgrad/analysis/check.h"
 #include "fftgrad/analysis/checked_mutex.h"
 #include "fftgrad/analysis/schedule_stress.h"
-#include "fftgrad/analysis/shared_state.h"
 #include "fftgrad/comm/network_model.h"
 #include "fftgrad/comm/sim_cluster.h"
 #include "fftgrad/parallel/thread_pool.h"
@@ -59,7 +57,7 @@ TEST(Violations, HandlerReceivesReportsAndCountAccumulates) {
   ViolationCapture capture;
   EXPECT_EQ(capture.count(), 0u);
   analysis::report_violation("lock-order", "synthetic");
-  analysis::report_violation("shared-state", "synthetic");
+  analysis::report_violation("assert-held", "synthetic");
   EXPECT_EQ(capture.count(), 2u);
 }
 
@@ -135,49 +133,6 @@ TEST(LockOrder, ConsistentOrderAcrossThreadsIsClean) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(capture.count(), 0u);
   analysis::reset_lock_order_graph();
-}
-
-TEST(SharedStateTest, SingleThreadAndSyncedHandoffAreClean) {
-  ViolationCapture capture;
-  analysis::SharedState<int> state(0, "test.handoff");
-  state.write() = 41;
-  EXPECT_EQ(state.read(), 41);
-  state.sync();  // handoff point: e.g. the writer joined
-  std::thread([&] { state.write() = 42; }).join();
-  state.sync();
-  EXPECT_EQ(state.read(), 42);
-  EXPECT_EQ(capture.count(), 0u);
-}
-
-TEST(SharedStateTest, ConcurrentReadersAreClean) {
-  ViolationCapture capture;
-  analysis::SharedState<int> state(7, "test.readers");
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      for (int i = 0; i < 100; ++i) EXPECT_EQ(state.read(), 7);
-    });
-  }
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(capture.count(), 0u);
-}
-
-TEST(SharedStateTest, UnsyncedCrossThreadWriteIsReported) {
-  ViolationCapture capture;
-  analysis::SharedState<int> state(0, "test.racy");
-  state.write() = 1;
-  // No sync(): as far as the checker can prove, this write races with the
-  // one above even though the join sequences them in real time.
-  std::thread([&] { state.write() = 2; }).join();
-  EXPECT_EQ(capture.count(), 1u);
-}
-
-TEST(SharedStateTest, ReadOfAnotherThreadsUnsyncedWriteIsReported) {
-  ViolationCapture capture;
-  analysis::SharedState<int> state(0, "test.stale_read");
-  std::thread([&] { state.write() = 3; }).join();
-  (void)state.read();
-  EXPECT_EQ(capture.count(), 1u);
 }
 
 TEST(ScheduleStress, ScopeSetsAndRestoresSeed) {
@@ -335,9 +290,9 @@ TEST(ScheduleStress, PoolPermutationIsDeterministicPerSeed) {
 #endif
 }
 
-/// One allgather + one allreduce + one reduce_scatter per rank under the
-/// given stress seed; returns every byte/float the collectives produced,
-/// flattened in rank order.
+/// One allgather + one allreduce per rank under the given stress seed;
+/// returns every byte/float the collectives produced, flattened in rank
+/// order.
 struct CollectiveResults {
   std::vector<std::uint8_t> gathered;
   std::vector<float> reduced;
@@ -372,18 +327,15 @@ CollectiveResults run_collectives(std::uint64_t seed) {
 
     const auto gathered = ctx.allgather(mine);
     ctx.allreduce_sum(values);
-    const std::vector<float> chunk = ctx.reduce_scatter_sum(values);
 
     std::vector<std::uint8_t> flat_bytes;
     for (const auto& peer : gathered) {
       flat_bytes.insert(flat_bytes.end(), peer.begin(), peer.end());
     }
-    std::vector<float> flat_floats = values;
-    flat_floats.insert(flat_floats.end(), chunk.begin(), chunk.end());
 
     std::lock_guard<std::mutex> lock(result_mutex);
     per_rank_bytes[rank] = std::move(flat_bytes);
-    per_rank_floats[rank] = std::move(flat_floats);
+    per_rank_floats[rank] = std::move(values);
   });
 
   CollectiveResults results;

@@ -3,7 +3,9 @@
 // the sequential DistributedTrainer relies on), the result matches the
 // sequential trainer's parameters bit for bit under lossless, sparsifying,
 // quantizing and error-feedback codecs (both run the one step of
-// fftgrad/core/replica.h), and compressed exchange still learns.
+// fftgrad/core/replica.h), compressed exchange still learns, and a packet
+// the codec rejects after its checksum passed is left out of the average
+// the way a missing one is.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +16,7 @@
 #include "fftgrad/core/cluster_trainer.h"
 #include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/core/registry.h"
+#include "fftgrad/core/replica.h"
 #include "fftgrad/core/trainer.h"
 #include "fftgrad/nn/loss.h"
 #include "fftgrad/nn/models.h"
@@ -152,6 +155,139 @@ TEST(ClusterTrain, SimClockChargesCompressedVolume) {
       },
       data);
   EXPECT_LT(compressed.rank_sim_times[0], lossless.rank_sim_times[0] * 0.5);
+}
+
+/// A packet as the exchange hands it to Replica::average: framed, then
+/// unframed with its checksum passing.
+std::optional<wire::WireFrame> exchanged(const Packet& packet, std::size_t elements) {
+  return std::move(wire::unframe_frame(wire::frame_packet(packet), elements))
+      .release([](const wire::WireFrame&) { return true; }, "test frame");
+}
+
+std::vector<float> normal_gradient(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> gradient(n);
+  for (float& g : gradient) g = static_cast<float>(rng.normal());
+  return gradient;
+}
+
+/// The lossless codec's packet with its last value cut off: the checksum
+/// of its frame passes, but the codec rejects it.
+Packet truncated_packet(NoopCompressor& codec, std::span<const float> gradient) {
+  Packet packet = codec.compress(gradient);
+  packet.bytes.resize(packet.bytes.size() - sizeof(float));
+  return packet;
+}
+
+TEST(ReplicaAverage, RenormalizesOverThePacketsThatDecode) {
+  nn::Network model = mlp_factory()();
+  Replica replica(model, 0.9f);
+  const std::vector<float> gradient = normal_gradient(replica.size(), 17);
+  NoopCompressor codec;
+  // Both frames pass the checksum; only the codec can tell the second is short.
+  const std::optional<wire::WireFrame> frames[] = {
+      exchanged(codec.compress(gradient), replica.size()),
+      exchanged(truncated_packet(codec, gradient), replica.size())};
+  EXPECT_EQ(replica.average(codec, frames), 1u);
+  const std::span<const float> averaged = replica.averaged();
+  EXPECT_TRUE(std::equal(averaged.begin(), averaged.end(), gradient.begin(), gradient.end()));
+}
+
+TEST(ReplicaAverage, WithoutRejectionsIsTheOneOverNSumInRankOrder) {
+  nn::Network model = mlp_factory()();
+  Replica replica(model, 0.9f);
+  NoopCompressor codec;
+  std::vector<std::vector<float>> gradients;
+  std::vector<std::optional<wire::WireFrame>> frames;
+  for (std::uint64_t r = 0; r < 3; ++r) {
+    gradients.push_back(normal_gradient(replica.size(), 30 + r));
+    frames.push_back(exchanged(codec.compress(gradients.back()), replica.size()));
+  }
+  EXPECT_EQ(replica.average(codec, frames), 0u);
+  const float inv_n = 1.0f / 3.0f;
+  std::vector<float> expected(replica.size(), 0.0f);
+  for (const std::vector<float>& g : gradients) {
+    for (std::size_t i = 0; i < expected.size(); ++i) expected[i] += g[i] * inv_n;
+  }
+  const std::span<const float> averaged = replica.averaged();
+  EXPECT_TRUE(std::equal(averaged.begin(), averaged.end(), expected.begin(), expected.end()));
+}
+
+TEST(ReplicaAverage, AbsentFramesAreLeftOutOfTheMean) {
+  nn::Network model = mlp_factory()();
+  Replica replica(model, 0.9f);
+  NoopCompressor codec;
+  const std::vector<float> first = normal_gradient(replica.size(), 40);
+  const std::vector<float> last = normal_gradient(replica.size(), 41);
+  const std::optional<wire::WireFrame> frames[] = {
+      exchanged(codec.compress(first), replica.size()), std::nullopt,
+      exchanged(codec.compress(last), replica.size())};
+  // A frame the exchange dropped is not a rejection.
+  EXPECT_EQ(replica.average(codec, frames), 0u);
+  const std::span<const float> averaged = replica.averaged();
+  for (std::size_t i = 0; i < averaged.size(); ++i) {
+    EXPECT_EQ(averaged[i], first[i] * 0.5f + last[i] * 0.5f) << i;
+  }
+}
+
+TEST(ReplicaAverage, EveryPacketRejectedLeavesAZeroAverage) {
+  nn::Network model = mlp_factory()();
+  Replica replica(model, 0.9f);
+  NoopCompressor codec;
+  const std::vector<float> gradient = normal_gradient(replica.size(), 50);
+  const std::optional<wire::WireFrame> frames[] = {
+      exchanged(truncated_packet(codec, gradient), replica.size()),
+      exchanged(truncated_packet(codec, gradient), replica.size())};
+  EXPECT_EQ(replica.average(codec, frames), 2u);
+  for (float v : replica.averaged()) EXPECT_EQ(v, 0.0f);
+}
+
+TEST(ReplicaAverage, NoFramesClearsThePreviousAverage) {
+  nn::Network model = mlp_factory()();
+  Replica replica(model, 0.9f);
+  NoopCompressor codec;
+  const std::optional<wire::WireFrame> one[] = {
+      exchanged(codec.compress(normal_gradient(replica.size(), 60)), replica.size())};
+  ASSERT_EQ(replica.average(codec, one), 0u);
+  const std::optional<wire::WireFrame> none[] = {std::nullopt, std::nullopt};
+  EXPECT_EQ(replica.average(codec, none), 0u);
+  for (float v : replica.averaged()) EXPECT_EQ(v, 0.0f);
+}
+
+/// The lossless codec, except that every decode after the first iteration's
+/// `ranks` decodes throws, as a codec does on a packet it cannot parse.
+class RejectsAfterFirstStep : public NoopCompressor {
+ public:
+  explicit RejectsAfterFirstStep(std::size_t ranks) : ranks_(ranks) {}
+  void decompress(const Packet& packet, std::span<float> out) override {
+    if (decodes_++ >= ranks_) throw std::runtime_error("RejectsAfterFirstStep");
+    NoopCompressor::decompress(packet, out);
+  }
+
+ private:
+  std::size_t ranks_;
+  std::size_t decodes_ = 0;
+};
+
+TEST(ClusterTrain, AStepWhereNothingDecodesAppliesNoUpdate) {
+  nn::SyntheticDataset data({8}, 3, 18);
+  ClusterTrainConfig cfg;
+  cfg.ranks = 3;
+  cfg.iterations = 1;
+  cfg.seed = 10;
+  comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
+  const ClusterTrainResult one_step = cluster_train(
+      cluster, cfg, mlp_factory(),
+      [](std::size_t) { return std::make_unique<NoopCompressor>(); }, data);
+  cfg.iterations = 4;
+  const ClusterTrainResult rejected = cluster_train(
+      cluster, cfg, mlp_factory(),
+      [&](std::size_t) { return std::make_unique<RejectsAfterFirstStep>(cfg.ranks); }, data);
+  ASSERT_TRUE(rejected.replicas_identical);
+  EXPECT_EQ(rejected.degraded_iterations, 3u);
+  ASSERT_EQ(rejected.final_params.size(), one_step.final_params.size());
+  EXPECT_EQ(0, std::memcmp(rejected.final_params.data(), one_step.final_params.data(),
+                           one_step.final_params.size() * sizeof(float)));
 }
 
 TEST(ClusterTrain, RejectsZeroRanks) {

@@ -121,15 +121,6 @@ TEST(SimCluster, AllreduceIsBitIdenticalAcrossRanks) {
   for (std::size_t r = 1; r < 4; ++r) EXPECT_EQ(results[r], results[0]);
 }
 
-TEST(SimCluster, BroadcastCopiesRootData) {
-  SimCluster cluster(NetworkModel::ethernet_1g());
-  cluster.run(4, [&](RankContext& ctx) {
-    std::vector<float> v(8, ctx.rank() == 2 ? 42.0f : 0.0f);
-    ctx.broadcast(v, 2);
-    for (float x : v) EXPECT_FLOAT_EQ(x, 42.0f);
-  });
-}
-
 TEST(SimCluster, BarrierAlignsClocksToSlowest) {
   SimCluster cluster(NetworkModel::infiniband_fdr56());
   const auto clocks = cluster.run(4, [&](RankContext& ctx) {

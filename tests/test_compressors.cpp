@@ -10,6 +10,9 @@
 #include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/core/theta_schedule.h"
 #include "fftgrad/nn/gradient_sampler.h"
+#include "fftgrad/quant/half.h"
+#include "fftgrad/sparse/mask_coding.h"
+#include "fftgrad/sparse/topk.h"
 #include "fftgrad/util/rng.h"
 #include "fftgrad/util/stats.h"
 
@@ -115,6 +118,119 @@ TEST(TopK, DroppedValuesAreTheSmallest) {
     }
   }
   EXPECT_LE(max_dropped, min_kept);
+}
+
+// ---------------------------------------------------------------------------
+// The exact-k mask both sparsifying codecs share (sparse::topk_mask): on
+// inputs whose magnitudes all tie, each keeps exactly kept_target entries,
+// lowest indices first.
+
+/// The kept count a packet of either sparsifying codec declares: both
+/// headers open with the element count and then the kept count.
+std::uint64_t declared_kept(const Packet& packet) {
+  wire::Reader reader(packet.bytes);
+  (void)reader.get<std::uint64_t>();
+  return reader.get<std::uint64_t>();
+}
+
+TEST(ExactKMask, TopKKeepsTheLowestIndicesOfAConstantGradient) {
+  TopKCompressor codec(0.85);
+  const std::vector<float> g(1000, 0.25f);
+  const std::size_t kept_target = 150;  // llround(0.15 * 1000)
+  const Packet p = codec.compress(g);
+  EXPECT_EQ(declared_kept(p), kept_target);
+  std::vector<float> recon(g.size());
+  codec.decompress(p, recon);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(recon[i], i < kept_target ? 0.25f : 0.0f) << i;
+  }
+}
+
+TEST(ExactKMask, FftKeepsTheLowestBinsOfAFlatSpectrum) {
+  // A unit impulse of power-of-two length has every bin exactly 1 + 0i, so
+  // every bin ties at the threshold.
+  std::vector<float> impulse(1024, 0.0f);
+  impulse[0] = 1.0f;
+  const std::vector<fft::cfloat> spectrum = fft::rfft(impulse);
+  for (const fft::cfloat& bin : spectrum) ASSERT_EQ(bin, fft::cfloat(1.0f, 0.0f));
+  FftCompressor codec({.theta = 0.85, .quantizer_bits = 10});
+  const std::size_t kept_target = 77;  // llround(0.15 * 513 bins)
+  const Packet p = codec.compress(impulse);
+  EXPECT_EQ(declared_kept(p), kept_target);
+  // 1 and 0 survive fp16 and the range quantizer exactly, so the
+  // reconstruction is the inverse transform of bins [0, kept_target).
+  std::vector<fft::cfloat> lowest(spectrum.size());
+  for (std::size_t k = 0; k < kept_target; ++k) lowest[k] = 1.0f;
+  const std::vector<float> expected = fft::irfft(lowest, impulse.size());
+  std::vector<float> recon(impulse.size());
+  codec.decompress(p, recon);
+  EXPECT_EQ(recon, expected);
+}
+
+/// The keep mask a packet of either sparsifying codec carries over `bins`
+/// entries: after the element and kept counts, the FFT header adds a flags
+/// byte (0 when unquantized), then both carry the encoded mask.
+sparse::Bitmap carried_mask(const Packet& packet, std::size_t bins, bool fft_header) {
+  wire::Reader reader(packet.bytes);
+  (void)reader.get<std::uint64_t>();
+  const auto kept = static_cast<std::size_t>(reader.get<std::uint64_t>());
+  if (fft_header) {
+    EXPECT_EQ(reader.get<std::uint8_t>(), 0u);
+  }
+  std::vector<std::uint8_t> mask_bytes(reader.get_count(sizeof(std::uint8_t)));
+  reader.get_span<std::uint8_t>(mask_bytes);
+  return std::move(sparse::decode_mask(mask_bytes, bins))
+      .release([&](const sparse::Bitmap& m) { return m.count() == kept; }, "test keep-mask");
+}
+
+TEST(ExactKMask, TopKCarriesTopkMaskOfTiedMagnitudes) {
+  // Four magnitude levels with mixed signs: the threshold falls inside a
+  // run of ties.
+  util::Rng rng(41);
+  std::vector<float> g(2000);
+  for (float& v : g) {
+    const float level = 0.125f * static_cast<float>(1 + rng.uniform_index(4));
+    v = rng.bernoulli(0.5) ? level : -level;
+  }
+  std::vector<float> magnitudes(g.size());
+  for (std::size_t i = 0; i < g.size(); ++i) magnitudes[i] = std::fabs(g[i]);
+  TopKCompressor codec(0.7);
+  const Packet p = codec.compress(g);
+  EXPECT_EQ(declared_kept(p), 600u);  // llround(0.3 * 2000)
+  EXPECT_TRUE(carried_mask(p, g.size(), false) == sparse::topk_mask(magnitudes, 600));
+}
+
+class FftKeepSet : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FftKeepSet, IsTopkMaskOfTheBinModuli) {
+  // Power-of-two, even and odd lengths take the radix-2, half-length and
+  // Bluestein transforms.
+  const std::size_t n = GetParam();
+  const auto g = gradient_like(n, n + 5);
+  FftCompressor codec({.theta = 0.85, .quantizer_bits = 0});
+  const Packet p = codec.compress(g);
+  // Stages 2-4 by hand: fp16 round trip, real FFT, bin moduli.
+  std::vector<float> signal(n);
+  quant::half_round_trip(g, signal);
+  const fft::FftPlan plan(n);
+  std::vector<fft::cfloat> spectrum(plan.real_bins());
+  plan.rfft(signal, spectrum);
+  std::vector<float> moduli(spectrum.size());
+  for (std::size_t k = 0; k < spectrum.size(); ++k) moduli[k] = std::abs(spectrum[k]);
+  const auto kept_target = static_cast<std::size_t>(
+      std::llround((1.0 - 0.85) * static_cast<double>(spectrum.size())));
+  EXPECT_EQ(declared_kept(p), kept_target);
+  EXPECT_TRUE(carried_mask(p, spectrum.size(), true) == sparse::topk_mask(moduli, kept_target));
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, FftKeepSet, ::testing::Values(1024, 1000, 4097));
+
+TEST(TopK, ThetaZeroIsLossless) {
+  TopKCompressor codec(0.0);
+  const auto g = gradient_like(777, 6);
+  std::vector<float> recon(g.size());
+  codec.decompress(codec.compress(g), recon);
+  EXPECT_EQ(recon, g);
 }
 
 TEST(TopK, RatioApproachesTheoreticalBound) {
@@ -367,7 +483,7 @@ TEST(Fft, AllZeroGradientReconstructsToZero) {
 }
 
 TEST(Fft, FrozenQuantizerPersistsAcrossCalls) {
-  FftCompressor codec({.theta = 0.5, .quantizer_bits = 10, .freeze_quantizer = true});
+  FftCompressor codec({.theta = 0.5, .quantizer_bits = 10});
   (void)codec.compress(gradient_like(1024, 21));
   ASSERT_TRUE(codec.quantizer().has_value());
   const float eps_before = codec.quantizer()->params().eps;

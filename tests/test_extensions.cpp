@@ -1,6 +1,6 @@
 // Tests for the extension components built beyond the paper's core:
-// adaptive mask coding, error-feedback compression, the parameter-server
-// communication scheme, and the extra collectives.
+// adaptive mask coding, error-feedback compression, and the
+// parameter-server communication scheme.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -270,66 +270,6 @@ TEST(ParameterServer, ScalesWorseThanBspAtHighRankCounts) {
   const double ps16 = iteration_time(core::CommScheme::kParameterServer, 16);
   const double bsp16 = iteration_time(core::CommScheme::kBspAllgather, 16);
   EXPECT_GT(ps16, bsp16);
-}
-
-// ---------------------------------------------------------------------------
-// Extra collectives
-
-TEST(Collectives, GatherDeliversAtRootOnly) {
-  comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
-  cluster.run(4, [&](comm::RankContext& ctx) {
-    std::vector<std::uint8_t> mine(ctx.rank() + 2, static_cast<std::uint8_t>(ctx.rank()));
-    const auto gathered = ctx.gather(mine, 1);
-    if (ctx.rank() == 1) {
-      ASSERT_EQ(gathered.size(), 4u);
-      for (std::size_t r = 0; r < 4; ++r) {
-        ASSERT_EQ(gathered[r].size(), r + 2);
-        for (std::uint8_t b : gathered[r]) EXPECT_EQ(b, r);
-      }
-    } else {
-      EXPECT_TRUE(gathered.empty());
-    }
-  });
-}
-
-TEST(Collectives, GatherChargesSerializedInboundAtRoot) {
-  comm::NetworkModel net{"test", util::SimSeconds(0.0), util::BytesPerSecond(1e6)};
-  comm::SimCluster cluster(net);
-  const auto clocks = cluster.run(3, [&](comm::RankContext& ctx) {
-    std::vector<std::uint8_t> mine(1000);
-    (void)ctx.gather(mine, 0);
-  });
-  // Root absorbed 2 inbound transfers; barrier aligns everyone to it.
-  for (util::SimSeconds t : clocks) EXPECT_NEAR(t.to_double(), 2.0 * (1000.0 / 1e6), 1e-12);
-}
-
-TEST(Collectives, ReduceScatterSumsOwnChunk) {
-  comm::SimCluster cluster(comm::NetworkModel::ethernet_10g());
-  cluster.run(3, [&](comm::RankContext& ctx) {
-    std::vector<float> v(10);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      v[i] = static_cast<float>(i) * static_cast<float>(ctx.rank() + 1);
-    }
-    const std::vector<float> chunk = ctx.reduce_scatter_sum(v);
-    // Sum over ranks multiplies by (1 + 2 + 3) = 6.
-    const std::size_t base = 10 / 3;
-    const std::size_t begin = ctx.rank() * base;
-    const std::size_t expected_len = ctx.rank() == 2 ? 10 - 2 * base : base;
-    ASSERT_EQ(chunk.size(), expected_len);
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      EXPECT_FLOAT_EQ(chunk[i], 6.0f * static_cast<float>(begin + i));
-    }
-  });
-}
-
-TEST(Collectives, ReduceScatterRejectsMismatchedSizes) {
-  comm::SimCluster cluster(comm::NetworkModel::ethernet_10g());
-  EXPECT_THROW(cluster.run(2,
-                           [&](comm::RankContext& ctx) {
-                             std::vector<float> v(ctx.rank() == 0 ? 8 : 6);
-                             (void)ctx.reduce_scatter_sum(v);
-                           }),
-               std::invalid_argument);
 }
 
 }  // namespace

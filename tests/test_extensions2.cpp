@@ -1,191 +1,21 @@
-// Tests for the second wave of extensions: new layers (LeakyReLU, Tanh,
-// Dropout, GlobalAvgPool2d, InceptionBlock), the VGG/Inception model
-// factories, chunked compression, the compressor registry, RangeFloat's
-// round-to-nearest mode, and the hierarchical network model.
+// Tests for the second wave of extensions: chunked compression and the
+// compressor registry.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 #include <vector>
 
-#include "fftgrad/comm/hierarchical_model.h"
 #include "fftgrad/core/baseline_compressors.h"
 #include "fftgrad/core/chunked_compressor.h"
 #include "fftgrad/core/compression_stats.h"
 #include "fftgrad/core/error_feedback.h"
 #include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/core/registry.h"
-#include "fftgrad/nn/layers.h"
-#include "fftgrad/nn/loss.h"
-#include "fftgrad/nn/models.h"
-#include "fftgrad/quant/range_float.h"
 #include "fftgrad/util/rng.h"
 
 namespace fftgrad {
 namespace {
-
-// ---------------------------------------------------------------------------
-// New layers
-
-/// Minimal central-difference check for stateless activations.
-void check_activation_gradient(nn::Layer& layer, float h = 1e-3f, float tol = 1e-2f) {
-  util::Rng rng(50);
-  tensor::Tensor x = tensor::Tensor::randn({2, 6}, rng);
-  tensor::Tensor weights = tensor::Tensor::randn({2, 6}, rng);
-  layer.forward(x);
-  const tensor::Tensor grad_in = layer.backward(weights);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    tensor::Tensor up = x, down = x;
-    up[i] += h;
-    down[i] -= h;
-    double f_up = 0.0, f_down = 0.0;
-    const tensor::Tensor yu = layer.forward(up);
-    for (std::size_t j = 0; j < yu.size(); ++j) f_up += static_cast<double>(yu[j]) * weights[j];
-    const tensor::Tensor yd = layer.forward(down);
-    for (std::size_t j = 0; j < yd.size(); ++j) f_down += static_cast<double>(yd[j]) * weights[j];
-    const double numeric = (f_up - f_down) / (2.0 * h);
-    // Re-prime the cache for the next coordinate's backward consistency.
-    layer.forward(x);
-    EXPECT_NEAR(grad_in[i], numeric, tol) << "coord " << i;
-  }
-}
-
-TEST(LeakyReLU, ForwardKeepsSlopeOnNegatives) {
-  nn::LeakyReLU layer(0.1f);
-  tensor::Tensor x({1, 3});
-  x[0] = -2.0f;
-  x[1] = 0.0f;
-  x[2] = 3.0f;
-  const tensor::Tensor y = layer.forward(x);
-  EXPECT_FLOAT_EQ(y[0], -0.2f);
-  EXPECT_FLOAT_EQ(y[1], 0.0f);
-  EXPECT_FLOAT_EQ(y[2], 3.0f);
-}
-
-TEST(LeakyReLU, GradientMatchesNumeric) {
-  nn::LeakyReLU layer(0.05f);
-  check_activation_gradient(layer);
-}
-
-TEST(TanhLayer, ForwardMatchesStdTanh) {
-  nn::Tanh layer;
-  tensor::Tensor x({1, 2});
-  x[0] = 0.5f;
-  x[1] = -1.5f;
-  const tensor::Tensor y = layer.forward(x);
-  EXPECT_FLOAT_EQ(y[0], std::tanh(0.5f));
-  EXPECT_FLOAT_EQ(y[1], std::tanh(-1.5f));
-}
-
-TEST(TanhLayer, GradientMatchesNumeric) {
-  nn::Tanh layer;
-  check_activation_gradient(layer, 1e-3f, 2e-2f);
-}
-
-TEST(DropoutLayer, EvalModeIsIdentity) {
-  nn::Dropout layer(0.5f, 1);
-  layer.set_training(false);
-  util::Rng rng(51);
-  tensor::Tensor x = tensor::Tensor::randn({4, 8}, rng);
-  const tensor::Tensor y = layer.forward(x);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(DropoutLayer, TrainingPreservesExpectation) {
-  nn::Dropout layer(0.3f, 2);
-  tensor::Tensor x = tensor::Tensor::full({1, 2000}, 1.0f);
-  double total = 0.0;
-  const int rounds = 20;
-  for (int r = 0; r < rounds; ++r) {
-    const tensor::Tensor y = layer.forward(x);
-    for (std::size_t i = 0; i < y.size(); ++i) total += y[i];
-  }
-  // Inverted dropout: E[y] = x.
-  EXPECT_NEAR(total / (rounds * 2000.0), 1.0, 0.03);
-}
-
-TEST(DropoutLayer, BackwardUsesSameMask) {
-  nn::Dropout layer(0.5f, 3);
-  tensor::Tensor x = tensor::Tensor::full({1, 100}, 1.0f);
-  const tensor::Tensor y = layer.forward(x);
-  tensor::Tensor dy = tensor::Tensor::full({1, 100}, 1.0f);
-  const tensor::Tensor dx = layer.backward(dy);
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(dx[i], y[i]);  // both equal the mask value
-  }
-}
-
-TEST(DropoutLayer, RejectsProbabilityOne) {
-  EXPECT_THROW(nn::Dropout(1.0f, 4), std::invalid_argument);
-}
-
-TEST(GlobalAvgPool, ForwardAveragesPlanes) {
-  nn::GlobalAvgPool2d layer;
-  tensor::Tensor x({1, 2, 2, 2});
-  for (std::size_t i = 0; i < 4; ++i) x[i] = static_cast<float>(i);        // ch 0: 0..3
-  for (std::size_t i = 4; i < 8; ++i) x[i] = 10.0f;                        // ch 1
-  const tensor::Tensor y = layer.forward(x);
-  EXPECT_EQ(y.shape(), (std::vector<std::size_t>{1, 2}));
-  EXPECT_FLOAT_EQ(y[0], 1.5f);
-  EXPECT_FLOAT_EQ(y[1], 10.0f);
-}
-
-TEST(GlobalAvgPool, BackwardSpreadsUniformly) {
-  nn::GlobalAvgPool2d layer;
-  util::Rng rng(52);
-  tensor::Tensor x = tensor::Tensor::randn({2, 3, 4, 4}, rng);
-  layer.forward(x);
-  tensor::Tensor dy = tensor::Tensor::full({2, 3}, 16.0f);
-  const tensor::Tensor dx = layer.backward(dy);
-  for (std::size_t i = 0; i < dx.size(); ++i) EXPECT_FLOAT_EQ(dx[i], 1.0f);
-}
-
-TEST(Inception, OutputConcatenatesThreeBranches) {
-  util::Rng rng(53);
-  nn::InceptionBlock block(3, 4, rng);
-  tensor::Tensor x = tensor::Tensor::randn({2, 3, 6, 6}, rng);
-  const tensor::Tensor y = block.forward(x);
-  EXPECT_EQ(y.shape(), (std::vector<std::size_t>{2, 12, 6, 6}));
-  EXPECT_EQ(block.out_channels(), 12u);
-}
-
-TEST(Inception, BackwardShapeAndFiniteness) {
-  util::Rng rng(54);
-  nn::InceptionBlock block(2, 3, rng);
-  tensor::Tensor x = tensor::Tensor::randn({1, 2, 4, 4}, rng);
-  const tensor::Tensor y = block.forward(x);
-  tensor::Tensor dy = tensor::Tensor::full(y.shape(), 0.5f);
-  const tensor::Tensor dx = block.backward(dy);
-  EXPECT_EQ(dx.shape(), x.shape());
-  for (std::size_t i = 0; i < dx.size(); ++i) EXPECT_TRUE(std::isfinite(dx[i]));
-  // All six sub-layers contribute parameters (3 convs + 3 batchnorms).
-  EXPECT_EQ(block.params().size(), 12u);
-}
-
-TEST(Inception, EndToEndTrainingStepRuns) {
-  util::Rng rng(55);
-  nn::Network net = nn::models::make_inception_mini(8, 2, 4, rng);
-  nn::SoftmaxCrossEntropy criterion;
-  tensor::Tensor x = tensor::Tensor::randn({2, 3, 8, 8}, rng);
-  std::vector<std::size_t> labels = {0, 3};
-  net.zero_grad();
-  const double loss = criterion.forward(net.forward(x), labels);
-  EXPECT_TRUE(std::isfinite(loss));
-  net.backward(criterion.backward());
-  std::vector<float> grads(net.param_count());
-  net.copy_gradients(grads);
-  double norm = 0.0;
-  for (float g : grads) norm += static_cast<double>(g) * g;
-  EXPECT_GT(norm, 0.0);
-}
-
-TEST(Models, VggMiniShapesAndParams) {
-  util::Rng rng(56);
-  nn::Network net = nn::models::make_vgg_mini(8, 6, rng);
-  tensor::Tensor x = tensor::Tensor::randn({2, 3, 8, 8}, rng);
-  EXPECT_EQ(net.forward(x).shape(), (std::vector<std::size_t>{2, 6}));
-  EXPECT_GT(net.param_count(), 10000u);
-}
 
 // ---------------------------------------------------------------------------
 // ChunkedCompressor
@@ -333,95 +163,6 @@ TEST(Registry, RejectsMalformedSpecs) {
   EXPECT_THROW(core::make_compressor("chunked:0[fft]"), std::invalid_argument);
   EXPECT_THROW(core::make_compressor("chunked:abc[fft]"), std::invalid_argument);
   EXPECT_THROW(core::make_compressor("fft:theta=2.0"), std::invalid_argument);  // codec rejects
-}
-
-// ---------------------------------------------------------------------------
-// RangeFloat rounding modes
-
-TEST(RangeRounding, NearestReducesErrorVersusTruncate) {
-  util::Rng rng(80);
-  std::vector<float> sample(4000);
-  for (float& v : sample) v = static_cast<float>(rng.normal(0.0, 0.1));
-  quant::RangeFloat truncate = quant::RangeFloat::tune(10, -1.0f, 1.0f, sample);
-  quant::RangeFloatParams nearest_params = truncate.params();
-  nearest_params.rounding = quant::RangeRounding::kNearest;
-  quant::RangeFloat nearest(nearest_params);
-  double trunc_err = 0.0, nearest_err = 0.0;
-  for (float v : sample) {
-    const double dt = v - truncate.decode(truncate.encode(v));
-    const double dn = v - nearest.decode(nearest.encode(v));
-    trunc_err += dt * dt;
-    nearest_err += dn * dn;
-  }
-  // Rounding to nearest should cut the truncation MSE by roughly 4x.
-  EXPECT_LT(nearest_err, trunc_err * 0.5);
-}
-
-TEST(RangeRounding, TruncateNeverOvershootsMagnitude) {
-  const quant::RangeFloat codec = quant::RangeFloat::tune(10, -1.0f, 1.0f);
-  util::Rng rng(81);
-  for (int i = 0; i < 2000; ++i) {
-    const float v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    const float r = codec.decode(codec.encode(v));
-    EXPECT_LE(std::fabs(r), std::fabs(v) * 1.0000001f) << v;  // round toward zero
-  }
-}
-
-TEST(RangeRounding, NearestStaysWithinConfiguredRange) {
-  quant::RangeFloatParams params;
-  params.bits = 8;
-  params.mantissa_bits = 3;
-  params.min = -1.0f;
-  params.max = 1.0f;
-  params.eps = 0.01f;
-  params.rounding = quant::RangeRounding::kNearest;
-  const quant::RangeFloat codec(params);
-  EXPECT_LE(codec.decode(codec.encode(1.0f)), codec.actual_max());
-  EXPECT_GE(codec.decode(codec.encode(-1.0f)), codec.actual_min());
-}
-
-// ---------------------------------------------------------------------------
-// Hierarchical network model
-
-TEST(Hierarchical, SingleNodeUsesIntraOnly) {
-  comm::HierarchicalModel model;
-  const util::SimSeconds t4 = model.allgather_time(util::Bytes(1e6), 4);
-  EXPECT_DOUBLE_EQ(t4.to_double(), model.intra.allgather_time(util::Bytes(1e6), 4).to_double());
-}
-
-TEST(Hierarchical, FabricKicksInBeyondOneNode) {
-  comm::HierarchicalModel model;
-  const util::SimSeconds t4 = model.allgather_time(util::Bytes(1e6), 4);
-  const util::SimSeconds t8 = model.allgather_time(util::Bytes(1e6), 8);
-  // Two nodes must pay the inter-node phase: noticeably more than 2x.
-  EXPECT_GT(t8, 2.0 * t4);
-}
-
-TEST(Hierarchical, MatchesPaperPcieRemark) {
-  // "When GPUs <= 4, the speedup is similar as communications are
-  // intra-node through PCI-E": intra-node cost at 2 vs 4 ranks differs far
-  // less than crossing the node boundary does.
-  comm::HierarchicalModel model;
-  const util::SimSeconds t2 = model.allgather_time(util::Bytes(31.25e6), 2);
-  const util::SimSeconds t4 = model.allgather_time(util::Bytes(31.25e6), 4);
-  const util::SimSeconds t8 = model.allgather_time(util::Bytes(31.25e6), 8);
-  EXPECT_LT(t4 / t2, 4.0);
-  EXPECT_GT(t8 / t4, 2.0);
-}
-
-TEST(Hierarchical, AllreduceSingleRankFree) {
-  comm::HierarchicalModel model;
-  EXPECT_DOUBLE_EQ(model.allreduce_time(util::Bytes(1e6), 1).to_double(), 0.0);
-  EXPECT_GT(model.allreduce_time(util::Bytes(1e6), 16),
-            model.allreduce_time(util::Bytes(1e6), 4));
-}
-
-TEST(Hierarchical, NodeCountRoundsUp) {
-  comm::HierarchicalModel model;
-  EXPECT_EQ(model.nodes(1), 1u);
-  EXPECT_EQ(model.nodes(4), 1u);
-  EXPECT_EQ(model.nodes(5), 2u);
-  EXPECT_EQ(model.nodes(32), 8u);
 }
 
 }  // namespace

@@ -404,6 +404,71 @@ TEST(Optimizer, MomentumAccumulatesVelocity) {
   }
 }
 
+TEST(Optimizer, MomentumStepMatchesItsFormulaBitForBit) {
+  // v = momentum*v + grad; param -= lr*v, in float, over three steps with
+  // a different gradient each time.
+  util::Rng rng(18);
+  Network net = models::make_mlp(3, 5, 2, 2, rng);
+  SgdOptimizer opt(/*momentum=*/0.9f);
+  std::vector<float> param(net.param_count());
+  net.copy_params(param);
+  std::vector<float> velocity(param.size(), 0.0f);
+  std::vector<float> grad(param.size());
+  for (int step = 0; step < 3; ++step) {
+    for (float& g : grad) g = static_cast<float>(rng.normal());
+    net.set_gradients(grad);
+    opt.step(net, 0.05f);
+    for (std::size_t i = 0; i < param.size(); ++i) {
+      velocity[i] = 0.9f * velocity[i] + grad[i];
+      param[i] -= 0.05f * velocity[i];
+    }
+  }
+  std::vector<float> after(param.size());
+  net.copy_params(after);
+  EXPECT_EQ(after, param);
+}
+
+TEST(Optimizer, RestoredVelocityContinuesTheRunBitForBit) {
+  // The checkpoint contract: parameters plus velocity() are the whole
+  // optimizer state.
+  util::Rng init(19), init_again(19);
+  Network net = models::make_mlp(3, 4, 2, 2, init);
+  Network resumed = models::make_mlp(3, 4, 2, 2, init_again);
+  util::Rng rng(20);
+  std::vector<std::vector<float>> grads(3, std::vector<float>(net.param_count()));
+  for (auto& grad : grads) {
+    for (float& g : grad) g = static_cast<float>(rng.normal());
+  }
+  SgdOptimizer straight(0.9f);
+  for (const auto& grad : grads) {
+    net.set_gradients(grad);
+    straight.step(net, 0.1f);
+  }
+  SgdOptimizer first(0.9f);
+  resumed.set_gradients(grads[0]);
+  first.step(resumed, 0.1f);
+  SgdOptimizer second(0.9f);
+  second.set_velocity(first.velocity());
+  for (std::size_t s = 1; s < grads.size(); ++s) {
+    resumed.set_gradients(grads[s]);
+    second.step(resumed, 0.1f);
+  }
+  std::vector<float> expected(net.param_count()), actual(net.param_count());
+  net.copy_params(expected);
+  resumed.copy_params(actual);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(second.velocity(), straight.velocity());
+}
+
+TEST(Optimizer, RejectsANetworkWhoseStructureChanged) {
+  util::Rng rng(21);
+  Network small = models::make_mlp(2, 4, 1, 2, rng);
+  Network deeper = models::make_mlp(2, 4, 2, 2, rng);
+  SgdOptimizer opt(0.9f);
+  opt.step(small, 0.1f);
+  EXPECT_THROW(opt.step(deeper, 0.1f), std::logic_error);
+}
+
 TEST(StepLrSchedule, PicksStageByEpoch) {
   StepLrSchedule sched({{0, 0.01f}, {30, 0.001f}, {60, 0.0001f}});
   EXPECT_FLOAT_EQ(sched.at(0), 0.01f);

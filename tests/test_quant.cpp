@@ -264,6 +264,49 @@ TEST(RangeFloat, NanEncodesToZero) {
   EXPECT_EQ(codec.encode(std::numeric_limits<float>::quiet_NaN()), 0u);
 }
 
+TEST(RangeFloat, TruncateNeverOvershootsMagnitude) {
+  const RangeFloat codec = RangeFloat::tune(10, -1.0f, 1.0f);
+  util::Rng rng(81);
+  for (int i = 0; i < 2000; ++i) {
+    const float v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const float r = codec.decode(codec.encode(v));
+    EXPECT_LE(std::fabs(r), std::fabs(v) * 1.0000001f) << v;  // round toward zero
+  }
+}
+
+std::vector<RangeFloat> saturation_codecs() {
+  RangeFloatParams fixed;
+  fixed.bits = 8;
+  fixed.mantissa_bits = 2;
+  fixed.min = -0.5f;
+  fixed.max = 2.0f;
+  fixed.eps = 0.01f;
+  return {RangeFloat::tune(10, -1.0f, 1.0f), RangeFloat::tune(6, -0.25f, 1.0f),
+          RangeFloat::tune(16, -1.0f, 0.5f), RangeFloat(fixed)};
+}
+
+TEST(RangeFloat, PositiveSaturationIsTheLastPositiveCode) {
+  // Truncation never rounds past max: max and everything above it land on
+  // code P, the largest positive representable value.
+  for (const RangeFloat& codec : saturation_codecs()) {
+    const std::uint32_t last = codec.positive_codes();
+    EXPECT_EQ(codec.encode(codec.params().max), last);
+    EXPECT_EQ(codec.encode(std::numeric_limits<float>::max()), last);
+    EXPECT_EQ(codec.encode(std::numeric_limits<float>::infinity()), last);
+    EXPECT_EQ(codec.decode(last), codec.actual_max());
+  }
+}
+
+TEST(RangeFloat, NegativeSaturationIsTheLastNegativeCode) {
+  for (const RangeFloat& codec : saturation_codecs()) {
+    const std::uint32_t last = codec.positive_codes() + codec.negative_codes();
+    EXPECT_EQ(codec.encode(codec.params().min), last);
+    EXPECT_EQ(codec.encode(-std::numeric_limits<float>::max()), last);
+    EXPECT_EQ(codec.encode(-std::numeric_limits<float>::infinity()), last);
+    EXPECT_EQ(codec.decode(last), codec.actual_min());
+  }
+}
+
 class RangeFloatBits : public ::testing::TestWithParam<int> {};
 
 TEST_P(RangeFloatBits, MedianCoordinateErrorBeatsUniformAtLowWidths) {

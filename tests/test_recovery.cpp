@@ -27,7 +27,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -210,29 +209,6 @@ TEST(RecoveryController_, RejectsMalformedDecisionState) {
   EXPECT_THROW(sink.load_decision_state(bad_cause), std::runtime_error);
   // The valid blob still loads after the failures above.
   EXPECT_NO_THROW(sink.load_decision_state(blob));
-}
-
-TEST(RecoveryPolicy_, FromEnvReadsEveryKnob) {
-  ::setenv("FFTGRAD_RECOVERY", "1", 1);
-  ::setenv("FFTGRAD_RECOVERY_SNAPSHOT_EVERY", "4", 1);
-  ::setenv("FFTGRAD_RECOVERY_STREAK", "7", 1);
-  ::setenv("FFTGRAD_RECOVERY_MIN_RATIO", "2.5", 1);
-  ::setenv("FFTGRAD_RECOVERY_RESIDUAL_FACTOR", "50", 1);
-  ::setenv("FFTGRAD_RECOVERY_THETA_FACTOR", "0.25", 1);
-  const RecoveryPolicy policy = RecoveryPolicy::from_env();
-  ::unsetenv("FFTGRAD_RECOVERY");
-  ::unsetenv("FFTGRAD_RECOVERY_SNAPSHOT_EVERY");
-  ::unsetenv("FFTGRAD_RECOVERY_STREAK");
-  ::unsetenv("FFTGRAD_RECOVERY_MIN_RATIO");
-  ::unsetenv("FFTGRAD_RECOVERY_RESIDUAL_FACTOR");
-  ::unsetenv("FFTGRAD_RECOVERY_THETA_FACTOR");
-  EXPECT_TRUE(policy.enabled);
-  EXPECT_EQ(policy.snapshot_every, 4u);
-  EXPECT_EQ(policy.ratio_collapse_streak, 7u);
-  EXPECT_DOUBLE_EQ(policy.min_ratio, 2.5);
-  EXPECT_DOUBLE_EQ(policy.residual_growth_factor, 50.0);
-  EXPECT_DOUBLE_EQ(policy.theta_relax_factor, 0.25);
-  EXPECT_FALSE(RecoveryPolicy::from_env().enabled);  // unset: disabled again
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <complex>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "fftgrad/parallel/thread_pool.h"
@@ -83,21 +84,34 @@ TEST(TopK, BucketHandlesManyDuplicatesAroundThreshold) {
   EXPECT_EQ(result.above, 500u);
 }
 
-TEST(ApplyTopK, KeepsExactlyKSurvivors) {
+/// Zero every element of `values` that topk_mask(|values|, k) drops, and
+/// check the mask keeps exactly min(k, n) elements.
+void keep_topk(std::vector<float>& values, std::size_t k) {
+  std::vector<float> magnitudes(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) magnitudes[i] = std::fabs(values[i]);
+  const Bitmap mask = topk_mask(magnitudes, k);
+  ASSERT_EQ(mask.size(), values.size());
+  EXPECT_EQ(mask.count(), std::min(k, values.size()));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!mask.test(i)) values[i] = 0.0f;
+  }
+}
+
+TEST(TopKMask, KeepsExactlyKSurvivors) {
   util::Rng rng(11);
   std::vector<float> values(1000);
   for (float& v : values) v = static_cast<float>(rng.normal());
   std::vector<float> copy = values;
-  apply_topk_inplace(copy, 100);
+  keep_topk(copy, 100);
   const auto survivors =
       static_cast<std::size_t>(std::count_if(copy.begin(), copy.end(),
                                              [](float v) { return v != 0.0f; }));
   EXPECT_EQ(survivors, 100u);
 }
 
-TEST(ApplyTopK, SurvivorsAreTheLargestMagnitudes) {
+TEST(TopKMask, SurvivorsAreTheLargestMagnitudes) {
   std::vector<float> values = {0.1f, -5.0f, 0.2f, 3.0f, -0.05f, 1.0f};
-  apply_topk_inplace(values, 3);
+  keep_topk(values, 3);
   EXPECT_EQ(values[0], 0.0f);
   EXPECT_EQ(values[1], -5.0f);
   EXPECT_EQ(values[2], 0.0f);
@@ -106,28 +120,113 @@ TEST(ApplyTopK, SurvivorsAreTheLargestMagnitudes) {
   EXPECT_EQ(values[5], 1.0f);
 }
 
-TEST(ApplyTopK, KeepsExactlyKWithTies) {
+TEST(TopKMask, KeepsExactlyKWithTies) {
   std::vector<float> values(100, 0.5f);
-  apply_topk_inplace(values, 37);
+  keep_topk(values, 37);
   const auto survivors =
       static_cast<std::size_t>(std::count_if(values.begin(), values.end(),
                                              [](float v) { return v != 0.0f; }));
   EXPECT_EQ(survivors, 37u);
+  // Ties at the threshold are kept in index order.
+  for (std::size_t i = 0; i < values.size(); ++i) EXPECT_EQ(values[i] != 0.0f, i < 37) << i;
 }
 
-TEST(ApplyTopK, KZeroZerosEverything) {
+TEST(TopKMask, KZeroZerosEverything) {
   std::vector<float> values = {1.0f, 2.0f};
-  apply_topk_inplace(values, 0);
+  keep_topk(values, 0);
   EXPECT_EQ(values[0], 0.0f);
   EXPECT_EQ(values[1], 0.0f);
 }
 
-TEST(ApplyTopK, KAtSizeKeepsEverything) {
+TEST(TopKMask, KAtSizeKeepsEverything) {
   std::vector<float> values = {1.0f, -2.0f, 3.0f};
   std::vector<float> copy = values;
-  apply_topk_inplace(copy, 3);
+  keep_topk(copy, 3);
   EXPECT_EQ(copy, values);
 }
+
+TEST(TopKMask, KBeyondSizeKeepsEverything) {
+  // topk_threshold rejects k > n; the mask clamps to min(k, n) instead.
+  const std::vector<float> magnitudes = {0.5f, 0.0f, 2.0f};
+  const Bitmap mask = topk_mask(magnitudes, 10);
+  ASSERT_EQ(mask.size(), 3u);
+  EXPECT_EQ(mask.count(), 3u);
+}
+
+TEST(TopKMask, EmptyInputGivesAnEmptyMask) {
+  const std::vector<float> none;
+  EXPECT_EQ(topk_mask(none, 0).size(), 0u);
+  EXPECT_EQ(topk_mask(none, 4).size(), 0u);
+}
+
+TEST(TopKMask, ZerosAreKeptOnlyAsTiesInIndexOrder) {
+  // Three non-zero magnitudes and k = 5: all three, then the two lowest
+  // zero indices.
+  const std::vector<float> magnitudes = {0.0f, 3.0f, 0.0f, 0.0f, 1.0f, 0.0f, 2.0f, 0.0f};
+  const Bitmap mask = topk_mask(magnitudes, 5);
+  const std::vector<bool> expected = {true, true, true, false, true, false, true, false};
+  for (std::size_t i = 0; i < magnitudes.size(); ++i) EXPECT_EQ(mask.test(i), expected[i]) << i;
+}
+
+TEST(TopKMask, StrictlyLargerMagnitudesComeBeforeEarlierTies) {
+  // Two levels interleaved; k falls inside the lower level, so every 2.0
+  // survives wherever it sits and the 1.0s fill the rest from index 0.
+  std::vector<float> magnitudes(20);
+  for (std::size_t i = 0; i < magnitudes.size(); ++i) magnitudes[i] = i % 2 == 0 ? 1.0f : 2.0f;
+  const Bitmap mask = topk_mask(magnitudes, 13);
+  EXPECT_EQ(mask.count(), 13u);
+  for (std::size_t i = 1; i < magnitudes.size(); i += 2) EXPECT_TRUE(mask.test(i)) << i;
+  for (std::size_t i = 0; i < magnitudes.size(); i += 2) EXPECT_EQ(mask.test(i), i < 6) << i;
+}
+
+/// The exact-k rule stated directly: order the indices by magnitude,
+/// largest first and ties by index (a stable sort), and keep the first k.
+Bitmap stable_sort_mask(std::span<const float> magnitudes, std::size_t k) {
+  std::vector<std::size_t> order(magnitudes.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return magnitudes[a] > magnitudes[b];
+  });
+  Bitmap mask(magnitudes.size());
+  for (std::size_t i = 0; i < std::min(k, order.size()); ++i) mask.set(order[i]);
+  return mask;
+}
+
+struct TopKMaskCase {
+  std::size_t n;
+  std::size_t k;
+  int levels;  ///< 0: continuous magnitudes; L: drawn from {0, 0.25, ..., (L-1)/4}
+};
+
+// Names each case by its fields rather than its raw bytes, padding
+// included.
+void PrintTo(const TopKMaskCase& c, std::ostream* os) {
+  *os << "n=" << c.n << ",k=" << c.k << ",levels=" << c.levels;
+}
+
+class TopKMaskParam : public ::testing::TestWithParam<TopKMaskCase> {};
+
+TEST_P(TopKMaskParam, MatchesStableSortReference) {
+  const TopKMaskCase c = GetParam();
+  std::vector<float> magnitudes = random_magnitudes(c.n, c.n * 17 + c.k);
+  if (c.levels > 0) {
+    util::Rng rng(c.n + c.k);
+    for (float& m : magnitudes) {
+      m = 0.25f * static_cast<float>(rng.uniform_index(static_cast<std::size_t>(c.levels)));
+    }
+  }
+  const Bitmap mask = topk_mask(magnitudes, c.k);
+  EXPECT_EQ(mask.count(), std::min(c.k, c.n));
+  EXPECT_TRUE(mask == stable_sort_mask(magnitudes, c.k));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, TopKMaskParam,
+    ::testing::Values(TopKMaskCase{1, 1, 0}, TopKMaskCase{2, 1, 1}, TopKMaskCase{63, 20, 3},
+                      TopKMaskCase{64, 64, 2}, TopKMaskCase{65, 13, 0},
+                      TopKMaskCase{1000, 150, 4}, TopKMaskCase{1000, 999, 2},
+                      TopKMaskCase{4096, 1, 8}, TopKMaskCase{100003, 15000, 0},
+                      TopKMaskCase{100003, 15000, 16}));
 
 // ---------------------------------------------------------------------------
 // Bitmap

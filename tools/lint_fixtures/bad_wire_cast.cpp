@@ -1,6 +1,7 @@
 // Seeded violation: ad-hoc byte reinterpretation of a received payload
 // outside the designated wire codec files — the overflow/aliasing bug
-// class the ByteReader/ByteWriter primitives exist to contain.
+// class the wire::put/wire::put_span/wire::Reader primitives exist to
+// contain.
 // LINT-EXPECT: wire-cast-outside-wire
 // LINT-EXPECT: wire-cast-outside-wire
 #include <cstdint>
