@@ -3,7 +3,7 @@
 // compute/communication overlap; this bench quantifies what it costs in
 // wire size (per-chunk headers and masks) and reconstruction error (top-k
 // is allocated per chunk instead of globally) and what it buys in codec
-// speed (many small radix-2 FFTs vs one large, possibly Bluestein,
+// speed (many small power-of-two FFTs vs one large, possibly Bluestein,
 // transform).
 #include <cstdio>
 #include <memory>
@@ -17,7 +17,7 @@
 int main() {
   using namespace fftgrad;
   // Deliberately awkward length: a whole-gradient transform takes the
-  // Bluestein path while power-of-two chunks stay radix-2.
+  // Bluestein path while power-of-two chunks run the kernel directly.
   std::vector<float> grad = bench::trained_mlp_gradient(20);
   while (grad.size() < 200000) {
     const std::size_t n = grad.size();

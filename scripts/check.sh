@@ -144,6 +144,11 @@ for preset in "${presets[@]}"; do
   # itself. Release only — sanitizer timings are not comparable anyway.
   if [[ "$preset" == default ]]; then
     run_step "$preset" bench-diff scripts/bench_diff --build-dir build
+    # The repository benchmark's own checks (benchmark/README.md): at most
+    # 5 steps per workload, traced and untraced, failing on a missing
+    # metric, a wrong unit, a failed step, replicas that are not
+    # bit-identical, or a failed attribution check.
+    run_step "$preset" bench-smoke bash benchmark/run.sh --smoke
     # Unit/trust-boundary lint gate: fftgrad_lint selftest (the seeded
     # violation fixtures must all still be caught) followed by the scoped
     # tree scan against the audited allowlist. Gating: a finding or a

@@ -7,7 +7,8 @@
 // production integration does — each chunk can be compressed and shipped
 // as soon as its layer's backward completes, and small FFTs are also far
 // cheaper than one giant transform (especially at non-power-of-two sizes,
-// where a whole-gradient Bluestein transform is ~10x slower than radix-2).
+// where a whole-gradient Bluestein transform costs ~5x more per element
+// than 65,536-point power-of-two chunks, bench_micro_primitives).
 // The cost is a per-chunk header/mask overhead and slightly different
 // sparsity allocation (top-k is taken per chunk, not globally) —
 // bench_ablation_chunking quantifies the trade.

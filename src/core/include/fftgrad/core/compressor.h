@@ -116,6 +116,8 @@ class Reader {
   template <typename T>
   void get_span(std::span<T> out) {
     static_assert(std::is_trivially_copyable_v<T>);
+    // An empty span may carry a null pointer, which memcpy must not see.
+    if (out.empty()) return;
     if (at_ + out.size_bytes() > bytes_.size()) throw std::runtime_error("wire: truncated packet");
     std::memcpy(out.data(), bytes_.data() + at_, out.size_bytes());
     at_ += out.size_bytes();

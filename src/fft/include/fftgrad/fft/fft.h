@@ -1,13 +1,18 @@
 // From-scratch FFT library (the cuFFT substitute).
 //
-// FftPlan caches twiddle factors and bit-reversal tables for a fixed
-// transform size, mirroring cuFFT's plan-then-execute interface. Power-of-
-// two sizes run an iterative radix-2 Cooley-Tukey; every other size runs
-// Bluestein's chirp-z algorithm on top of a padded power-of-two plan, so
-// any gradient length is supported without copying into padded buffers at
-// the call site. Bluestein's padded buffer is allocated per call: a plan
-// keeps no scratch between calls, so one const plan may be shared by any
-// number of threads.
+// FftPlan caches twiddle factors and chirp tables for a fixed transform
+// size, mirroring cuFFT's plan-then-execute interface. One power-of-two
+// kernel does the work: radix-4 stages, plus one radix-2 stage when log2 of
+// its length is odd, over separate real and imaginary arrays, as a
+// decimation-in-frequency (DIF) pass from natural to bit-reversed order and
+// its transpose, a decimation-in-time (DIT) pass back. A power-of-two size
+// gathers its input into bit-reversed order and runs the DIT pass. Every
+// other size runs Bluestein's chirp-z convolution on a padded power of two
+// m >= 2n - 1: DIF, a pointwise product with the filter spectrum (stored in
+// the DIF's order, so nothing is reordered), DIT. Any gradient length is
+// thus supported without copying into padded buffers at the call site. The
+// working buffers are allocated per call: a plan keeps no scratch between
+// calls, so one const plan may be shared by any number of threads.
 //
 // Real transforms (what the compressor uses — gradients are real 1-D
 // signals) are exposed as rfft/irfft over the non-redundant half spectrum

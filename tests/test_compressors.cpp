@@ -48,6 +48,19 @@ TEST(Wire, PutGetRoundTrip) {
   EXPECT_EQ(reader.remaining(), 0u);
 }
 
+TEST(Wire, ZeroLengthSpanReadsNothing) {
+  wire::Reader empty{std::span<const std::uint8_t>{}};
+  EXPECT_NO_THROW(empty.get_span<float>(std::span<float>{}));
+  EXPECT_EQ(empty.remaining(), 0u);
+
+  std::vector<std::uint8_t> bytes;
+  wire::put<std::uint32_t>(bytes, 7u);
+  wire::Reader reader(bytes);
+  EXPECT_EQ(reader.get<std::uint32_t>(), 7u);
+  EXPECT_NO_THROW(reader.get_span<float>(std::span<float>{}));
+  EXPECT_EQ(reader.remaining(), 0u);
+}
+
 TEST(Wire, ReaderRejectsTruncatedPacket) {
   std::vector<std::uint8_t> bytes = {1, 2};
   wire::Reader reader(bytes);
@@ -203,8 +216,8 @@ TEST(ExactKMask, TopKCarriesTopkMaskOfTiedMagnitudes) {
 class FftKeepSet : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftKeepSet, IsTopkMaskOfTheBinModuli) {
-  // Power-of-two, even and odd lengths take the radix-2, half-length and
-  // Bluestein transforms.
+  // Power-of-two, even and odd lengths take a power-of-two half, a
+  // Bluestein half and the full-length Bluestein transform.
   const std::size_t n = GetParam();
   const auto g = gradient_like(n, n + 5);
   FftCompressor codec({.theta = 0.85, .quantizer_bits = 0});

@@ -14,16 +14,25 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+/// exp(-2*pi*i*t/n) for t < n, in double precision.
+std::vector<std::complex<double>> unit_roots(std::size_t n) {
+  std::vector<std::complex<double>> roots(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const double angle = -2.0 * kPi * static_cast<double>(t) / static_cast<double>(n);
+    roots[t] = std::complex<double>(std::cos(angle), std::sin(angle));
+  }
+  return roots;
+}
+
 /// O(n^2) reference DFT in double precision.
 std::vector<std::complex<double>> reference_dft(std::span<const cfloat> in) {
   const std::size_t n = in.size();
+  const auto roots = unit_roots(n);
   std::vector<std::complex<double>> out(n);
   for (std::size_t k = 0; k < n; ++k) {
     std::complex<double> acc = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      const double angle = -2.0 * kPi * static_cast<double>(j * k % n) / static_cast<double>(n);
-      acc += std::complex<double>(in[j].real(), in[j].imag()) *
-             std::complex<double>(std::cos(angle), std::sin(angle));
+      acc += std::complex<double>(in[j].real(), in[j].imag()) * roots[j * k % n];
     }
     out[k] = acc;
   }
@@ -109,11 +118,17 @@ TEST_P(FftAgainstReference, InverseRecoversSignal) {
   }
 }
 
-// Mix of power-of-two (radix-2 path) and arbitrary sizes (Bluestein path),
-// including primes.
+// Mix of power-of-two (natural-order kernel path) and arbitrary sizes
+// (Bluestein path), including primes.
 INSTANTIATE_TEST_SUITE_P(Sizes, FftAgainstReference,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16, 31, 64, 100, 127, 128,
                                            240, 255, 256));
+
+// Every power of two up to 2^12: odd log2 n adds a radix-2 stage to the
+// radix-4 stages, even log2 n runs radix-4 stages only.
+INSTANTIATE_TEST_SUITE_P(PowersOfTwo, FftAgainstReference,
+                         ::testing::Values(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
+                                           4096));
 
 class RealFftRoundTrip : public ::testing::TestWithParam<std::size_t> {};
 
@@ -162,10 +177,48 @@ TEST_P(RealFftAgainstReference, RfftMatchesNaiveDft) {
 }
 
 // Even sizes run an n/2-point transform plus a split pass: 2 and 4 are the
-// edge cases of the split, 64 has a radix-2 half, and 6, 12, 100, 202 and
-// 366 have a Bluestein half. Odd sizes 3 and 65 run the full-length path.
+// edge cases of the split, 64 has a power-of-two half, and 6, 12, 100, 202
+// and 366 have a Bluestein half. Odd sizes 3 and 65 run the full-length path.
 INSTANTIATE_TEST_SUITE_P(Sizes, RealFftAgainstReference,
                          ::testing::Values(2, 3, 4, 6, 12, 64, 65, 100, 202, 366));
+
+class RealFftWorkloadSizes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RealFftWorkloadSizes, SampledBinsMatchDirectSum) {
+  // A round trip cannot catch a forward and an inverse transform that are
+  // wrong in matching ways, so ~64 bins of each size the codec runs are
+  // checked against a direct sum in double.
+  const std::size_t n = GetParam();
+  util::Rng rng(11 * n + 3);
+  std::vector<float> signal(n);
+  for (float& v : signal) v = static_cast<float>(rng.normal());
+  FftPlan plan(n);
+  std::vector<cfloat> bins(plan.real_bins());
+  plan.rfft(signal, bins);
+
+  const std::size_t last = plan.real_bins() - 1;
+  std::vector<std::size_t> sampled = {0, 1, 2, n / 4, n / 4 + 1, last - 1, last};
+  while (sampled.size() < 64) sampled.push_back(rng.uniform_index(plan.real_bins()));
+  const auto roots = unit_roots(n);
+  const double tol = 1e-4 * std::sqrt(static_cast<double>(n));
+  for (const std::size_t k : sampled) {
+    std::complex<double> expected = 0.0;
+    for (std::size_t j = 0, t = 0; j < n; ++j) {
+      expected += static_cast<double>(signal[j]) * roots[t];
+      t += k;  // t = j*k mod n
+      if (t >= n) t -= n;
+    }
+    EXPECT_NEAR(bins[k].real(), expected.real(), tol) << "bin " << k << " n=" << n;
+    EXPECT_NEAR(bins[k].imag(), expected.imag(), tol) << "bin " << k << " n=" << n;
+  }
+}
+
+// 333,834: the MLP gradient, a 166,917-point Bluestein half (m = 2^19).
+// 15,013: ResNetMini, a full-length Bluestein transform (m = 2^15).
+// 6,154: the chunked codec's remainder chunk, a 3,077-point Bluestein half
+// (m = 2^13). 65,536 and 2^20: natural-order halves of 2^15 and 2^19.
+INSTANTIATE_TEST_SUITE_P(Sizes, RealFftWorkloadSizes,
+                         ::testing::Values(333834, 15013, 6154, 65536, 1 << 20));
 
 TEST(RealFft, BinCountIsHalfSpectrumPlusDc) {
   EXPECT_EQ(FftPlan(8).real_bins(), 5u);

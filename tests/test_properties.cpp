@@ -185,12 +185,12 @@ TEST(FftIdentities, ImpulseHasFlatSpectrum) {
   }
 }
 
-TEST(FftIdentities, BluesteinMatchesRadix2OnCommonSizes) {
+TEST(FftIdentities, RealRouteMatchesComplexRoute) {
   // rfft of a real signal must equal forward() of the same signal embedded
-  // as complex, whichever route each takes. n = 128: a 64-point radix-2
-  // half plus the split pass against a 128-point radix-2. n = 100: a
-  // 50-point Bluestein half plus the split against a 100-point Bluestein.
-  // n = 65: the full-length Bluestein path.
+  // as complex, whichever route each takes. n = 128: a 64-point power-of-two
+  // half plus the split pass against a 128-point power-of-two transform.
+  // n = 100: a 50-point Bluestein half plus the split against a 100-point
+  // Bluestein. n = 65: the full-length Bluestein path.
   for (const std::size_t n : {std::size_t{128}, std::size_t{100}, std::size_t{65}}) {
     util::Rng rng(14 + n);
     std::vector<float> signal(n);
