@@ -98,6 +98,7 @@ for preset in "${presets[@]}"; do
   if [[ "$preset" == default || "$preset" == asan ]]; then
     own_rows+=(ledger recovery critpath profile)
   fi
+  [[ "$preset" == default ]] && own_rows+=(lint)
   [[ "$run_fuzz" == 1 ]] && own_rows+=(fuzz)
   own_rows_regex="^($(IFS='|'; echo "${own_rows[*]}"))\$"
   run_step "$preset" test ctest --preset "$preset" -j "$jobs" -LE "$own_rows_regex"

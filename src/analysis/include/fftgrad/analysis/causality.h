@@ -54,11 +54,11 @@
 #include <string>
 #include <vector>
 
+#include "fftgrad/util/config.h"
 #include "fftgrad/util/taint.h"
 #include "fftgrad/util/thread_annotations.h"
 
 #include "fftgrad/analysis/check.h"
-#include "fftgrad/analysis/config.h"
 
 #if FFTGRAD_ANALYSIS
 #include <atomic>

@@ -11,7 +11,7 @@
 #include <cstddef>
 #include <string>
 
-#include "fftgrad/analysis/config.h"
+#include "fftgrad/util/config.h"
 
 namespace fftgrad::analysis {
 

@@ -28,7 +28,7 @@
 #include <mutex>
 #include <thread>
 
-#include "fftgrad/analysis/config.h"
+#include "fftgrad/util/config.h"
 #include "fftgrad/util/thread_annotations.h"
 
 namespace fftgrad::analysis {

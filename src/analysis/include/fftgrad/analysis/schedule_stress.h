@@ -23,7 +23,7 @@
 
 #include <cstdint>
 
-#include "fftgrad/analysis/config.h"
+#include "fftgrad/util/config.h"
 
 namespace fftgrad::analysis {
 

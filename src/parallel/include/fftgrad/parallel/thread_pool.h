@@ -3,8 +3,7 @@
 // This is the CPU substitute for the paper's GPU execution substrate: the
 // packing, selection, and quantization primitives are expressed as
 // data-parallel loops over index ranges (see parallel_for.h) and scheduled
-// here. The pool is also used by comm::SimCluster to run one logical rank
-// per task.
+// here.
 //
 // Concurrency analysis: the queue mutex is an analysis::CheckedMutex, so
 // debug/sanitizer builds track its owner and lock order (see

@@ -6,19 +6,8 @@
 #include <sstream>
 
 #include "fftgrad/telemetry/metrics.h"
+#include "fftgrad/util/config.h"
 #include "fftgrad/util/logging.h"
-
-// Mirrors fftgrad/analysis/config.h's default. The telemetry library cannot
-// include analysis headers (analysis links telemetry, not the reverse), but
-// the FFTGRAD_ANALYSIS definition itself is tree-wide when CMake sets it,
-// so alert-abort semantics still match the analysis layer's build mode.
-#if !defined(FFTGRAD_ANALYSIS)
-#if !defined(NDEBUG)
-#define FFTGRAD_ANALYSIS 1
-#else
-#define FFTGRAD_ANALYSIS 0
-#endif
-#endif
 
 namespace fftgrad::telemetry {
 namespace {

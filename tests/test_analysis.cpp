@@ -1,11 +1,13 @@
 // Tests for the correctness-analysis layer (src/analysis): violation
-// reporting, CheckedMutex ownership + lock-order tracking, and the
-// deterministic-schedule stress mode in ThreadPool and SimCluster.
+// reporting, CheckedMutex ownership + lock-order tracking, the runtime
+// semantics of the annotated lock guards, and the deterministic-schedule
+// stress mode in ThreadPool and SimCluster.
 //
 // The checker tests are compiled only when the instrumentation is
 // (FFTGRAD_ANALYSIS builds: the asan/tsan presets, or -DFFTGRAD_ANALYSIS=ON).
-// The schedule-stress determinism contracts are asserted unconditionally —
-// in Release the stress hooks are no-ops and the contracts hold trivially.
+// The guard tests and the schedule-stress determinism contracts are
+// asserted unconditionally — in Release the stress hooks are no-ops and
+// the contracts hold trivially.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -149,62 +151,76 @@ TEST(ScheduleStress, ScopeSetsAndRestoresSeed) {
   EXPECT_EQ(analysis::schedule_stress_seed(), 0u);
 }
 
-// The util:: guards are the project's scoped capabilities; these tests pin
-// their runtime semantics against CheckedMutex's owner tracking (the static
-// side — that dropping a guard annotation breaks the build — is proven by
-// the mutant matrix in scripts/thread_safety_check.sh).
+#endif  // FFTGRAD_ANALYSIS
 
-TEST(AnnotatedGuards, LockGuardHoldsCheckedMutexForExactlyItsScope) {
-  analysis::CheckedMutex mutex("test.guard_scope");
-  EXPECT_FALSE(mutex.held_by_current_thread());
+// The util:: guards are the project's scoped capabilities; these tests pin
+// their runtime semantics by probing the mutex from a second thread (the
+// static side — that dropping a guard annotation breaks the build — is
+// proven by the mutant matrix in scripts/thread_safety_check.sh).
+
+/// Whether a second thread can take `mutex` right now; it drops it again.
+bool lockable_from_another_thread(fftgrad::util::Mutex& mutex) {
+  bool acquired = false;
+  std::thread([&] {
+    acquired = mutex.try_lock();
+    if (acquired) mutex.unlock();
+  }).join();
+  return acquired;
+}
+
+TEST(AnnotatedGuards, LockGuardHoldsMutexForExactlyItsScope) {
+  fftgrad::util::Mutex mutex;
+  EXPECT_TRUE(lockable_from_another_thread(mutex));
   {
-    fftgrad::util::LockGuard<analysis::CheckedMutex> lock(mutex);
-    EXPECT_TRUE(mutex.held_by_current_thread());
-    std::thread([&] { EXPECT_FALSE(mutex.held_by_current_thread()); }).join();
+    fftgrad::util::LockGuard<fftgrad::util::Mutex> lock(mutex);
+    EXPECT_FALSE(lockable_from_another_thread(mutex));
   }
-  EXPECT_FALSE(mutex.held_by_current_thread());
+  EXPECT_TRUE(lockable_from_another_thread(mutex));
 }
 
 TEST(AnnotatedGuards, UniqueLockEarlyReleaseAndRelockTrackOwnership) {
-  ViolationCapture capture;
-  analysis::CheckedMutex mutex("test.unique_lock");
+  fftgrad::util::Mutex mutex;
   {
-    fftgrad::util::UniqueLock<analysis::CheckedMutex> lock(mutex);
+    fftgrad::util::UniqueLock<fftgrad::util::Mutex> lock(mutex);
     EXPECT_TRUE(lock.owns_lock());
-    EXPECT_TRUE(mutex.held_by_current_thread());
+    EXPECT_FALSE(lockable_from_another_thread(mutex));
 
     lock.unlock();
     EXPECT_FALSE(lock.owns_lock());
-    EXPECT_FALSE(mutex.held_by_current_thread());
-    // Released for real: another thread can take and drop it.
-    std::thread([&] {
-      EXPECT_TRUE(mutex.try_lock());
-      mutex.unlock();
-    }).join();
+    EXPECT_TRUE(lockable_from_another_thread(mutex));  // released for real
 
     lock.lock();
     EXPECT_TRUE(lock.owns_lock());
-    EXPECT_TRUE(mutex.held_by_current_thread());
+    EXPECT_FALSE(lockable_from_another_thread(mutex));
   }
-  // The destructor released the re-taken lock; no double-unlock report.
-  EXPECT_FALSE(mutex.held_by_current_thread());
-  EXPECT_EQ(capture.count(), 0u);
+  // The destructor released the re-taken lock.
+  EXPECT_TRUE(lockable_from_another_thread(mutex));
 }
 
 TEST(AnnotatedGuards, UniqueLockDestructorSkipsReleaseAfterEarlyUnlock) {
-  ViolationCapture capture;
-  analysis::CheckedMutex mutex("test.unique_lock_early");
+  fftgrad::util::Mutex mutex;
+  std::promise<void> held;
+  std::promise<void> release;
+  std::future<void> held_future = held.get_future();
+  std::future<void> release_future = release.get_future();
+  std::thread holder;
   {
-    fftgrad::util::UniqueLock<analysis::CheckedMutex> lock(mutex);
+    fftgrad::util::UniqueLock<fftgrad::util::Mutex> lock(mutex);
     lock.unlock();
-  }  // owns_ is false: the destructor must not unlock again
-  EXPECT_EQ(capture.count(), 0u);
-  // Still lockable — the mutex was left in a consistent state.
-  EXPECT_TRUE(mutex.try_lock());
-  mutex.unlock();
+    // Another thread owns the mutex while the guard goes out of scope.
+    holder = std::thread([&] {
+      mutex.lock();
+      held.set_value();
+      release_future.wait();
+      mutex.unlock();
+    });
+    held_future.wait();
+  }  // owns_ is false: the destructor must leave the holder's lock alone
+  EXPECT_FALSE(lockable_from_another_thread(mutex));
+  release.set_value();
+  holder.join();
+  EXPECT_TRUE(lockable_from_another_thread(mutex));
 }
-
-#endif  // FFTGRAD_ANALYSIS
 
 TEST(AnnotatedGuards, SharedLockGuardAdmitsConcurrentReadersExcludesWriter) {
   fftgrad::util::SharedMutex mutex;
@@ -246,15 +262,23 @@ TEST(AnnotatedGuards, MutexWrapperExcludesSecondOwner) {
 }
 
 /// Execution order of 8 gated tasks on a single-worker pool under `seed`.
-/// The worker is parked on a gate task while the queue fills, so every
-/// dequeue decision sees the full queue and the stress permutation is a
-/// pure function of the seed.
+/// The worker has dequeued a gate task, and is parked in it, before the
+/// queue fills, so every later dequeue decision sees the full queue and the
+/// stress permutation is a pure function of the seed. (Queuing before the
+/// gate is dequeued would let that first dequeue see a timing-dependent
+/// queue length and spend a stress pick on it.)
 std::vector<int> pool_execution_order(std::uint64_t seed) {
   analysis::ScheduleStressScope scope(seed);
   parallel::ThreadPool pool(1);
+  std::promise<void> started;
+  std::future<void> started_future = started.get_future();
   std::promise<void> go;
   std::shared_future<void> go_future = go.get_future().share();
-  std::future<void> gate = pool.submit([go_future] { go_future.wait(); });
+  std::future<void> gate = pool.submit([&started, go_future] {
+    started.set_value();
+    go_future.wait();
+  });
+  started_future.wait();
 
   std::mutex order_mutex;
   std::vector<int> order;
