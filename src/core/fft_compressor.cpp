@@ -94,7 +94,15 @@ Packet FftCompressor::compress(std::span<const float> gradient) {
   sparse::Bitmap mask;
   {
     telemetry::TraceSpan span("fft.lowpass", "codec");
-    for (std::size_t i = 0; i < bins; ++i) magnitudes[i] = std::abs(spectrum[i]);
+    // |z| as glibc's hypotf computes it: the squares are exact in double,
+    // summed and rooted in double, rounded once more to float. For finite
+    // bins that is std::abs bit for bit, but this loop vectorizes where a
+    // hypotf call per bin does not.
+    for (std::size_t i = 0; i < bins; ++i) {
+      const double re = spectrum[i].real();
+      const double im = spectrum[i].imag();
+      magnitudes[i] = static_cast<float>(std::sqrt(re * re + im * im));
+    }
     mask = sparse::topk_mask(magnitudes, kept_target);
   }
 

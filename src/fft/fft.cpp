@@ -7,6 +7,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "fftgrad/parallel/parallel_for.h"
+
 namespace fftgrad::fft {
 namespace {
 
@@ -41,7 +43,9 @@ void append_twiddles(std::vector<float>& table, std::size_t len, std::size_t r,
 
 // The butterflies below take every array as a separate __restrict
 // parameter: GCC vectorises these loops only when the no-alias promise
-// sits on the parameters themselves.
+// sits on the parameters themselves. The radix-4 ones are forced inline:
+// with two callers each GCC keeps them out of line, which made 6,154- and
+// 15,013-point transforms 7-8% slower.
 
 /// Radix-2 DIF butterflies: (a, b) -> (a + b, (a - b) * w[j]).
 void dif2(float* __restrict r0, float* __restrict i0, float* __restrict r1,
@@ -76,12 +80,15 @@ void dit2(float* __restrict r0, float* __restrict i0, float* __restrict r1,
 /// Radix-4 DIF butterflies over the four quarters x0..x3 of a block of
 /// length 4q. u_r = sum_l x_l * (-i)^(l*r), twiddled by w^(r*j), is stored
 /// in quarter 0, 2, 1, 3 for r = 0, 1, 2, 3. `w` holds w^j, w^2j and w^3j,
-/// each as q real parts then q imaginary parts.
-void dif4(float* __restrict r0, float* __restrict i0, float* __restrict r1,
-          float* __restrict i1, float* __restrict r2, float* __restrict i2,
-          float* __restrict r3, float* __restrict i3, const float* __restrict w,
-          std::size_t q) {
-  for (std::size_t j = 0; j < q; ++j) {
+/// each as q real parts then q imaginary parts. Butterflies j < count run:
+/// count < q is a slice of the stage, with every pointer offset to its start.
+[[gnu::always_inline]] inline void dif4(float* __restrict r0, float* __restrict i0,
+                                        float* __restrict r1, float* __restrict i1,
+                                        float* __restrict r2, float* __restrict i2,
+                                        float* __restrict r3, float* __restrict i3,
+                                        const float* __restrict w, std::size_t q,
+                                        std::size_t count) {
+  for (std::size_t j = 0; j < count; ++j) {
     const float t0r = r0[j] + r2[j], t0i = i0[j] + i2[j];
     const float t1r = r0[j] - r2[j], t1i = i0[j] - i2[j];
     const float t2r = r1[j] + r3[j], t2i = i1[j] + i3[j];
@@ -102,13 +109,15 @@ void dif4(float* __restrict r0, float* __restrict i0, float* __restrict r1,
 
 /// Transpose of dif4 (conjugate twiddles and +i in place of -i when kConj):
 /// v_r is read from quarter 0, 2, 1, 3 and twiddled, then quarter l gets
-/// sum_r v_r * (-i)^(l*r).
+/// sum_r v_r * (-i)^(l*r). `w`, q and count as for dif4.
 template <bool kConj>
-void dit4(float* __restrict r0, float* __restrict i0, float* __restrict r1,
-          float* __restrict i1, float* __restrict r2, float* __restrict i2,
-          float* __restrict r3, float* __restrict i3, const float* __restrict w,
-          std::size_t q) {
-  for (std::size_t j = 0; j < q; ++j) {
+[[gnu::always_inline]] inline void dit4(float* __restrict r0, float* __restrict i0,
+                                        float* __restrict r1, float* __restrict i1,
+                                        float* __restrict r2, float* __restrict i2,
+                                        float* __restrict r3, float* __restrict i3,
+                                        const float* __restrict w, std::size_t q,
+                                        std::size_t count) {
+  for (std::size_t j = 0; j < count; ++j) {
     const cfloat v1 = mul<kConj>(cfloat(r2[j], i2[j]), cfloat(w[j], w[q + j]));
     const cfloat v2 = mul<kConj>(cfloat(r1[j], i1[j]), cfloat(w[2 * q + j], w[3 * q + j]));
     const cfloat v3 = mul<kConj>(cfloat(r3[j], i3[j]), cfloat(w[4 * q + j], w[5 * q + j]));
@@ -172,6 +181,43 @@ void dit4_quads(float* __restrict re, float* __restrict im, std::size_t m) {
   }
 }
 
+/// Bluestein's input loop for j < count: x = in[j] * c[j] (conj(c) when
+/// kConj) into (r0, i0), and x * w[j], the pruned leading radix-2 stage of
+/// the padded transform, into (r1, i1). Like the butterflies it takes
+/// __restrict parameters: called from outside the function that allocates
+/// the buffer, GCC could no longer tell the arrays apart and the transforms
+/// below the pool threshold ran 7% slower.
+template <bool kConj>
+void chirp_in(const cfloat* __restrict in, const float* __restrict cr, const float* __restrict ci,
+              const float* __restrict wr, const float* __restrict wi, float* __restrict r0,
+              float* __restrict i0, float* __restrict r1, float* __restrict i1,
+              std::size_t count) {
+  for (std::size_t j = 0; j < count; ++j) {
+    const cfloat x = mul<kConj>(in[j], cfloat(cr[j], ci[j]));
+    const cfloat t = mul<false>(x, cfloat(wr[j], wi[j]));
+    r0[j] = x.real();
+    i0[j] = x.imag();
+    r1[j] = t.real();
+    i1[j] = t.imag();
+  }
+}
+
+/// Bluestein's output loop for j < count: the pruned trailing radix-2
+/// stage y = a + b * conj(w[j]), then y * c[j] (conj(c) when kConj), times
+/// `scale`.
+template <bool kConj>
+void chirp_out(const float* __restrict r0, const float* __restrict i0, const float* __restrict r1,
+               const float* __restrict i1, const float* __restrict cr, const float* __restrict ci,
+               const float* __restrict wr, const float* __restrict wi, float scale,
+               cfloat* __restrict out, std::size_t count) {
+  for (std::size_t j = 0; j < count; ++j) {
+    const cfloat t = mul<true>(cfloat(r1[j], i1[j]), cfloat(wr[j], wi[j]));
+    const cfloat y(r0[j] + t.real(), i0[j] + t.imag());
+    const cfloat v = mul<kConj>(y, cfloat(cr[j], ci[j]));
+    out[j] = cfloat(v.real() * scale, v.imag() * scale);
+  }
+}
+
 /// Power-of-two FFT over split-complex data (separate re and im arrays):
 /// one radix-2 stage when log2 m is odd, then radix-4 stages. dif() is a
 /// decimation-in-frequency pass from natural to bit-reversed order; dit()
@@ -179,71 +225,130 @@ void dit4_quads(float* __restrict re, float* __restrict im, std::size_t m) {
 /// 0, 2, 1, 3 quarter order of each radix-4 stage is what makes the mixed
 /// digit order plain bit reversal.) Twiddles are computed in double and
 /// stored as float, one contiguous table per stage.
+///
+/// The first DIF stage (the last DIT stage) is the only one that crosses
+/// blocks of leg() points: the halves when log2 m is odd, the quarters when
+/// it is even and m >= 16, and for m <= 4 the whole kernel, where that stage
+/// does nothing. Every other stage stays inside one block. So dif() is
+/// dif_lead() then dif_rest(), dit() is dit_rest() then dit_last(), and the
+/// pieces also run on parts: *_lead/*_last on a slice [j0, j1) of that
+/// stage's butterflies, *_rest on any run of whole blocks.
 class Radix4 {
  public:
-  explicit Radix4(std::size_t m) : m_(m), radix2_(m >= 2 && (std::countr_zero(m) % 2 == 1)) {
-    std::size_t len = m;
-    if (radix2_) {
-      append_twiddles(twiddles_, len, 1, len / 2);
-      len /= 2;
+  explicit Radix4(std::size_t m)
+      : m_(m), legs_(m >= 2 && std::countr_zero(m) % 2 == 1 ? 2 : (m >= 16 ? 4 : 1)) {
+    if (legs_ == 2) append_twiddles(twiddles_, m, 1, m / 2);
+    if (legs_ == 4) {
+      for (std::size_t r = 1; r <= 3; ++r) append_twiddles(twiddles_, m, r, m / 4);
     }
-    for (; len >= 16; len /= 4) {
+    rest_ = twiddles_.size();
+    for (std::size_t len = leg(); len >= 16; len /= 4) {
       for (std::size_t r = 1; r <= 3; ++r) append_twiddles(twiddles_, len, r, len / 4);
     }
   }
 
   std::size_t size() const { return m_; }
+  std::size_t leg() const { return m_ / legs_; }
 
   /// Forward DFT of natural-order data, leaving X[k] at index bitrev(k).
   void dif(float* re, float* im) const {
-    const float* w = twiddles_.data();
-    std::size_t len = m_;
-    if (radix2_) {
-      const std::size_t h = len / 2;
-      dif2(re, im, re + h, im + h, w, w + h, h);
-      w += len;
-      len = h;
-    }
-    for (; len >= 16; len /= 4) {
-      const std::size_t q = len / 4;
-      for (std::size_t at = 0; at < m_; at += len) {
-        float* r = re + at;
-        float* i = im + at;
-        dif4(r, i, r + q, i + q, r + 2 * q, i + 2 * q, r + 3 * q, i + 3 * q, w, q);
-      }
-      w += 6 * q;
-    }
-    if (len == 4) dif4_quads(re, im, m_);
+    dif_lead(re, im, 0, leg());
+    dif_rest(re, im, m_);
   }
 
   /// DFT (conjugate-twiddle, unnormalized inverse DFT when kConj) of data
   /// whose element k sits at index bitrev(k); the result is in natural order.
   template <bool kConj>
   void dit(float* re, float* im) const {
-    const std::size_t top = radix2_ ? m_ / 2 : m_;
-    if (top >= 4) dit4_quads<kConj>(re, im, m_);
-    const float* w = twiddles_.data() + twiddles_.size();
-    for (std::size_t len = 16; len <= top; len *= 4) {
+    dit_rest<kConj>(re, im, m_);
+    dit_last<kConj>(re, im, 0, leg());
+  }
+
+  /// Butterflies j in [j0, j1) of the first DIF stage.
+  void dif_lead(float* re, float* im, std::size_t j0, std::size_t j1) const {
+    const std::size_t q = leg();
+    const float* w = twiddles_.data() + j0;
+    float* r = re + j0;
+    float* i = im + j0;
+    if (legs_ == 2) dif2(r, i, r + q, i + q, w, w + q, j1 - j0);
+    if (legs_ == 4) {
+      dif4(r, i, r + q, i + q, r + 2 * q, i + 2 * q, r + 3 * q, i + 3 * q, w, q, j1 - j0);
+    }
+  }
+
+  /// Every DIF stage after the first, stage by stage over the `span`
+  /// points (whole blocks) at re/im.
+  void dif_rest(float* re, float* im, std::size_t span) const {
+    const float* w = twiddles_.data() + rest_;
+    std::size_t len = leg();
+    for (; len >= 16; len /= 4) {
       const std::size_t q = len / 4;
-      w -= 6 * q;
-      for (std::size_t at = 0; at < m_; at += len) {
+      for (std::size_t at = 0; at < span; at += len) {
         float* r = re + at;
         float* i = im + at;
-        dit4<kConj>(r, i, r + q, i + q, r + 2 * q, i + 2 * q, r + 3 * q, i + 3 * q, w, q);
+        dif4(r, i, r + q, i + q, r + 2 * q, i + 2 * q, r + 3 * q, i + 3 * q, w, q, q);
+      }
+      w += 6 * q;
+    }
+    if (len == 4) dif4_quads(re, im, span);
+  }
+
+  /// Every DIT stage but the last, stage by stage over the `span` points
+  /// (whole blocks) at re/im.
+  template <bool kConj>
+  void dit_rest(float* re, float* im, std::size_t span) const {
+    if (leg() >= 4) dit4_quads<kConj>(re, im, span);
+    const float* w = twiddles_.data() + twiddles_.size();
+    for (std::size_t len = 16; len <= leg(); len *= 4) {
+      const std::size_t q = len / 4;
+      w -= 6 * q;
+      for (std::size_t at = 0; at < span; at += len) {
+        float* r = re + at;
+        float* i = im + at;
+        dit4<kConj>(r, i, r + q, i + q, r + 2 * q, i + 2 * q, r + 3 * q, i + 3 * q, w, q, q);
       }
     }
-    if (radix2_) {
-      const std::size_t h = m_ / 2;
-      w -= m_;
-      dit2<kConj>(re, im, re + h, im + h, w, w + h, h);
+  }
+
+  /// Butterflies j in [j0, j1) of the last DIT stage.
+  template <bool kConj>
+  void dit_last(float* re, float* im, std::size_t j0, std::size_t j1) const {
+    const std::size_t q = leg();
+    const float* w = twiddles_.data() + j0;
+    float* r = re + j0;
+    float* i = im + j0;
+    if (legs_ == 2) dit2<kConj>(r, i, r + q, i + q, w, w + q, j1 - j0);
+    if (legs_ == 4) {
+      dit4<kConj>(r, i, r + q, i + q, r + 2 * q, i + 2 * q, r + 3 * q, i + 3 * q, w, q, j1 - j0);
     }
   }
 
  private:
   std::size_t m_;
-  bool radix2_;
+  std::size_t legs_;
+  // The first stage's twiddles, then from rest_ on each later DIF stage's.
   std::vector<float> twiddles_;
+  std::size_t rest_ = 0;
 };
+
+/// Bluestein kernels of at least this many points (h = m/2) split each of
+/// their three pieces across ThreadPool::global(); smaller ones call each
+/// piece once, over its whole range, on the calling thread. One
+/// parallel_for dispatch costs about 20 us (p50, 4-core VM); one block of
+/// the middle piece at this size, a 2^14-point quarter of a half, about
+/// 190 us.
+constexpr std::size_t kPoolMinKernel = std::size_t{1} << 16;
+
+/// Runs piece(begin, end) over [0, count): as parallel_for's chunks when
+/// `pooled`, else as one call on this thread.
+template <typename Piece>
+void run_pieces(bool pooled, std::size_t count, const Piece& piece) {
+  if (pooled) {
+    parallel::parallel_for(count, piece);
+  } else {
+    piece(0, count);
+  }
+}
 
 /// Complex transform of one fixed length. A power of two runs the kernel
 /// directly after a bit-reversed gather; any other length runs Bluestein's
@@ -334,43 +439,80 @@ class ComplexPlan {
   /// fused with the chirp. The padded buffer is allocated per call so a
   /// const plan can be shared across threads without any scratch held
   /// between calls.
+  ///
+  /// The work runs as three pieces, each split over disjoint parts of the
+  /// buffer when the kernel is large enough to pay for the pool. Every
+  /// element sees the same float operations whichever way its piece runs,
+  /// so the result is bit-identical either way.
   template <bool kInvert>
   void bluestein(std::span<const cfloat> in, std::span<cfloat> out) const {
     const std::size_t h = kernel_.size();
     const std::size_t m = 2 * h;
+    const std::size_t leg = kernel_.leg();
     const auto buf = std::make_unique_for_overwrite<float[]>(2 * m);
     float* re = buf.get();
     float* im = re + m;
-    const float* cr = chirp_.data();
-    const float* ci = cr + n_;
-    const float* wr = lead_.data();
-    const float* wi = wr + n_;
-    for (std::size_t j = 0; j < n_; ++j) {
-      const cfloat x = mul<kInvert>(in[j], cfloat(cr[j], ci[j]));
-      const cfloat t = mul<false>(x, cfloat(wr[j], wi[j]));
-      re[j] = x.real();
-      im[j] = x.imag();
-      re[h + j] = t.real();
-      im[h + j] = t.imag();
+    const bool pooled = h >= kPoolMinKernel;
+    // A slice [j0, j1) of the first kernel stage of both halves, after the
+    // chirp has written the elements it reads.
+    run_pieces(pooled, leg, [&](std::size_t j0, std::size_t j1) {
+      for (std::size_t at = 0; at < h; at += leg) input<kInvert>(in, re, im, at + j0, at + j1);
+      kernel_.dif_lead(re, im, j0, j1);
+      kernel_.dif_lead(re + h, im + h, j0, j1);
+    });
+    // Whole blocks [b0, b1) of both halves: the rest of the DIF, the
+    // product with the filter spectrum, the DIT up to its last stage. The
+    // chirp filter kernel is an even sequence, so the FFT of its conjugate
+    // (the inverse-transform filter) equals conj(filter spectrum).
+    run_pieces(pooled, m / leg, [&](std::size_t b0, std::size_t b1) {
+      const std::size_t at = b0 * leg;
+      const std::size_t span = (b1 - b0) * leg;
+      kernel_.dif_rest(re + at, im + at, span);
+      pointwise<kInvert>(re + at, im + at, filter_.data() + at, filter_.data() + m + at, span);
+      kernel_.dit_rest<true>(re + at, im + at, span);
+    });
+    // A slice [j0, j1) of the last kernel stage of both halves, then the
+    // chirp on what it wrote.
+    run_pieces(pooled, leg, [&](std::size_t j0, std::size_t j1) {
+      kernel_.dit_last<true>(re, im, j0, j1);
+      kernel_.dit_last<true>(re + h, im + h, j0, j1);
+      for (std::size_t at = 0; at < h; at += leg) output<kInvert>(re, im, out, at + j0, at + j1);
+    });
+  }
+
+  /// Bluestein's input for j in [a, b): x = in[j] * chirp[j] into the first
+  /// half and x * w^j (the pruned leading stage) into the second, zero from
+  /// n on.
+  template <bool kInvert>
+  void input(std::span<const cfloat> in, float* re, float* im, std::size_t a,
+             std::size_t b) const {
+    const std::size_t h = kernel_.size();
+    const std::size_t end = std::clamp(n_, a, b);
+    if (a < end) {
+      const float* c = chirp_.data();
+      const float* w = lead_.data();
+      chirp_in<kInvert>(in.data() + a, c + a, c + n_ + a, w + a, w + n_ + a, re + a, im + a,
+                        re + h + a, im + h + a, end - a);
     }
-    std::fill(re + n_, re + h, 0.0f);
-    std::fill(im + n_, im + h, 0.0f);
-    std::fill(re + h + n_, re + m, 0.0f);
-    std::fill(im + h + n_, im + m, 0.0f);
-    kernel_.dif(re, im);
-    kernel_.dif(re + h, im + h);
-    // The chirp filter kernel is an even sequence, so the FFT of its
-    // conjugate (the inverse-transform filter) equals conj(filter spectrum).
-    pointwise<kInvert>(re, im, filter_.data(), filter_.data() + m, m);
-    kernel_.dit<true>(re, im);
-    kernel_.dit<true>(re + h, im + h);
+    std::fill(re + end, re + b, 0.0f);
+    std::fill(im + end, im + b, 0.0f);
+    std::fill(re + h + end, re + h + b, 0.0f);
+    std::fill(im + h + end, im + h + b, 0.0f);
+  }
+
+  /// Bluestein's output for j in [a, b), j < n: the pruned trailing stage,
+  /// the chirp and the inverse's 1/n.
+  template <bool kInvert>
+  void output(const float* re, const float* im, std::span<cfloat> out, std::size_t a,
+              std::size_t b) const {
+    const std::size_t h = kernel_.size();
+    const std::size_t end = std::min(b, n_);
+    if (end <= a) return;
+    const float* c = chirp_.data();
+    const float* w = lead_.data();
     const float scale = kInvert ? 1.0f / static_cast<float>(n_) : 1.0f;
-    for (std::size_t j = 0; j < n_; ++j) {
-      const cfloat t = mul<true>(cfloat(re[h + j], im[h + j]), cfloat(wr[j], wi[j]));
-      const cfloat y(re[j] + t.real(), im[j] + t.imag());
-      const cfloat v = mul<kInvert>(y, cfloat(cr[j], ci[j]));
-      out[j] = cfloat(v.real() * scale, v.imag() * scale);
-    }
+    chirp_out<kInvert>(re + a, im + a, re + h + a, im + h + a, c + a, c + n_ + a, w + a,
+                       w + n_ + a, scale, out.data() + a, end - a);
   }
 
   template <bool kConj>

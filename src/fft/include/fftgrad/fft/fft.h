@@ -12,7 +12,12 @@
 // the DIF's order, so nothing is reordered), DIT. Any gradient length is
 // thus supported without copying into padded buffers at the call site. The
 // working buffers are allocated per call: a plan keeps no scratch between
-// calls, so one const plan may be shared by any number of threads.
+// calls, so one const plan may be shared by any number of threads. A
+// Bluestein transform of 32,769 points or more (m >= 2^17; for an even-n
+// rfft/irfft that is the n/2-point half) splits its work across
+// parallel::ThreadPool::global() and blocks until it is done; called from a
+// task of that pool, it runs inline instead. Either way the result is
+// bit-identical.
 //
 // Real transforms (what the compressor uses — gradients are real 1-D
 // signals) are exposed as rfft/irfft over the non-redundant half spectrum

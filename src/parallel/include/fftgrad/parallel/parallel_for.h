@@ -5,7 +5,9 @@
 //
 // Work is split into contiguous chunks, one per worker; each primitive
 // blocks until every chunk completes, and the first exception (if any)
-// is rethrown on the caller.
+// is rethrown on the caller. Called from one of the pool's own workers, a
+// primitive runs the same chunks in order on that worker, so nested calls
+// cannot deadlock and a reduction combines the same partials.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +43,26 @@ inline std::vector<Range> split_range(std::size_t n, std::size_t parts) {
   return ranges;
 }
 
+namespace detail {
+
+/// Runs task(c) for every c < count and returns once all have finished,
+/// rethrowing the first exception: on `pool`, or in order on the calling
+/// thread when it is one of the pool's workers.
+template <typename Task>
+void run_chunks(ThreadPool& pool, std::size_t count, const Task& task) {
+  if (pool.on_worker()) {
+    for (std::size_t c = 0; c < count; ++c) task(c);
+    return;
+  }
+  std::vector<std::future<void>> futures;
+  futures.reserve(count);
+  for (std::size_t c = 0; c < count; ++c) futures.push_back(pool.submit([&task, c] { task(c); }));
+  for (auto& f : futures) f.wait();
+  for (auto& f : futures) f.get();
+}
+
+}  // namespace detail
+
 /// Run body(begin, end) over disjoint chunks covering [0, n).
 inline void parallel_for(ThreadPool& pool, std::size_t n,
                          const std::function<void(std::size_t, std::size_t)>& body) {
@@ -50,12 +72,8 @@ inline void parallel_for(ThreadPool& pool, std::size_t n,
     body(0, n);
     return;
   }
-  std::vector<std::future<void>> futures;
-  futures.reserve(ranges.size());
-  for (const Range& r : ranges) {
-    futures.push_back(pool.submit([&body, r] { body(r.begin, r.end); }));
-  }
-  for (auto& f : futures) f.get();
+  detail::run_chunks(pool, ranges.size(),
+                     [&](std::size_t c) { body(ranges[c].begin, ranges[c].end); });
 }
 
 inline void parallel_for(std::size_t n,
@@ -72,14 +90,9 @@ T parallel_reduce(ThreadPool& pool, std::size_t n, T identity, ChunkFn chunk_fn,
   const auto ranges = split_range(n, pool.size());
   if (ranges.size() == 1) return combine(identity, chunk_fn(std::size_t{0}, n));
   std::vector<T> partials(ranges.size(), identity);
-  std::vector<std::future<void>> futures;
-  futures.reserve(ranges.size());
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    const Range r = ranges[i];
-    futures.push_back(
-        pool.submit([&partials, &chunk_fn, i, r] { partials[i] = chunk_fn(r.begin, r.end); }));
-  }
-  for (auto& f : futures) f.get();
+  detail::run_chunks(pool, ranges.size(), [&](std::size_t c) {
+    partials[c] = chunk_fn(ranges[c].begin, ranges[c].end);
+  });
   T acc = identity;
   for (const T& p : partials) acc = combine(acc, p);
   return acc;
@@ -96,23 +109,14 @@ void parallel_inclusive_scan(ThreadPool& pool, std::span<const TIn> in, std::spa
   if (n == 0) return;
   const auto ranges = split_range(n, pool.size());
   std::vector<TOut> totals(ranges.size(), TOut{});
-
-  {
-    std::vector<std::future<void>> futures;
-    futures.reserve(ranges.size());
-    for (std::size_t c = 0; c < ranges.size(); ++c) {
-      const Range r = ranges[c];
-      futures.push_back(pool.submit([&, c, r] {
-        TOut acc{};
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          acc += static_cast<TOut>(in[i]);
-          out[i] = acc;
-        }
-        totals[c] = acc;
-      }));
+  detail::run_chunks(pool, ranges.size(), [&](std::size_t c) {
+    TOut acc{};
+    for (std::size_t i = ranges[c].begin; i < ranges[c].end; ++i) {
+      acc += static_cast<TOut>(in[i]);
+      out[i] = acc;
     }
-    for (auto& f : futures) f.get();
-  }
+    totals[c] = acc;
+  });
 
   // Exclusive scan of chunk totals (serial; chunk count == thread count).
   std::vector<TOut> offsets(ranges.size(), TOut{});
@@ -122,18 +126,11 @@ void parallel_inclusive_scan(ThreadPool& pool, std::span<const TIn> in, std::spa
     running += totals[c];
   }
 
-  {
-    std::vector<std::future<void>> futures;
-    futures.reserve(ranges.size());
-    for (std::size_t c = 1; c < ranges.size(); ++c) {
-      const Range r = ranges[c];
-      const TOut offset = offsets[c];
-      futures.push_back(pool.submit([&, offset, r] {
-        for (std::size_t i = r.begin; i < r.end; ++i) out[i] += offset;
-      }));
-    }
-    for (auto& f : futures) f.get();
-  }
+  // Chunk 0's offset is zero.
+  detail::run_chunks(pool, ranges.size() - 1, [&](std::size_t c) {
+    const Range r = ranges[c + 1];
+    for (std::size_t i = r.begin; i < r.end; ++i) out[i] += offsets[c + 1];
+  });
 }
 
 template <typename TIn, typename TOut>

@@ -38,6 +38,12 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
+  /// True when the calling thread is one of this pool's workers. The
+  /// parallel primitives then run their chunks on the calling thread: had
+  /// every worker queued subtasks and blocked on them, none would be left
+  /// to run them.
+  bool on_worker() const;
+
   /// Enqueue `task`; the future resolves when it has run. Exceptions thrown
   /// by the task propagate through the future.
   std::future<void> submit(std::function<void()> task);

@@ -26,6 +26,9 @@ struct PoolMetrics {
   }
 };
 
+/// The pool whose worker_loop runs on this thread, if any.
+thread_local const ThreadPool* t_worker_of = nullptr;
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -62,6 +65,15 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
       inner();
     };
   }
+  // While the sampling profiler attributes, a task carries its submitter's
+  // innermost span and rank, so samples taken on the worker credit the
+  // stage that asked for the work.
+  if (telemetry::Profiler::attributing()) {
+    task = [inner = std::move(task), site = telemetry::Profiler::current_site()] {
+      const telemetry::ScopedSampleSite adopt(site);
+      inner();
+    };
+  }
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
   {
@@ -72,6 +84,8 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   cv_.notify_one();
   return future;
 }
+
+bool ThreadPool::on_worker() const { return t_worker_of == this; }
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
@@ -94,6 +108,7 @@ std::packaged_task<void()> ThreadPool::take_task_locked() {
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   // One relaxed load when the host-time profiler was never configured.
   telemetry::Profiler::register_current_thread();
   for (;;) {

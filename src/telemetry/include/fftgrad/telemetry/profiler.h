@@ -30,9 +30,12 @@
 // path. See DESIGN.md "Host-time profiling".
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "fftgrad/telemetry/trace.h"
 
 namespace fftgrad::telemetry {
 
@@ -65,6 +68,14 @@ struct HotPath {
   std::string simd_hint;  ///< ROADMAP item 1 kernel family, "" = none
 };
 
+/// Where the sampler credits the calling thread's samples: its innermost
+/// open span (null when none) and its logical rank (-1 when unbound).
+struct SampleSite {
+  const char* span_name = nullptr;
+  const char* span_category = nullptr;
+  std::int32_t rank = -1;
+};
+
 class Profiler {
  public:
   /// Prime (97) so the sampler cannot phase-lock to loop periods.
@@ -79,6 +90,15 @@ class Profiler {
   /// threads; threads spawned before the profiler was configured are not
   /// sampled.
   static void register_current_thread();
+
+  /// True while sampling mirrors span stacks: one relaxed load, so callers
+  /// can skip current_site() when nobody attributes samples.
+  static bool attributing() {
+    return (detail::g_span_hooks.load(std::memory_order_relaxed) & detail::kSpanHookProfile) != 0;
+  }
+
+  /// The calling thread's SampleSite.
+  static SampleSite current_site();
 
   /// Install the SIGPROF handler and start the interval timer at `hz`
   /// (clamped to [1, 1000]); spawns the collector thread. Returns false
@@ -123,6 +143,23 @@ class Profiler {
 
  private:
   Profiler() = default;
+};
+
+/// Credits the calling thread's samples to `site` until destruction: pushes
+/// its span (when it has one) and binds its rank, then restores both. The
+/// thread pool runs each task inside one while the profiler attributes, so
+/// a worker's samples land in the span and rank that submitted the task.
+class ScopedSampleSite {
+ public:
+  explicit ScopedSampleSite(const SampleSite& site);
+  ~ScopedSampleSite();
+
+  ScopedSampleSite(const ScopedSampleSite&) = delete;
+  ScopedSampleSite& operator=(const ScopedSampleSite&) = delete;
+
+ private:
+  std::int32_t previous_rank_;
+  bool pushed_;
 };
 
 /// Parse folded-stack text (the render grammar above; also what

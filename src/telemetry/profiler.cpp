@@ -229,6 +229,29 @@ void Profiler::register_current_thread() {
   thread.ring.store(raw, std::memory_order_release);
 }
 
+SampleSite Profiler::current_site() {
+  const prof::ThreadProfState& thread = prof::thread_state();
+  SampleSite site;
+  site.rank = thread.rank;
+  const std::uint32_t depth = std::min(thread.depth, prof::kMaxSpanDepth);
+  if (depth > 0) {
+    site.span_name = thread.span_names[depth - 1];
+    site.span_category = thread.span_categories[depth - 1];
+  }
+  return site;
+}
+
+ScopedSampleSite::ScopedSampleSite(const SampleSite& site)
+    : previous_rank_(prof::thread_state().rank), pushed_(site.span_name != nullptr) {
+  if (pushed_) prof::push_span(site.span_name, site.span_category);
+  prof::set_rank(site.rank);
+}
+
+ScopedSampleSite::~ScopedSampleSite() {
+  prof::set_rank(previous_rank_);
+  if (pushed_) prof::pop_span();
+}
+
 bool Profiler::start(int hz) {
 #if !defined(__linux__)
   (void)hz;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "fftgrad/fft/fft.h"
+#include "fftgrad/parallel/thread_pool.h"
 #include "fftgrad/util/rng.h"
 
 namespace fftgrad::fft {
@@ -214,11 +215,13 @@ TEST_P(RealFftWorkloadSizes, SampledBinsMatchDirectSum) {
 }
 
 // 333,834: the MLP gradient, a 166,917-point Bluestein half (m = 2^19).
+// 131,074: a 65,537-point Bluestein half (m = 2^18) whose kernel starts
+// with a radix-2 stage; like 333,834 it runs on the thread pool.
 // 15,013: ResNetMini, a full-length Bluestein transform (m = 2^15).
 // 6,154: the chunked codec's remainder chunk, a 3,077-point Bluestein half
 // (m = 2^13). 65,536 and 2^20: natural-order halves of 2^15 and 2^19.
 INSTANTIATE_TEST_SUITE_P(Sizes, RealFftWorkloadSizes,
-                         ::testing::Values(333834, 15013, 6154, 65536, 1 << 20));
+                         ::testing::Values(333834, 131074, 15013, 6154, 65536, 1 << 20));
 
 TEST(RealFft, BinCountIsHalfSpectrumPlusDc) {
   EXPECT_EQ(FftPlan(8).real_bins(), 5u);
@@ -370,6 +373,48 @@ TEST(FftPlan, SharedConstPlanIsThreadSafe) {
       EXPECT_EQ(std::memcmp(thread_spectrum[t].data(), spectrum.data(), n * sizeof(cfloat)), 0)
           << "n=" << n << " thread " << t;
     }
+  }
+}
+
+TEST(FftPlan, PooledScheduleMatchesInlineBitForBit) {
+  // Bluestein kernels of 2^16 points and more split their pieces across
+  // ThreadPool::global(); called from one of its tasks, a plan runs the
+  // same pieces inline. Both schedules must give the same bytes. 333,834:
+  // a radix-4 first stage (kernel 2^18). 131,074: a 65,537-point half with
+  // a radix-2 first stage (kernel 2^17). 40,001: odd, full length, kernel
+  // exactly 2^16.
+  struct Outputs {
+    std::vector<cfloat> bins, spectrum, restored;
+    std::vector<float> recovered;
+  };
+  for (const std::size_t n : {std::size_t{333834}, std::size_t{131074}, std::size_t{40001}}) {
+    util::Rng rng(n + 1);
+    std::vector<float> signal(n);
+    std::vector<cfloat> complex_signal(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      signal[i] = static_cast<float>(rng.normal());
+      complex_signal[i] = cfloat(signal[i], static_cast<float>(rng.normal()));
+    }
+    const FftPlan plan(n);
+    const auto run = [&] {
+      Outputs o{std::vector<cfloat>(plan.real_bins()), std::vector<cfloat>(n),
+                std::vector<cfloat>(n), std::vector<float>(n)};
+      plan.rfft(signal, o.bins);
+      plan.irfft(o.bins, o.recovered);
+      plan.forward(complex_signal, o.spectrum);
+      plan.inverse(o.spectrum, o.restored);
+      return o;
+    };
+    const Outputs pooled = run();
+    Outputs inline_run;
+    parallel::ThreadPool::global().submit([&] { inline_run = run(); }).get();
+    const auto same = [](const auto& a, const auto& b) {
+      return std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+    };
+    EXPECT_TRUE(same(pooled.bins, inline_run.bins)) << "rfft n=" << n;
+    EXPECT_TRUE(same(pooled.recovered, inline_run.recovered)) << "irfft n=" << n;
+    EXPECT_TRUE(same(pooled.spectrum, inline_run.spectrum)) << "forward n=" << n;
+    EXPECT_TRUE(same(pooled.restored, inline_run.restored)) << "inverse n=" << n;
   }
 }
 

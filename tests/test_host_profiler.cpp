@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "fftgrad/comm/sim_cluster.h"
+#include "fftgrad/parallel/parallel_for.h"
 #include "fftgrad/telemetry/profiler.h"
 #include "fftgrad/telemetry/trace.h"
 
@@ -263,6 +264,50 @@ TEST(HostProfiler, StartStopCollectsAndAttributesSamples) {
 
   profiler.stop();  // second stop is a no-op
   EXPECT_FALSE(profiler.running());
+}
+
+TEST(HostProfiler, PoolTasksSampleUnderTheSubmittersSpan) {
+  Profiler& profiler = Profiler::global();
+  profiler.clear();
+  const std::uint64_t before = profiler.stats().samples;
+  ASSERT_TRUE(profiler.start(500));
+  // Spawned after start(), so its workers register for sampling.
+  parallel::ThreadPool pool(2);
+
+  // The workers burn the CPU; the main thread only waits, inside a span
+  // that carries rank 7. Each task polls the clock while it burns: TSan
+  // delivers a signal at the next intercepted call, which must still fall
+  // inside the task.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  {
+    const telemetry::ScopedRank rank(7, nullptr);
+    const telemetry::TraceSpan span("test.pooled", "test");
+    while (profiler.stats().samples < before + 40 &&
+           std::chrono::steady_clock::now() < deadline) {
+      parallel::parallel_for(pool, 2, [](std::size_t, std::size_t) {
+        const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+        std::uint64_t sink = 0;
+        while (std::chrono::steady_clock::now() < until) sink += burn(20000);
+        (void)sink;
+      });
+    }
+  }
+  profiler.stop();
+  ASSERT_GE(profiler.stats().samples, before + 40) << "no SIGPROF samples arrived";
+
+  std::uint64_t total = 0;
+  std::uint64_t in_span = 0;
+  for (const FoldedStack& stack : profiler.folded()) {
+    total += stack.count;
+    if (stack.span == "test.pooled") {
+      EXPECT_EQ(stack.category, "test");
+      EXPECT_EQ(stack.rank, 7);
+      in_span += stack.count;
+    }
+  }
+  // Nearly every sample is a worker's; without the submitter's span they
+  // would all land outside it.
+  EXPECT_GT(2 * in_span, total) << in_span << " of " << total << " samples in the span";
 }
 
 TEST(HostProfiler, MultiRankClusterRankAttribution) {

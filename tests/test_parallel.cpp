@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <numeric>
 #include <vector>
 
@@ -30,6 +34,58 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
 TEST(ThreadPool, DefaultSizeIsAtLeastOne) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
+}
+
+/// Float sum of 1/(i+1) over [0, n) in `pool`'s chunks: the rounding
+/// depends on where the chunks split, so equal results mean equal chunks.
+float harmonic_sum(ThreadPool& pool, std::size_t n) {
+  return parallel_reduce<float>(
+      pool, n, 0.0f,
+      [](std::size_t begin, std::size_t end) {
+        float acc = 0.0f;
+        for (std::size_t i = begin; i < end; ++i) acc += 1.0f / static_cast<float>(i + 1);
+        return acc;
+      },
+      [](float a, float b) { return a + b; });
+}
+
+TEST(ThreadPool, NestedCallsFromEveryWorkerFinish) {
+  // Both workers of a two-thread pool call back into it from a task. Had
+  // the nested calls queued their chunks and blocked on them, no worker
+  // would be left to run them. The test fails at a deadline rather than
+  // hang, and then leaks the pool and the state its workers still use.
+  constexpr std::size_t kN = 1000;
+  struct Nested {
+    ThreadPool pool{2};
+    std::latch started{2};
+    std::array<float, 2> sums{};
+    std::array<std::vector<int>, 2> visits;
+  };
+  auto* state = new Nested;
+  std::vector<std::future<void>> done;
+  for (std::size_t t = 0; t < 2; ++t) {
+    done.push_back(state->pool.submit([state, t] {
+      state->started.arrive_and_wait();  // both workers are inside a task
+      state->visits[t].assign(kN, 0);
+      parallel_for(state->pool, kN, [state, t](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) ++state->visits[t][i];
+      });
+      state->sums[t] = harmonic_sum(state->pool, kN);
+    }));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (auto& f : done) {
+    ASSERT_EQ(f.wait_until(deadline), std::future_status::ready)
+        << "nested parallel_for/parallel_reduce deadlocked";
+  }
+  const float expected = harmonic_sum(state->pool, kN);
+  for (std::size_t t = 0; t < 2; ++t) {
+    EXPECT_EQ(state->sums[t], expected) << "task " << t;
+    EXPECT_EQ(std::count(state->visits[t].begin(), state->visits[t].end(), 1),
+              static_cast<std::ptrdiff_t>(kN))
+        << "task " << t;
+  }
+  delete state;
 }
 
 TEST(SplitRange, CoversWholeDomainWithoutGaps) {
