@@ -5,16 +5,8 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
-#include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>  // gethostname
-#endif
 
 #include "fftgrad/nn/dataset.h"
 #include "fftgrad/nn/gradient_sampler.h"
@@ -50,63 +42,6 @@ inline void print_header(const std::string& title) {
 
 inline void print_table(const util::TableWriter& table) {
   std::fputs(table.to_string().c_str(), stdout);
-}
-
-/// Provenance stamped into every bench JSON so merged result files
-/// (scripts/bench_all.sh) identify what produced them: git sha and build
-/// preset come from FFTGRAD_GIT_SHA / FFTGRAD_PRESET when the runner
-/// exports them (bench_all.sh does), with compile-mode and "unknown"
-/// fallbacks for bare interactive runs.
-inline std::string json_meta() {
-  const char* sha = std::getenv("FFTGRAD_GIT_SHA");
-  const char* preset = std::getenv("FFTGRAD_PRESET");
-#if defined(NDEBUG)
-  const char* mode = "release";
-#else
-  const char* mode = "debug";
-#endif
-  char host[256] = "unknown";
-#if defined(__unix__) || defined(__APPLE__)
-  if (gethostname(host, sizeof(host)) != 0) std::snprintf(host, sizeof(host), "unknown");
-  host[sizeof(host) - 1] = '\0';
-#endif
-  char stamp[32] = "unknown";
-  const std::time_t now = std::time(nullptr);
-  if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr) {
-    std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  }
-  char meta[512];
-  std::snprintf(meta, sizeof(meta),
-                "{\"git_sha\": \"%s\", \"preset\": \"%s\", \"generated_utc\": \"%s\", "
-                "\"host\": \"%s\"}",
-                (sha != nullptr && sha[0] != '\0') ? sha : "unknown",
-                (preset != nullptr && preset[0] != '\0') ? preset : mode, stamp, host);
-  return meta;
-}
-
-/// Machine-readable bench output: writes `BENCH_<name>.json` holding the
-/// given scalar metrics (plus a provenance `meta` block, see json_meta())
-/// into the directory named by FFTGRAD_BENCH_JSON (e.g.
-/// `FFTGRAD_BENCH_JSON=. ./bench_fig14_table2_e2e`). No-op when the
-/// variable is unset, so interactive runs stay file-free.
-inline void emit_json(const std::string& name,
-                      const std::vector<std::pair<std::string, double>>& metrics) {
-  const char* dir = std::getenv("FFTGRAD_BENCH_JSON");
-  if (dir == nullptr || dir[0] == '\0') return;
-  const std::string path = std::string(dir) + "/BENCH_" + name + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"" << name << "\",\n  \"meta\": " << json_meta()
-      << ",\n  \"metrics\": {";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    char value[64];
-    std::snprintf(value, sizeof(value), "%.17g", metrics[i].second);
-    out << (i == 0 ? "" : ",") << "\n    \"" << metrics[i].first << "\": " << value;
-  }
-  out << "\n  }\n}\n";
 }
 
 }  // namespace fftgrad::bench

@@ -96,10 +96,6 @@ void report(const char* title, const std::vector<LayerSpec>& layers) {
   fftgrad::bench::print_table(table);
   std::printf("communication share of iteration: %.1f%%\n",
               100.0 * comm_total / (comm_total + comp_total));
-  fftgrad::bench::emit_json(std::string("fig02_") + title,
-                            {{"comm_ms", comm_total},
-                             {"comp_ms", comp_total},
-                             {"comm_share", comm_total / (comm_total + comp_total)}});
 }
 
 }  // namespace

@@ -17,7 +17,6 @@ int main() {
                            "alexnet vs 2gpu"});
   table.set_double_format("%.2f");
   double base = 0.0;
-  std::vector<std::pair<std::string, double>> metrics;
   for (std::size_t gpus : {2, 4, 8, 16, 24, 32}) {
     // Every rank contributes its full gradient; blocks are gradient-sized.
     const double alexnet =
@@ -25,11 +24,8 @@ int main() {
     const double resnet = net.allgather_time(util::Bytes(6e6), gpus).to_double() * 1e3;
     if (gpus == 2) base = alexnet;
     table.add_row({static_cast<long long>(gpus), alexnet, resnet, alexnet / base});
-    metrics.emplace_back("alexnet_250MB.gpus" + std::to_string(gpus) + ".ms", alexnet);
-    metrics.emplace_back("resnet32_6MB.gpus" + std::to_string(gpus) + ".ms", resnet);
   }
   bench::print_table(table);
-  bench::emit_json("fig11_allgather", metrics);
   std::puts("\nExpected shape: near-linear growth in GPU count (paper Fig 11); the\n"
             "250MB AlexNet gradient dominates the 6MB ResNet32 one by ~42x at every scale.");
   return 0;

@@ -53,14 +53,13 @@ std::vector<Algo> algorithms() {
   return algos;
 }
 
-void run_workload(const char* title, const char* tag, core::DistributedTrainer& trainer,
+void run_workload(const char* title, core::DistributedTrainer& trainer,
                   const nn::StepLrSchedule& lr) {
   bench::print_header(std::string("Fig 14 / Table 2: ") + title + " on 8 ranks, FDR56");
   util::TableWriter table({"method", "final_acc", "acc_delta", "sim_wall_s", "speedup_vs_sgd",
                            "mean_ratio", "mean_alpha"});
   table.set_double_format("%.4f");
 
-  std::vector<std::pair<std::string, double>> metrics;
   double sgd_time = 0.0, sgd_acc = 0.0;
   for (const Algo& algo : algorithms()) {
     const core::TrainResult result =
@@ -78,13 +77,8 @@ void run_workload(const char* title, const char* tag, core::DistributedTrainer& 
     const core::EpochRecord& last = result.epochs.back();
     table.add_row({std::string(algo.label), acc, acc - sgd_acc, result.total_sim_time_s,
                    sgd_time / result.total_sim_time_s, last.mean_ratio, last.mean_alpha});
-    metrics.emplace_back(std::string(algo.label) + ".final_acc", acc);
-    metrics.emplace_back(std::string(algo.label) + ".sim_wall_s", result.total_sim_time_s);
-    metrics.emplace_back(std::string(algo.label) + ".speedup_vs_sgd",
-                         sgd_time / result.total_sim_time_s);
   }
   bench::print_table(table);
-  bench::emit_json(std::string("fig14_table2_") + tag, metrics);
 }
 
 }  // namespace
@@ -107,7 +101,7 @@ int main() {
     core::DistributedTrainer trainer(nn::models::make_alexnet_mini(8, 5, rng),
                                      nn::SyntheticDataset({3, 8, 8}, 5, 30), cfg);
     nn::StepLrSchedule lr({{0, 0.02f}, {9, 0.002f}});
-    run_workload("AlexNet-regime (250MB gradients)", "alexnet", trainer, lr);
+    run_workload("AlexNet-regime (250MB gradients)", trainer, lr);
   }
 
   // "ResNet32" regime: small gradients (6MB), compute-light layers.
@@ -125,7 +119,7 @@ int main() {
     core::DistributedTrainer trainer(nn::models::make_resnet_mini(8, 2, 5, rng),
                                      nn::SyntheticDataset({3, 8, 8}, 5, 40), cfg);
     nn::StepLrSchedule lr({{0, 0.02f}, {18, 0.002f}});
-    run_workload("ResNet32-regime (6MB gradients)", "resnet32", trainer, lr);
+    run_workload("ResNet32-regime (6MB gradients)", trainer, lr);
   }
 
   std::puts("\npaper Table 2: FFT 2.26x/1.33x speedup with ~SGD accuracy; Top-K 1.53x/1.12x\n"

@@ -33,7 +33,7 @@ double iteration_time(std::size_t ranks, double gradient_bytes, double compute_s
   return trainer.train(factory, core::FixedTheta(0.85), lr).mean_iteration_time_s;
 }
 
-void run_workload(const char* title, const char* tag, double gradient_bytes, double compute_s) {
+void run_workload(const char* title, double gradient_bytes, double compute_s) {
   struct Algo {
     const char* label;
     core::CompressorFactory factory;
@@ -55,28 +55,23 @@ void run_workload(const char* title, const char* tag, double gradient_bytes, dou
   util::TableWriter table(
       {"ranks", "SGD it/s", "FFT it/s", "TopK it/s", "QSGD it/s", "Tern it/s", "FFT speedup"});
   table.set_double_format("%.2f");
-  std::vector<std::pair<std::string, double>> metrics;
   for (std::size_t ranks : {2, 4, 8, 16, 32}) {
     std::vector<double> throughput;
     for (std::size_t a = 0; a < std::size(algos); ++a) {
       throughput.push_back(
           1.0 / iteration_time(ranks, gradient_bytes, compute_s, algos[a].factory));
-      metrics.emplace_back(std::string(algos[a].label) + ".ranks" + std::to_string(ranks) +
-                               ".iters_per_s",
-                           throughput.back());
     }
     table.add_row({static_cast<long long>(ranks), throughput[0], throughput[1], throughput[2],
                    throughput[3], throughput[4], throughput[1] / throughput[0]});
   }
   bench::print_table(table);
-  bench::emit_json(std::string("fig16_weak_scaling_") + tag, metrics);
 }
 
 }  // namespace
 
 int main() {
-  run_workload("AlexNet-regime (250MB gradients, FDR56)", "alexnet", 250e6, 0.140);
-  run_workload("ResNet32-regime (6MB gradients, FDR56)", "resnet32", 6e6, 0.008);
+  run_workload("AlexNet-regime (250MB gradients, FDR56)", 250e6, 0.140);
+  run_workload("ResNet32-regime (6MB gradients, FDR56)", 6e6, 0.008);
   std::puts("\nExpected shape: FFT sustains the highest iteration throughput as ranks grow;\n"
             "the gap widens with rank count on the 250MB workload where communication\n"
             "dominates (paper Fig 16).");

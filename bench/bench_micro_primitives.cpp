@@ -4,11 +4,9 @@
 // are this substrate's inputs to the Fig 10 analytic model.
 #include <benchmark/benchmark.h>
 
-#include <string>
-#include <utility>
+#include <cmath>
 #include <vector>
 
-#include "bench_common.h"
 #include "fftgrad/core/baseline_compressors.h"
 #include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/fft/fft.h"
@@ -100,19 +98,15 @@ void BM_TopKSelect(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
   std::vector<float> mags(g.size());
   for (std::size_t i = 0; i < g.size(); ++i) mags[i] = std::fabs(g[i]);
-  const auto method = static_cast<sparse::TopKMethod>(state.range(1));
   const std::size_t k = g.size() / 10;
   for (auto _ : state) {
-    auto result = sparse::topk_threshold(mags, k, method);
+    auto result = sparse::topk_threshold(mags, k);
     benchmark::DoNotOptimize(result.threshold);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.size() * sizeof(float)));
 }
-BENCHMARK(BM_TopKSelect)
-    ->Args({1 << 20, static_cast<long>(sparse::TopKMethod::kSort)})
-    ->Args({1 << 20, static_cast<long>(sparse::TopKMethod::kNthElement)})
-    ->Args({1 << 20, static_cast<long>(sparse::TopKMethod::kBucket)});
+BENCHMARK(BM_TopKSelect)->Arg(1 << 20);
 
 void BM_FftCompressorEndToEnd(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
@@ -170,46 +164,13 @@ void BM_TernGradCompressorEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_TernGradCompressorEndToEnd)->Arg(1 << 18)->UseRealTime();
 
-/// Console reporter that additionally collects every iteration run as
-/// (metric, value) pairs — per-iteration real seconds plus the
-/// bytes_per_second counter — so the binary can stamp a BENCH_*.json
-/// snapshot for scripts/bench_all.sh and the bench_diff gate.
-class JsonEmittingReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      // Function and arguments only: UseRealTime() appends "/real_time" to
-      // the run name, and the snapshot keys must not change with it.
-      std::string key = run.run_name.function_name;
-      if (!run.run_name.args.empty()) key += "/" + run.run_name.args;
-      for (char& c : key) {
-        if (c == '/') c = '.';
-      }
-      const double iterations =
-          run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
-      metrics.emplace_back(key + ".real_s", run.real_accumulated_time / iterations);
-      const auto bytes = run.counters.find("bytes_per_second");
-      if (bytes != run.counters.end()) {
-        metrics.emplace_back(key + ".bytes_per_second",
-                             static_cast<double>(bytes->second));
-      }
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  std::vector<std::pair<std::string, double>> metrics;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   fftgrad::telemetry::init_from_env();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonEmittingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  fftgrad::bench::emit_json("micro_primitives", reporter.metrics);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

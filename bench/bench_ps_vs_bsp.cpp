@@ -48,22 +48,14 @@ int main() {
   fftgrad::util::TableWriter table({"ranks", "BSP fp32 (s)", "PS fp32 (s)", "BSP+FFT (s)",
                                     "PS+FFT (s)", "PS/BSP fp32"});
   table.set_double_format("%.3f");
-  std::vector<std::pair<std::string, double>> metrics;
   for (std::size_t ranks : {2, 4, 8, 16, 32}) {
     const double bsp = iteration_time(core::CommScheme::kBspAllgather, ranks, noop);
     const double ps = iteration_time(core::CommScheme::kParameterServer, ranks, noop);
     const double bsp_fft = iteration_time(core::CommScheme::kBspAllgather, ranks, fft);
     const double ps_fft = iteration_time(core::CommScheme::kParameterServer, ranks, fft);
     table.add_row({static_cast<long long>(ranks), bsp, ps, bsp_fft, ps_fft, ps / bsp});
-    const std::string tag = "ranks" + std::to_string(ranks);
-    metrics.emplace_back("bsp_fp32." + tag + ".iter_s", bsp);
-    metrics.emplace_back("ps_fp32." + tag + ".iter_s", ps);
-    metrics.emplace_back("bsp_fft." + tag + ".iter_s", bsp_fft);
-    metrics.emplace_back("ps_fft." + tag + ".iter_s", ps_fft);
-    metrics.emplace_back("ps_over_bsp." + tag, ps / bsp);
   }
   fftgrad::bench::print_table(table);
-  fftgrad::bench::emit_json("ps_vs_bsp", metrics);
   std::puts("\nExpected shape: PS falls progressively behind BSP as ranks grow (server-link\n"
             "congestion, the paper's motivation for allreduce-style exchange); compression\n"
             "helps both but cannot remove the PS parameter-pull bottleneck.");

@@ -449,7 +449,7 @@ int report_profile(const std::string& path, bool markdown, bool check,
   // Host share per simulated category, next to the critical-path share of
   // the first reported run (zeros when no run carried a critpath row).
   // Divergence between the columns is the point: host-heavy / sim-light
-  // categories are where ROADMAP item 1's SIMD work pays off on the host
+  // categories are where SIMD work on the codec kernels pays off on the host
   // without the simulation predicting it.
   std::vector<std::pair<std::string, std::uint64_t>> by_category;
   for (const FoldedStack& stack : stacks) {

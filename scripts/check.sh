@@ -140,11 +140,14 @@ for preset in "${presets[@]}"; do
     run_step "$preset" profile ctest --preset "$preset" -j "$jobs" -L profile
     run_step "$preset" profile-e2e scripts/profile_gate.sh "$build_dir"
   fi
-  # Perf-trajectory gate: bench_diff must fire on an injected slowdown
-  # (selftest) and pass the committed BENCH_*.json baseline against
-  # itself. Release only — sanitizer timings are not comparable anyway.
   if [[ "$preset" == default ]]; then
-    run_step "$preset" bench-diff scripts/bench_diff --build-dir build
+    # Golden-output gate: every bench with a committed
+    # bench/golden/<bench>.txt (the figures' α–β model outputs and
+    # seeded-training accuracies) must print exactly that file; the diff
+    # names the bench and the changed line. A difference is a behaviour
+    # change: to accept it, rerun the bench into its golden file and say
+    # why in CHANGES.md. Host time is the repository benchmark's to gate.
+    run_step "$preset" golden scripts/golden_gate.sh build
     # The repository benchmark's own checks (benchmark/README.md): at most
     # 5 steps per workload, traced and untraced, failing on a missing
     # metric, a wrong unit, a failed step, replicas that are not

@@ -12,8 +12,8 @@
 #     `run_report --check-profile`, which parses, re-renders, and fails
 #     unless the round trip is byte-identical);
 #   - the at-exit hot-path report was written next to it and contains the
-#     ranked table plus at least one SIMD-candidate row citing ROADMAP
-#     item 1 (chaos_training's time goes to FFT/quantize/pack/CRC code);
+#     ranked table plus at least one row tagged "(SIMD candidate)"
+#     (chaos_training's time goes to FFT/quantize/pack/CRC code);
 #   - run_report cross-references host self-time against the simulated
 #     critical-path categories without error.
 #
@@ -41,7 +41,7 @@ FFTGRAD_LEDGER="$tmp/ledger.jsonl" \
   echo "error: no hot-path report written" >&2; exit 1; }
 grep -qi "hot paths" "$tmp/profile.folded.report.txt" || {
   echo "error: report is missing its headline section" >&2; exit 1; }
-grep -q "ROADMAP item 1" "$tmp/profile.folded.report.txt" || {
+grep -qF "(SIMD candidate)" "$tmp/profile.folded.report.txt" || {
   echo "error: no SIMD-candidate row in the hot-path report (expected FFT/quantize/pack/CRC leaves)" >&2
   exit 1; }
 

@@ -9,7 +9,7 @@
 // ring, and a collector thread aggregates. Output is folded-stack text
 // (directly consumable by flamegraph.pl / speedscope) plus a ranked
 // hot-path table whose rows carry the enclosing span and, where the
-// symbol matches ROADMAP item 1's kernel list, a SIMD-candidate hint.
+// symbol matches a vectorizable codec kernel family, a SIMD-candidate hint.
 //
 // Cost contract (matching the tracer/metrics/ledger): with the profiler
 // off, a TraceSpan still costs exactly one relaxed atomic load and no
@@ -65,7 +65,7 @@ struct HotPath {
   double self_pct = 0.0;
   double total_pct = 0.0;
   std::string top_span;   ///< span holding most of the self samples
-  std::string simd_hint;  ///< ROADMAP item 1 kernel family, "" = none
+  std::string simd_hint;  ///< SIMD-candidate kernel family, "" = none
 };
 
 /// Where the sampler credits the calling thread's samples: its innermost
@@ -180,10 +180,10 @@ std::vector<HotPath> hot_paths_from(const std::vector<FoldedStack>& stacks);
 /// The hot-path table rendered as text (top_n rows).
 std::string render_hot_paths(const std::vector<HotPath>& paths, std::size_t top_n = 20);
 
-/// ROADMAP item 1 SIMD-candidate matcher: maps a (demangled) symbol to
-/// the kernel family it belongs to — FFT butterflies, half/RangeFloat
-/// quantize/dequantize, top-k threshold scan, prefix-sum packing,
-/// CRC-checked framing — or "" when it matches none.
+/// SIMD-candidate matcher: maps a (demangled) symbol to the kernel family
+/// it belongs to — FFT butterflies, half/RangeFloat quantize/dequantize,
+/// top-k threshold scan, prefix-sum packing, CRC-checked framing — tagged
+/// "(SIMD candidate)", or "" when it matches none.
 std::string simd_candidate_hint(const std::string& symbol);
 
 }  // namespace fftgrad::telemetry

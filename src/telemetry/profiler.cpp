@@ -613,19 +613,19 @@ std::string simd_candidate_hint(const std::string& symbol) {
   // Ordered: the FFT family first so e.g. fft pack stages attribute to the
   // codec stage that owns them.
   if (contains_any({"butterfly", "rfft", "irfft", "fft"})) {
-    return "fft butterflies (ROADMAP item 1)";
+    return "fft butterflies (SIMD candidate)";
   }
   if (contains_any({"quantize", "dequant", "range_float", "rangefloat", "half"})) {
-    return "half/RangeFloat quantize (ROADMAP item 1)";
+    return "half/RangeFloat quantize (SIMD candidate)";
   }
   if (contains_any({"topk", "top_k", "threshold"})) {
-    return "top-k threshold scan (ROADMAP item 1)";
+    return "top-k threshold scan (SIMD candidate)";
   }
   if (contains_any({"prefix_sum", "bitmap", "pack", "mask"})) {
-    return "prefix-sum packing (ROADMAP item 1)";
+    return "prefix-sum packing (SIMD candidate)";
   }
   if (contains_any({"crc"})) {
-    return "crc framing (ROADMAP item 1)";
+    return "crc framing (SIMD candidate)";
   }
   return "";
 }

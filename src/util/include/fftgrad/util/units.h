@@ -30,9 +30,9 @@
 //
 // Everything is constexpr and trivially copyable: a Quantity<Tag> is one
 // double with no virtualness and no invariants, so the types compile to
-// nothing (BENCH_pr7.json vs BENCH_pr6.json proves the hot paths are
-// unchanged). tests/test_units.cpp pins both the algebra and — via
-// expression-SFINAE probes — the *absence* of the invalid operators.
+// nothing. tests/test_units.cpp pins that layout (size and trivial
+// copyability), the algebra and — via expression-SFINAE probes — the
+// *absence* of the invalid operators.
 #pragma once
 
 #include <cstddef>

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <cstdint>
@@ -429,31 +430,40 @@ TEST(ChaosCluster, MonitorThreadObservesMembershipWithoutRacing) {
   // live run. This test IS that monitor: under -fsanitize=thread any
   // regression to unguarded reads is a hard failure, and the epoch
   // observations must be monotone (each membership change bumps the view).
+  // On a loaded host the scheduler may not run the monitor during the
+  // whole run, so the run starts only after its first poll, and the
+  // monitor keeps polling past the run until it has seen rank 3's
+  // terminal crash (or a deadline passes, which fails saw_crash).
   comm::FaultPlan plan;
   plan.crashes.push_back({.rank = 1, .at_op = 6, .rejoin_at_op = 14});
   plan.crashes.push_back({.rank = 3, .at_op = 10});
   comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56(), plan);
 
-  std::atomic<bool> stop{false};
+  std::atomic<bool> polled{false};
+  std::atomic<bool> run_done{false};
   std::atomic<bool> saw_crash{false};
   std::atomic<bool> monotone{true};
   std::thread monitor([&] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
     std::uint64_t last_epoch = 0;
-    while (!stop.load(std::memory_order_acquire)) {
+    while (!(run_done.load(std::memory_order_acquire) && saw_crash.load()) &&
+           std::chrono::steady_clock::now() < deadline) {
       const std::uint64_t epoch = cluster.view_epoch();
       if (epoch < last_epoch) monotone.store(false, std::memory_order_relaxed);
       last_epoch = epoch;
-      if (cluster.rank_crashed(3)) saw_crash.store(true, std::memory_order_relaxed);
+      if (cluster.rank_crashed(3)) saw_crash.store(true);
       (void)cluster.survivors();
       (void)cluster.rank_rejoined(1);
+      polled.store(true, std::memory_order_release);
       std::this_thread::yield();
     }
   });
+  while (!polled.load(std::memory_order_acquire)) std::this_thread::yield();
 
   nn::SyntheticDataset data({8}, 3, 41);
   const ClusterTrainResult result =
       cluster_train(cluster, small_config(4, 20), mlp_factory(), noop_codec(), data);
-  stop.store(true, std::memory_order_release);
+  run_done.store(true, std::memory_order_release);
   monitor.join();
 
   EXPECT_TRUE(monotone.load());

@@ -2,7 +2,7 @@
 //
 // Covers the profiler's whole contract: the folded-stack grammar
 // round-trips and rejects malformed input, the SIMD-candidate matcher maps
-// ROADMAP item 1's kernel families, hot-path ranking computes self/total
+// the codec's kernel families, hot-path ranking computes self/total
 // shares and span attribution from hand-built stacks, the disabled path
 // allocates nothing (counting operator new), start/stop collects samples
 // attributed to a known hot loop's span (exercised under TSan by the tsan
@@ -136,15 +136,17 @@ TEST(FoldedGrammar, RejectsMalformedLines) {
 }
 
 TEST(HotPaths, SimdCandidateHints) {
-  // One representative per ROADMAP item 1 kernel family.
+  // One representative per SIMD-candidate kernel family.
   EXPECT_NE(telemetry::simd_candidate_hint("fftgrad::fft::butterfly_pass"), "");
   EXPECT_NE(telemetry::simd_candidate_hint("FftCompressor::rfft"), "");
   EXPECT_NE(telemetry::simd_candidate_hint("quantize_block"), "");
   EXPECT_NE(telemetry::simd_candidate_hint("TopKCompressor::threshold_scan"), "");
   EXPECT_NE(telemetry::simd_candidate_hint("pack_bitmap_words"), "");
   EXPECT_NE(telemetry::simd_candidate_hint("fftgrad::util::crc32_update"), "");
-  // Every hint cites the roadmap item; unrelated symbols map to nothing.
-  EXPECT_NE(telemetry::simd_candidate_hint("fft_pass").find("ROADMAP"), std::string::npos);
+  // Every hint carries the SIMD-candidate marker; unrelated symbols map to
+  // nothing.
+  EXPECT_NE(telemetry::simd_candidate_hint("fft_pass").find("(SIMD candidate)"),
+            std::string::npos);
   EXPECT_EQ(telemetry::simd_candidate_hint("main"), "");
   EXPECT_EQ(telemetry::simd_candidate_hint("Trainer::step"), "");
   // The project namespace contains "fft"; that alone must not tag a symbol.

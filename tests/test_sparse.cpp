@@ -29,7 +29,6 @@ std::vector<float> random_magnitudes(std::size_t n, std::uint64_t seed) {
 struct TopKCase {
   std::size_t n;
   std::size_t k;
-  TopKMethod method;
 };
 
 class TopKParam : public ::testing::TestWithParam<TopKCase> {};
@@ -39,23 +38,20 @@ TEST_P(TopKParam, ThresholdMatchesSortedReference) {
   const auto mags = random_magnitudes(c.n, c.n * 31 + c.k);
   std::vector<float> sorted = mags;
   std::sort(sorted.begin(), sorted.end(), std::greater<float>());
-  const TopKResult result = topk_threshold(mags, c.k, c.method);
+  const TopKResult result = topk_threshold(mags, c.k);
   EXPECT_FLOAT_EQ(result.threshold, sorted[c.k - 1]);
   EXPECT_LT(result.above, c.k);
   EXPECT_GE(result.above + result.at_threshold, c.k);
 }
 
+// Edge shapes among them: one and two elements, an odd median, k = n - 1,
+// k = n of an odd-sized input, and k = 1 (the max) of a large input.
 INSTANTIATE_TEST_SUITE_P(
     Cases, TopKParam,
-    ::testing::Values(TopKCase{100, 1, TopKMethod::kSort}, TopKCase{100, 1, TopKMethod::kNthElement},
-                      TopKCase{100, 1, TopKMethod::kBucket}, TopKCase{100, 50, TopKMethod::kSort},
-                      TopKCase{100, 50, TopKMethod::kNthElement},
-                      TopKCase{100, 50, TopKMethod::kBucket}, TopKCase{100, 100, TopKMethod::kSort},
-                      TopKCase{100, 100, TopKMethod::kBucket},
-                      TopKCase{10000, 1500, TopKMethod::kSort},
-                      TopKCase{10000, 1500, TopKMethod::kNthElement},
-                      TopKCase{10000, 1500, TopKMethod::kBucket},
-                      TopKCase{65537, 100, TopKMethod::kBucket}));
+    ::testing::Values(TopKCase{100, 1}, TopKCase{100, 50}, TopKCase{100, 100},
+                      TopKCase{10000, 1500}, TopKCase{65537, 100}, TopKCase{1, 1},
+                      TopKCase{2, 1}, TopKCase{2, 2}, TopKCase{101, 51}, TopKCase{1000, 999},
+                      TopKCase{65537, 65537}, TopKCase{262144, 1}));
 
 TEST(TopK, KZeroKeepsNothing) {
   const auto result = topk_threshold(random_magnitudes(10, 1), 0);
@@ -67,19 +63,19 @@ TEST(TopK, KBeyondSizeThrows) {
   EXPECT_THROW(topk_threshold(random_magnitudes(5, 2), 6), std::invalid_argument);
 }
 
-TEST(TopK, BucketHandlesAllEqualValues) {
+TEST(TopK, HandlesAllEqualValues) {
   std::vector<float> mags(1000, 0.25f);
-  const auto result = topk_threshold(mags, 100, TopKMethod::kBucket);
+  const auto result = topk_threshold(mags, 100);
   EXPECT_FLOAT_EQ(result.threshold, 0.25f);
   EXPECT_EQ(result.above, 0u);
   EXPECT_EQ(result.at_threshold, 1000u);
 }
 
-TEST(TopK, BucketHandlesManyDuplicatesAroundThreshold) {
+TEST(TopK, HandlesManyDuplicatesAroundThreshold) {
   std::vector<float> mags;
   for (int i = 0; i < 500; ++i) mags.push_back(1.0f);
   for (int i = 0; i < 500; ++i) mags.push_back(2.0f);
-  const auto result = topk_threshold(mags, 600, TopKMethod::kBucket);
+  const auto result = topk_threshold(mags, 600);
   EXPECT_FLOAT_EQ(result.threshold, 1.0f);
   EXPECT_EQ(result.above, 500u);
 }
