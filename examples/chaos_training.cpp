@@ -145,8 +145,8 @@ int main() {
   std::printf("\n%-28s %10s %10s\n", "", "clean", "chaos");
   std::printf("%-28s %10.4f %10.4f\n", "final accuracy", accuracy_of(clean.final_params),
               accuracy_of(chaos.final_params));
-  std::printf("%-28s %10.4f %10.4f\n", "sim time (s, rank 0)", clean.rank_sim_times[0],
-              chaos.rank_sim_times[0]);
+  std::printf("%-28s %10.4f %10.4f\n", "sim time (s, rank 0)",
+              clean.rank_sim_times[0].to_double(), chaos.rank_sim_times[0].to_double());
   std::printf("%-28s %10zu %10zu\n", "crashed ranks", clean.crashed_ranks,
               chaos.crashed_ranks);
   std::printf("%-28s %10zu %10zu\n", "rejoined ranks", clean.rejoined_ranks,

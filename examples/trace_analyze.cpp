@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
     } else {
       std::printf(
           "ledger charged %.9f s, comm on path %.9f s, |diff| %.9f s (rel %.6f)\n",
-          reconcile.ledger_charged_s, reconcile.path_comm_s, reconcile.abs_diff_s,
-          reconcile.rel_diff);
+          reconcile.ledger_charged_s.to_double(), reconcile.path_comm_s.to_double(),
+          reconcile.abs_diff_s.to_double(), reconcile.rel_diff);
     }
   }
 

@@ -1,5 +1,4 @@
 #include "fftgrad/analysis/check.h"
-#include "fftgrad/analysis/checked_mutex.h"
 #include "fftgrad/analysis/schedule_stress.h"
 
 #if FFTGRAD_ANALYSIS
@@ -8,10 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstddef>
-#include <map>
-#include <set>
-#include <span>
-#include <vector>
 
 #include "fftgrad/telemetry/metrics.h"
 
@@ -28,80 +23,6 @@ void default_handler(const char* kind, const std::string& message) {
   std::fprintf(stderr, "fftgrad-analysis: [%s] %s\n", kind, message.c_str());
   std::abort();
 }
-
-// ---------------------------------------------------------------------------
-// Lock-order graph
-//
-// Nodes are CheckedMutex order ids, an edge a->b means "a was held while b
-// was acquired". A cycle means two call paths acquire the same mutexes in
-// opposite orders — a deadlock waiting for the right interleaving. The
-// graph is process-global and append-only (edges are never unlearned
-// except by reset_lock_order_graph), so an inversion is caught even when
-// the two paths never run concurrently.
-
-struct LockOrderGraph {
-  std::mutex mutex;  // plain: the graph must not instrument itself
-  std::map<std::uint32_t, std::set<std::uint32_t>> edges;
-
-  bool reachable(std::uint32_t from, std::uint32_t to) const {
-    std::vector<std::uint32_t> stack{from};
-    std::set<std::uint32_t> seen;
-    while (!stack.empty()) {
-      const std::uint32_t at = stack.back();
-      stack.pop_back();
-      if (at == to) return true;
-      if (!seen.insert(at).second) continue;
-      const auto it = edges.find(at);
-      if (it == edges.end()) continue;
-      for (std::uint32_t next : it->second) stack.push_back(next);
-    }
-    return false;
-  }
-};
-
-LockOrderGraph& lock_order_graph() {
-  static LockOrderGraph* g = new LockOrderGraph();  // never destroyed
-  return *g;
-}
-
-/// Mutexes the calling thread currently holds, in acquisition order.
-///
-/// Deliberately a trivially-destructible POD, not a std::vector: process
-/// teardown runs TLS destructors before atexit handlers, and a static
-/// object (e.g. ThreadPool::global()) locking a CheckedMutex from its
-/// destructor would then touch a destroyed vector. A plain array has no
-/// TLS destructor, so the stack stays valid for the whole thread lifetime.
-/// Depth is bounded by real nesting (the deepest path in the tree holds 2);
-/// past the cap, locks go untracked rather than aborting.
-struct HeldStack {
-  static constexpr std::size_t kCapacity = 64;
-  const CheckedMutex* items[kCapacity];
-  std::size_t count;
-
-  void push(const CheckedMutex* mutex) {
-    if (count < kCapacity) items[count] = mutex;
-    ++count;
-  }
-
-  void remove(const CheckedMutex* mutex) {
-    const std::size_t tracked = count < kCapacity ? count : kCapacity;
-    for (std::size_t i = tracked; i-- > 0;) {
-      if (items[i] != mutex) continue;
-      for (std::size_t j = i + 1; j < tracked; ++j) items[j - 1] = items[j];
-      --count;
-      return;
-    }
-    if (count > kCapacity) --count;  // it was one of the untracked overflow locks
-  }
-
-  std::span<const CheckedMutex* const> held() const {
-    return {items, count < kCapacity ? count : kCapacity};
-  }
-};
-
-thread_local HeldStack t_held{};
-
-std::atomic<std::uint32_t> g_next_mutex_id{1};
 
 // ---------------------------------------------------------------------------
 // Schedule stress
@@ -132,79 +53,16 @@ void report_violation(const char* kind, const std::string& message) {
   handler(kind, message);
 }
 
-// ---------------------------------------------------------------------------
-// CheckedMutex
-
-CheckedMutex::CheckedMutex(const char* name)
-    : name_(name), id_(g_next_mutex_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-CheckedMutex::~CheckedMutex() = default;
-
-void CheckedMutex::note_acquired() {
-  owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-  t_held.push(this);
-}
-
-// The three methods below implement the locking primitive itself, so their
-// bodies are exempt from the static analysis (the capability they acquire
-// or release is `*this`; the wrapped std::mutex is unannotated).
-FFTGRAD_NO_THREAD_SAFETY_ANALYSIS void CheckedMutex::lock() {
-  // Register order edges before blocking, so a genuine deadlock is still
-  // reported (by whichever thread closed the cycle) instead of hanging
-  // silently.
-  if (t_held.count != 0) {
-    LockOrderGraph& graph = lock_order_graph();
-    std::lock_guard<std::mutex> guard(graph.mutex);
-    for (const CheckedMutex* held : t_held.held()) {
-      if (held == this) continue;  // recursive lock: reported as deadlock by the OS
-      if (graph.reachable(id_, held->order_id())) {
-        report_violation("lock-order",
-                         std::string("acquiring '") + name_ + "' while holding '" +
-                             held->name() +
-                             "' inverts an established lock order (latent deadlock)");
-      }
-      graph.edges[held->order_id()].insert(id_);
-    }
-  }
-  mutex_.lock();
-  note_acquired();
-}
-
-FFTGRAD_NO_THREAD_SAFETY_ANALYSIS bool CheckedMutex::try_lock() {
-  // try_lock cannot deadlock, so no order edge is recorded — a failed
-  // speculative probe under an inverted order is legal.
-  if (!mutex_.try_lock()) return false;
-  note_acquired();
-  return true;
-}
-
-FFTGRAD_NO_THREAD_SAFETY_ANALYSIS void CheckedMutex::unlock() {
-  if (!held_by_current_thread()) {
-    report_violation("mutex-misuse",
-                     std::string("unlock of '") + name_ + "' by a thread that does not hold it");
-  }
-  owner_.store(std::thread::id(), std::memory_order_relaxed);
-  t_held.remove(this);
-  mutex_.unlock();
-}
-
 namespace detail {
 
-void assert_held(const CheckedMutex& mutex, const char* expr, const char* file, int line) {
+void assert_held(const util::Mutex& mutex, const char* expr, const char* file, int line) {
   if (mutex.held_by_current_thread()) return;
   report_violation("assert-held", std::string(file) + ":" + std::to_string(line) +
                                       ": FFTGRAD_ASSERT_HELD(" + expr +
-                                      ") failed: calling thread does not hold '" +
-                                      mutex.name() + "'");
+                                      ") failed: calling thread does not hold it");
 }
 
 }  // namespace detail
-
-void reset_lock_order_graph() {
-  LockOrderGraph& graph = lock_order_graph();
-  std::lock_guard<std::mutex> guard(graph.mutex);
-  graph.edges.clear();
-}
 
 // ---------------------------------------------------------------------------
 // Schedule stress

@@ -13,6 +13,9 @@ using util::SimSeconds;
 
 namespace {
 
+constexpr SimSeconds kSumTolerance{1e-6};  ///< acceptance bound on |sum - e2e|
+constexpr SimSeconds kTimeEps{1e-9};       ///< timestamp comparison slack
+
 SimSeconds abs_diff(SimSeconds a, SimSeconds b) {
   return SimSeconds(std::fabs((a - b).to_double()));
 }
@@ -20,15 +23,12 @@ SimSeconds abs_diff(SimSeconds a, SimSeconds b) {
 }  // namespace
 
 std::vector<std::string> validate_critical_path(const telemetry::CpAnalysis& analysis,
-                                                const std::vector<telemetry::CpEvent>& events,
-                                                const CritpathCheckOptions& options) {
+                                                const std::vector<telemetry::CpEvent>& events) {
   std::vector<std::string> problems;
   const auto complain = [&problems](const std::string& what) {
     problems.push_back(what);
     report_violation("critpath", what);
   };
-  const SimSeconds time_eps{options.time_eps};
-  const SimSeconds sum_tolerance{options.sum_tolerance};
 
   // (1) + (2): contiguous tiling within windows, back-to-back windows.
   SimSeconds previous_end{-1.0};
@@ -36,7 +36,7 @@ std::vector<std::string> validate_critical_path(const telemetry::CpAnalysis& ana
     std::ostringstream tag;
     tag << "iteration " << iteration.iteration;
     if (previous_end >= SimSeconds(0.0) &&
-        abs_diff(iteration.start_s, previous_end) > time_eps) {
+        abs_diff(iteration.start_s, previous_end) > kTimeEps) {
       std::ostringstream out;
       out << tag.str() << ": window starts at " << iteration.start_s.to_double()
           << " but the previous window ended at " << previous_end.to_double();
@@ -46,7 +46,7 @@ std::vector<std::string> validate_critical_path(const telemetry::CpAnalysis& ana
 
     SimSeconds cursor = iteration.start_s;
     for (const telemetry::CpSegment& segment : iteration.path) {
-      if (abs_diff(segment.start_s, cursor) > time_eps) {
+      if (abs_diff(segment.start_s, cursor) > kTimeEps) {
         std::ostringstream out;
         out << tag.str() << ": segment '" << segment.name << "' starts at "
             << segment.start_s.to_double() << " but the path cursor is at "
@@ -56,7 +56,7 @@ std::vector<std::string> validate_critical_path(const telemetry::CpAnalysis& ana
       }
       cursor = segment.end_s;
     }
-    if (abs_diff(cursor, iteration.end_s) > time_eps) {
+    if (abs_diff(cursor, iteration.end_s) > kTimeEps) {
       std::ostringstream out;
       out << tag.str() << ": path ends at " << cursor.to_double() << ", window ends at "
           << iteration.end_s.to_double();
@@ -64,12 +64,12 @@ std::vector<std::string> validate_critical_path(const telemetry::CpAnalysis& ana
     }
 
     const SimSeconds sum = iteration.category_sum_s();
-    if (abs_diff(sum, iteration.e2e_s()) > sum_tolerance) {
+    if (abs_diff(sum, iteration.e2e_s()) > kSumTolerance) {
       std::ostringstream out;
       out << tag.str() << ": category times sum to " << sum.to_double()
           << " but end-to-end is " << iteration.e2e_s().to_double() << " (|diff| "
           << abs_diff(sum, iteration.e2e_s()).to_double() << " > "
-          << sum_tolerance.to_double() << ")";
+          << kSumTolerance.to_double() << ")";
       complain(out.str());
     }
   }
@@ -105,7 +105,7 @@ std::vector<std::string> validate_critical_path(const telemetry::CpAnalysis& ana
     // Barrier generations and collective ops use different counters, so a
     // snapback anywhere in the trace relaxes the timestamp half globally —
     // the existence half (above) still applies everywhere.
-    if (!any_snapback && it->second > event.start_s + time_eps) {
+    if (!any_snapback && it->second > event.start_s + kTimeEps) {
       std::ostringstream out;
       out << "consume on rank " << event.rank << " of op " << event.op << " from rank "
           << event.peer << " at sim time " << event.start_s.to_double()

@@ -1,11 +1,12 @@
 // Causality analyzer: vector-clock happens-before tracking and
 // protocol-invariant validation for the simulated cluster.
 //
-// TSan and CheckedMutex see *thread* races; this layer sees *rank-level
-// protocol* races — a rank consuming a mailbox block with no happens-before
-// edge from its sender, two replicas disagreeing on which contributions
-// survived a straggler timeout, or model replicas silently diverging — the
-// class of bug that corrupts converged accuracy instead of crashing.
+// TSan and FFTGRAD_ASSERT_HELD see *thread* races; this layer sees
+// *rank-level protocol* races — a rank consuming a mailbox block with no
+// happens-before edge from its sender, two replicas disagreeing on which
+// contributions survived a straggler timeout, or model replicas silently
+// diverging — the class of bug that corrupts converged accuracy instead of
+// crashing.
 //
 // Mechanics. Every rank carries a VectorClock with one component per rank:
 //

@@ -6,7 +6,8 @@
 //
 //   (1) contiguity: within every iteration window the path segments tile
 //       [start, end] with no gaps or overlaps, so the per-category times
-//       sum to the end-to-end time (within `sum_tolerance`);
+//       sum to the end-to-end time (within 1e-6 s; timestamps compare
+//       with 1e-9 s of slack);
 //   (2) monotonicity: iteration windows are back-to-back and in order;
 //   (3) happens-before: every "consume" cp-edge has a matching "publish"
 //       from its sender for the same op, and — unless the op's barrier was
@@ -25,13 +26,7 @@
 
 namespace fftgrad::analysis {
 
-struct CritpathCheckOptions {
-  double sum_tolerance = 1e-6;  ///< acceptance bound on |sum - e2e|
-  double time_eps = 1e-9;       ///< timestamp comparison slack
-};
-
-std::vector<std::string> validate_critical_path(
-    const telemetry::CpAnalysis& analysis, const std::vector<telemetry::CpEvent>& events,
-    const CritpathCheckOptions& options = {});
+std::vector<std::string> validate_critical_path(const telemetry::CpAnalysis& analysis,
+                                                const std::vector<telemetry::CpEvent>& events);
 
 }  // namespace fftgrad::analysis

@@ -48,8 +48,8 @@
 // live donor through peer_transfer(), which charges real NetworkModel time
 // and reconciles exactly in the run ledger on a lossless plan.
 //
-// Concurrency analysis: the barrier mutex is an analysis::CheckedMutex
-// (owner + lock-order tracked in debug/sanitizer builds), and under the
+// Concurrency analysis: the barrier mutex is a util::Mutex (its owner is
+// tracked in debug/sanitizer builds for FFTGRAD_ASSERT_HELD), and under the
 // deterministic-schedule stress mode (fftgrad/analysis/schedule_stress.h)
 // every rank spins through a seeded number of yields before arriving at a
 // barrier, perturbing arrival order per seed. Collective results must be
@@ -86,7 +86,6 @@
 #include <vector>
 
 #include "fftgrad/analysis/causality.h"
-#include "fftgrad/analysis/checked_mutex.h"
 #include "fftgrad/comm/fault_injection.h"
 #include "fftgrad/comm/network_model.h"
 #include "fftgrad/util/annotated_mutex.h"
@@ -261,8 +260,8 @@ class SimCluster {
 
   // mutable: the const membership accessors above lock it so monitor
   // threads can poll membership mid-run.
-  mutable analysis::CheckedMutex mutex_{"SimCluster.barrier_mutex"};
-  // condition_variable_any: CheckedMutex is Lockable but not std::mutex.
+  mutable util::Mutex mutex_;
+  // condition_variable_any: util::Mutex is Lockable but not std::mutex.
   std::condition_variable_any cv_;
   std::size_t arrived_ FFTGRAD_GUARDED_BY(mutex_) = 0;
   std::size_t alive_ FFTGRAD_GUARDED_BY(mutex_) = 0;

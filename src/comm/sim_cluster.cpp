@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "fftgrad/analysis/check.h"
 #include "fftgrad/analysis/schedule_stress.h"
 #include "fftgrad/util/annotated_mutex.h"
 #include "fftgrad/telemetry/ledger.h"
@@ -160,7 +161,7 @@ void SimCluster::barrier_wait(std::size_t rank) {
     const std::uint64_t yields = analysis::stress_pick(rank * 0x9e3779b9u, 8);
     for (std::uint64_t i = 0; i < yields; ++i) std::this_thread::yield();
   }
-  util::UniqueLock<analysis::CheckedMutex> lock(mutex_);
+  util::UniqueLock<util::Mutex> lock(mutex_);
   const util::SimSeconds entry_s = contexts_[rank]->clock().time();
   const std::uint64_t my_generation = generation_;
   if (++arrived_ == alive_) {
@@ -199,7 +200,7 @@ void SimCluster::barrier_wait(std::size_t rank) {
 }
 
 void SimCluster::mark_crashed(std::size_t rank) {
-  util::LockGuard<analysis::CheckedMutex> lock(mutex_);
+  util::LockGuard<util::Mutex> lock(mutex_);
   if (dead_[rank] != 0) return;
   dead_[rank] = 1;
   --alive_;
@@ -230,24 +231,24 @@ void SimCluster::mark_crashed(std::size_t rank) {
 // Rank threads never call them on the collective hot path, so the extra
 // acquire is off the simulated critical path.
 bool SimCluster::rank_crashed(std::size_t rank) const {
-  util::LockGuard<analysis::CheckedMutex> lock(mutex_);
+  util::LockGuard<util::Mutex> lock(mutex_);
   return rank < dead_.size() && dead_[rank] != 0;
 }
 
 std::size_t SimCluster::survivors() const {
-  util::LockGuard<analysis::CheckedMutex> lock(mutex_);
+  util::LockGuard<util::Mutex> lock(mutex_);
   std::size_t count = 0;
   for (char d : dead_) count += d == 0 ? 1 : 0;
   return count;
 }
 
 bool SimCluster::rank_rejoined(std::size_t rank) const {
-  util::LockGuard<analysis::CheckedMutex> lock(mutex_);
+  util::LockGuard<util::Mutex> lock(mutex_);
   return rank < rejoined_.size() && rejoined_[rank] != 0;
 }
 
 std::uint64_t SimCluster::view_epoch() const {
-  util::LockGuard<analysis::CheckedMutex> lock(mutex_);
+  util::LockGuard<util::Mutex> lock(mutex_);
   return view_epoch_;
 }
 
@@ -479,7 +480,7 @@ std::vector<std::size_t> RankContext::admit_rejoins() {
     }
   }
   if (primary) {
-    util::UniqueLock<analysis::CheckedMutex> lock(c.mutex_);
+    util::UniqueLock<util::Mutex> lock(c.mutex_);
     // Wait for every rejoiner's thread to finish unwinding and park.
     // (Manual wait loop so the guarded reads of rejoin_waiting_ stay in
     // this annotated scope rather than an opaque predicate lambda.)
@@ -519,7 +520,7 @@ std::vector<std::size_t> RankContext::admit_rejoins() {
 bool RankContext::await_rejoin() {
   SimCluster& c = *cluster_;
   {
-    util::UniqueLock<analysis::CheckedMutex> lock(c.mutex_);
+    util::UniqueLock<util::Mutex> lock(c.mutex_);
     c.rejoin_waiting_[rank_] = 1;
     ++c.parked_threads_;
     if (c.exited_threads_ + c.parked_threads_ == c.ranks_) c.draining_ = true;
@@ -635,7 +636,7 @@ std::vector<util::SimSeconds> SimCluster::run(
     // may still be polling the membership accessors, and the guarded
     // members must be written under their capability anyway. One
     // uncontended acquire per run.
-    util::LockGuard<analysis::CheckedMutex> lock(mutex_);
+    util::LockGuard<util::Mutex> lock(mutex_);
     alive_ = ranks;
     arrived_ = 0;
     generation_ = 0;
@@ -677,7 +678,7 @@ std::vector<util::SimSeconds> SimCluster::run(
       // Release peers waiting in the barrier so the cluster drains instead
       // of deadlocking; they will observe mismatched state and finish or
       // fail on their own.
-      util::LockGuard<analysis::CheckedMutex> lock(mutex_);
+      util::LockGuard<util::Mutex> lock(mutex_);
       arrived_ = 0;
       ++generation_;
       cv_.notify_all();
@@ -685,7 +686,7 @@ std::vector<util::SimSeconds> SimCluster::run(
     // Drain accounting: once every non-parked thread has exited, no
     // admission can ever come — wake threads parked in await_rejoin so
     // they return (denied) instead of hanging the join below.
-    util::LockGuard<analysis::CheckedMutex> lock(mutex_);
+    util::LockGuard<util::Mutex> lock(mutex_);
     ++exited_threads_;
     if (exited_threads_ + parked_threads_ == ranks_) {
       draining_ = true;

@@ -313,9 +313,12 @@ ClusterTrainResult cluster_train(
           causality.check_agreement("trainer.state_hash", rank, iter, hash);
         }
 
+        if (ledger_on || recovery_enabled) {
+          row.loss = last_loss;
+          row.ef_residual_norm = residual_norm(codec);
+        }
         if (ledger_on) {
           row.iteration = iter;
-          row.loss = last_loss;
           row.sim_time_s = ctx.clock().time();
           const PhaseTimes& times = replica.times();
           row.forward_s = times.forward;
@@ -324,7 +327,6 @@ ClusterTrainResult cluster_train(
           row.decompress_s = times.decompress;
           row.wire_bytes = util::byte_count(wire.size());
           row.skipped_peers = rank_skips[rank] - skips_at_entry;
-          row.ef_residual_norm = residual_norm(codec);
           ledger.end_iteration(row);
         }
 
@@ -332,16 +334,10 @@ ClusterTrainResult cluster_train(
         // flags through a real (modelled) collective so the remedy decision
         // is identical everywhere, then apply it before the next step.
         if (recovery_enabled) {
-          const double ef_norm = residual_norm(codec);
-          float flags[4] = {
-              std::isfinite(row.grad_norm) ? 0.0f : 1.0f,
-              std::isfinite(last_loss) ? 0.0f : 1.0f,
-              (row.ratio > 0.0 && row.ratio < config.recovery.min_ratio) ? 1.0f : 0.0f,
-              (ef_norm >= 0.0 && std::isfinite(row.grad_norm) &&
-               ef_norm > config.recovery.residual_growth_factor * row.grad_norm &&
-               ef_norm > 0.0)
-                  ? 1.0f
-                  : 0.0f};
+          const telemetry::RunHealth local = telemetry::run_health(row);
+          float flags[4] = {local.nan_gradient ? 1.0f : 0.0f, local.nonfinite_loss ? 1.0f : 0.0f,
+                            local.ratio_collapse ? 1.0f : 0.0f,
+                            local.residual_growth ? 1.0f : 0.0f};
           ctx.allreduce_sum(flags);
           RecoverySignals signals;
           signals.nan_gradient = flags[0] > 0.5f;
@@ -358,7 +354,7 @@ ClusterTrainResult cluster_train(
                 codec = make_compressor("none");
                 break;
               case RemedyAction::kThetaRelax:
-                codec->set_theta(codec->theta() * config.recovery.theta_relax_factor);
+                codec->set_theta(codec->theta() * kThetaRelaxFactor);
                 break;
               case RemedyAction::kNone:
                 break;

@@ -14,7 +14,7 @@
 //   ratio_collapse (streak)        ->  kCodecFallback  switch to the lossless
 //                                      codec for the rest of the run
 //   residual_growth                ->  kThetaRelax     multiply theta by
-//                                      theta_relax_factor (keep more
+//                                      kThetaRelaxFactor (keep more
 //                                      coefficients)
 //
 // Every remediation becomes a ledger `remediation` row carrying the cause,
@@ -51,15 +51,11 @@ struct RecoveryPolicy {
   std::size_t snapshot_every = 8;
   /// Consecutive ratio-collapse iterations before the codec fallback fires.
   std::size_t ratio_collapse_streak = 3;
-  /// A wire ratio below this counts as a collapse (mirrors the ledger's
-  /// min_ratio monitor threshold).
-  double min_ratio = 1.0;
-  /// Residual norm above factor x gradient norm counts as residual growth.
-  double residual_growth_factor = 100.0;
-  /// Theta multiplier applied by kThetaRelax (theta is the fraction of
-  /// information *dropped*, so < 1 relaxes the compression).
-  double theta_relax_factor = 0.5;
 };
+
+/// Theta multiplier applied by kThetaRelax (theta is the fraction of
+/// information *dropped*, so < 1 relaxes the compression).
+inline constexpr double kThetaRelaxFactor = 0.5;
 
 enum class RemedyAction { kNone, kRollback, kCodecFallback, kThetaRelax };
 
@@ -67,14 +63,10 @@ enum class RemedyAction { kNone, kRollback, kCodecFallback, kThetaRelax };
 /// "theta_relax", "none").
 const char* remedy_action_name(RemedyAction action);
 
-/// Cluster-agreed condition flags for one iteration (the trainer allreduces
-/// each rank's local observation so every rank feeds the same values).
-struct RecoverySignals {
-  bool nan_gradient = false;
-  bool nonfinite_loss = false;
-  bool ratio_collapse = false;
-  bool residual_growth = false;
-};
+/// Cluster-agreed condition flags for one iteration: each rank's
+/// telemetry::run_health() of its iteration row, OR-ed across ranks by the
+/// trainer's allreduce so every rank feeds the same values.
+using RecoverySignals = telemetry::RunHealth;
 
 class RecoveryController {
  public:

@@ -5,13 +5,13 @@
 // data-parallel loops over index ranges (see parallel_for.h) and scheduled
 // here.
 //
-// Concurrency analysis: the queue mutex is an analysis::CheckedMutex, so
-// debug/sanitizer builds track its owner and lock order (see
-// fftgrad/analysis/checked_mutex.h). Under the deterministic-schedule
-// stress mode (fftgrad/analysis/schedule_stress.h) workers dequeue a
-// seeded-pseudorandom element instead of the FIFO front, turning task
-// execution order into a per-seed permutation; correct callers must be
-// insensitive to the permutation.
+// Concurrency analysis: the queue mutex is a util::Mutex, so debug and
+// sanitizer builds track its owner and FFTGRAD_ASSERT_HELD checks that
+// take_task_locked() runs under it (fftgrad/analysis/check.h). Under the
+// deterministic-schedule stress mode (fftgrad/analysis/schedule_stress.h)
+// workers dequeue a seeded-pseudorandom element instead of the FIFO front,
+// turning task execution order into a per-seed permutation; correct
+// callers must be insensitive to the permutation.
 #pragma once
 
 #include <condition_variable>
@@ -22,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "fftgrad/analysis/checked_mutex.h"
+#include "fftgrad/util/annotated_mutex.h"
 #include "fftgrad/util/thread_annotations.h"
 
 namespace fftgrad::parallel {
@@ -59,9 +59,9 @@ class ThreadPool {
   std::packaged_task<void()> take_task_locked() FFTGRAD_REQUIRES(queue_mutex_);
 
   std::vector<std::thread> workers_;
-  analysis::CheckedMutex queue_mutex_{"ThreadPool.queue_mutex"};
+  util::Mutex queue_mutex_;
   std::deque<std::packaged_task<void()>> queue_ FFTGRAD_GUARDED_BY(queue_mutex_);
-  // condition_variable_any: CheckedMutex is Lockable but not std::mutex.
+  // condition_variable_any: util::Mutex is Lockable but not std::mutex.
   std::condition_variable_any cv_;
   bool stopping_ FFTGRAD_GUARDED_BY(queue_mutex_) = false;
 };

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 
+#include "fftgrad/analysis/check.h"
 #include "fftgrad/analysis/schedule_stress.h"
 #include "fftgrad/telemetry/metrics.h"
 #include "fftgrad/telemetry/profiler.h"
@@ -43,7 +44,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    util::LockGuard<analysis::CheckedMutex> lock(queue_mutex_);
+    util::LockGuard<util::Mutex> lock(queue_mutex_);
     stopping_ = true;
   }
   cv_.notify_all();
@@ -77,7 +78,7 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
   {
-    util::LockGuard<analysis::CheckedMutex> lock(queue_mutex_);
+    util::LockGuard<util::Mutex> lock(queue_mutex_);
     queue_.push_back(std::move(packaged));
     PoolMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
   }
@@ -114,7 +115,7 @@ void ThreadPool::worker_loop() {
   for (;;) {
     std::packaged_task<void()> task;
     {
-      util::UniqueLock<analysis::CheckedMutex> lock(queue_mutex_);
+      util::UniqueLock<util::Mutex> lock(queue_mutex_);
       // Manual wait loop (not wait(lock, pred)): the predicate lambda would
       // be analyzed as a separate function with no capability, while the
       // loop keeps the guarded reads inside this annotated scope.

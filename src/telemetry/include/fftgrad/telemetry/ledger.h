@@ -22,13 +22,15 @@
 // Health monitors run on every iteration row and fire alerts:
 //   nan_gradient     gradient norm is NaN/Inf
 //   nonfinite_loss   training loss is NaN/Inf
-//   alpha_bound      alpha >= bound (Theorem 3.3 needs alpha < 1 to
-//                    contract; default bound 1.0)
-//   ratio_collapse   achieved compression ratio fell below min_ratio
+//   alpha_bound      alpha >= kAlphaBound (Theorem 3.3 needs alpha < 1
+//                    to contract)
+//   ratio_collapse   achieved compression ratio fell below kMinRatio
 //   model_drift      rolling |charged - predicted| / predicted exceeded
-//                    drift_rel_tol for some collective kind
-//   residual_growth  EF residual norm exceeded residual_growth_factor x
+//                    kDriftRelTol for some collective kind
+//   residual_growth  EF residual norm exceeded kResidualGrowthFactor x
 //                    the gradient norm (error feedback diverging)
+// run_health() computes the four conditions the recovery controller also
+// acts on (fftgrad/core/recovery.h), so both read one definition.
 // Each alert writes an `alert` row, logs at WARN, bumps the internal
 // per-monitor count plus the `ledger.alerts.<monitor>` metrics counter,
 // and — in FFTGRAD_ANALYSIS builds, unless set_abort_on_alert(false) —
@@ -160,15 +162,29 @@ struct LedgerIteration {
   std::vector<LedgerLayerStats> layers;  ///< optional per-layer breakdown
 };
 
-/// Monitor thresholds. Programs run with these defaults; tests set their
-/// own through RunLedger::set_tolerances.
+/// Monitor thresholds, echoed into every manifest's `tolerances`.
+inline constexpr double kAlphaBound = 1.0;
+inline constexpr double kMinRatio = 1.0;
+inline constexpr double kDriftRelTol = 0.25;
+inline constexpr double kResidualGrowthFactor = 100.0;
+
+/// The drift window is the one threshold tests shorten (through
+/// RunLedger::set_tolerances); programs run with the default.
 struct LedgerTolerances {
-  double alpha_bound = 1.0;
-  double min_ratio = 1.0;
-  double drift_rel_tol = 0.25;
   std::size_t drift_window = 16;  ///< iterations averaged before drift fires
-  double residual_growth_factor = 100.0;
 };
+
+/// The run-health conditions of one iteration row that both the ledger's
+/// alerts and the recovery controller read.
+struct RunHealth {
+  bool nan_gradient = false;
+  bool nonfinite_loss = false;
+  bool ratio_collapse = false;
+  bool residual_growth = false;
+};
+
+/// Reads grad_norm, loss, ratio and ef_residual_norm of `row`.
+RunHealth run_health(const LedgerIteration& row);
 
 class RunLedger {
  public:
@@ -184,7 +200,6 @@ class RunLedger {
   void close();
 
   void set_tolerances(const LedgerTolerances& tolerances);
-  LedgerTolerances tolerances() const;
   /// In FFTGRAD_ANALYSIS builds alerts abort by default; monitor tests
   /// disable that to assert on counts instead. No-op in release builds.
   void set_abort_on_alert(bool abort_on_alert);

@@ -10,7 +10,7 @@
 //   FFTGRAD_LEDGER=<path>   enable the run ledger; trainers append JSONL
 //                           rows (manifest / iteration / alert / summary)
 //                           to <path>, closed at exit. Monitor thresholds
-//                           are the LedgerTolerances defaults.
+//                           are the ledger.h constants.
 //   FFTGRAD_PROFILE=1       enable the host-time sampling profiler; write
 //                           folded stacks (flamegraph input) plus a
 //                           hot-path report at exit. A value other than

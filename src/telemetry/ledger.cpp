@@ -98,11 +98,6 @@ void RunLedger::set_tolerances(const LedgerTolerances& tolerances) {
   if (tolerances_.drift_window == 0) tolerances_.drift_window = 1;
 }
 
-LedgerTolerances RunLedger::tolerances() const {
-  util::LockGuard<util::Mutex> lock(mutex_);
-  return tolerances_;
-}
-
 void RunLedger::set_abort_on_alert(bool abort_on_alert) {
   util::LockGuard<util::Mutex> lock(mutex_);
   abort_on_alert_ = abort_on_alert;
@@ -138,11 +133,11 @@ std::uint64_t RunLedger::begin_run(const LedgerManifest& manifest) {
       << json_number(manifest.network.bandwidth_bytes_s.to_double())
       << ",\"loss_rate\":" << json_number(manifest.network.loss_rate)
       << "},\"fault_rate\":" << json_number(manifest.fault_rate)
-      << ",\"tolerances\":{\"alpha_bound\":" << json_number(tolerances_.alpha_bound)
-      << ",\"min_ratio\":" << json_number(tolerances_.min_ratio)
-      << ",\"drift_rel_tol\":" << json_number(tolerances_.drift_rel_tol)
+      << ",\"tolerances\":{\"alpha_bound\":" << json_number(kAlphaBound)
+      << ",\"min_ratio\":" << json_number(kMinRatio)
+      << ",\"drift_rel_tol\":" << json_number(kDriftRelTol)
       << ",\"drift_window\":" << tolerances_.drift_window
-      << ",\"residual_growth_factor\":" << json_number(tolerances_.residual_growth_factor)
+      << ",\"residual_growth_factor\":" << json_number(kResidualGrowthFactor)
       << "}}";
   write_line_locked(out.str());
   return run_id_;
@@ -257,43 +252,52 @@ void RunLedger::alert_locked(const char* monitor, std::uint64_t iteration, doubl
 #endif
 }
 
+RunHealth run_health(const LedgerIteration& row) {
+  RunHealth health;
+  health.nan_gradient = !std::isfinite(row.grad_norm);
+  health.nonfinite_loss = !std::isfinite(row.loss);
+  health.ratio_collapse = row.ratio > 0.0 && row.ratio < kMinRatio;
+  health.residual_growth = row.ef_residual_norm >= 0.0 && std::isfinite(row.grad_norm) &&
+                           row.ef_residual_norm > kResidualGrowthFactor * row.grad_norm &&
+                           row.ef_residual_norm > 0.0;
+  return health;
+}
+
 void RunLedger::run_monitors_locked(const LedgerIteration& row) {
+  const RunHealth health = run_health(row);
   std::ostringstream msg;
-  if (!std::isfinite(row.grad_norm)) {
+  if (health.nan_gradient) {
     msg << "gradient norm is non-finite (" << row.grad_norm << ")";
     alert_locked("nan_gradient", row.iteration, row.grad_norm, 0.0, msg.str());
   }
-  if (!std::isfinite(row.loss)) {
+  if (health.nonfinite_loss) {
     msg.str({});
     msg << "training loss is non-finite (" << row.loss << ")";
     alert_locked("nonfinite_loss", row.iteration, row.loss, 0.0, msg.str());
   }
-  if (!(row.alpha < tolerances_.alpha_bound)) {  // catches NaN alpha too
+  if (!(row.alpha < kAlphaBound)) {  // catches NaN alpha too
     msg.str({});
-    msg << "alpha " << row.alpha << " exceeds the Theorem-3.3 bound "
-        << tolerances_.alpha_bound << " (compression error no longer contracts)";
-    alert_locked("alpha_bound", row.iteration, row.alpha, tolerances_.alpha_bound, msg.str());
+    msg << "alpha " << row.alpha << " exceeds the Theorem-3.3 bound " << kAlphaBound
+        << " (compression error no longer contracts)";
+    alert_locked("alpha_bound", row.iteration, row.alpha, kAlphaBound, msg.str());
   }
-  if (row.ratio > 0.0 && row.ratio < tolerances_.min_ratio) {
+  if (health.ratio_collapse) {
     msg.str({});
-    msg << "compression ratio collapsed to " << row.ratio << " (< " << tolerances_.min_ratio
+    msg << "compression ratio collapsed to " << row.ratio << " (< " << kMinRatio
         << "x): the codec is expanding the gradient";
-    alert_locked("ratio_collapse", row.iteration, row.ratio, tolerances_.min_ratio, msg.str());
+    alert_locked("ratio_collapse", row.iteration, row.ratio, kMinRatio, msg.str());
   }
-  if (row.ef_residual_norm >= 0.0 && std::isfinite(row.grad_norm) &&
-      row.ef_residual_norm > tolerances_.residual_growth_factor * row.grad_norm &&
-      row.ef_residual_norm > 0.0) {
+  if (health.residual_growth) {
     msg.str({});
-    msg << "EF residual norm " << row.ef_residual_norm << " exceeds "
-        << tolerances_.residual_growth_factor << "x the gradient norm " << row.grad_norm
-        << " (error feedback diverging)";
+    msg << "EF residual norm " << row.ef_residual_norm << " exceeds " << kResidualGrowthFactor
+        << "x the gradient norm " << row.grad_norm << " (error feedback diverging)";
     alert_locked("residual_growth", row.iteration, row.ef_residual_norm,
-                 tolerances_.residual_growth_factor * row.grad_norm, msg.str());
+                 kResidualGrowthFactor * row.grad_norm, msg.str());
   }
 
   // Model drift: per collective kind, a rolling window of per-iteration
   // (predicted, charged) sums; once the window is full, the relative gap of
-  // the window totals must stay within drift_rel_tol. Averaging over the
+  // the window totals must stay within kDriftRelTol. Averaging over the
   // window is what lets a sampled 5%-drop run reconcile against the
   // RetryPolicy *expected*-cost terms without per-op noise firing alerts.
   for (auto& [kind, totals] : kinds_) {
@@ -306,13 +310,13 @@ void RunLedger::run_monitors_locked(const LedgerIteration& row) {
     }
     if (predicted <= util::SimSeconds(0.0)) continue;
     const double drift = std::fabs((charged - predicted) / predicted);
-    if (drift > tolerances_.drift_rel_tol) {
+    if (drift > kDriftRelTol) {
       msg.str({});
       msg << kind << ": rolling predicted-vs-charged drift " << drift << " exceeds "
-          << tolerances_.drift_rel_tol << " (window " << tolerances_.drift_window
+          << kDriftRelTol << " (window " << tolerances_.drift_window
           << ", predicted " << predicted.to_double() << "s, charged " << charged.to_double()
           << "s)";
-      alert_locked("model_drift", row.iteration, drift, tolerances_.drift_rel_tol, msg.str());
+      alert_locked("model_drift", row.iteration, drift, kDriftRelTol, msg.str());
       totals.window.clear();  // re-arm after a full fresh window, not every row
       totals.window_at = 0;
     }

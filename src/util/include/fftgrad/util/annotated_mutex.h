@@ -6,8 +6,15 @@
 // story: util::Mutex and util::SharedMutex are drop-in replacements whose
 // methods are ACQUIRE/RELEASE/TRY_ACQUIRE-annotated, and LockGuard /
 // UniqueLock / SharedLockGuard are the project's scoped-capability guards
-// (templated so the same guards serve util::Mutex, util::SharedMutex and
-// analysis::CheckedMutex).
+// (templated so the same guards serve util::Mutex and util::SharedMutex).
+//
+// In FFTGRAD_ANALYSIS builds (debug and the sanitizer presets) util::Mutex
+// also records its owner, and FFTGRAD_ASSERT_HELD (fftgrad/analysis/check.h)
+// reads it: the runtime check that a `*_locked()` helper's caller holds the
+// lock, on any compiler. It catches a lock dropped and re-taken around such
+// a call while every other thread is parked, which is no data race and so
+// invisible to TSan. Lock-order inversions and unlocks by a non-owner are
+// left to TSan. Release builds keep no state beyond the wrapped mutex.
 //
 // Every mutex member in src/ must be one of the annotated types —
 // fftgrad_lint's `unannotated-mutex` rule flags a bare std::mutex outside
@@ -24,30 +31,58 @@
 // caller's scope.
 #pragma once
 
+#include <atomic>
 #include <mutex>
 #include <shared_mutex>
+#include <thread>
 
+#include "fftgrad/util/config.h"
 #include "fftgrad/util/thread_annotations.h"
 
 namespace fftgrad::util {
 
-/// Annotated std::mutex. Zero state beyond the wrapped mutex; the bodies
-/// carry FFTGRAD_NO_THREAD_SAFETY_ANALYSIS because they manipulate the
-/// unannotated std primitive (the sanctioned use of the escape hatch).
+/// Annotated std::mutex that knows its owner in FFTGRAD_ANALYSIS builds.
+/// The bodies carry FFTGRAD_NO_THREAD_SAFETY_ANALYSIS because they
+/// manipulate the unannotated std primitive (the sanctioned use of the
+/// escape hatch).
 class FFTGRAD_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() FFTGRAD_ACQUIRE() FFTGRAD_NO_THREAD_SAFETY_ANALYSIS { mutex_.lock(); }
-  bool try_lock() FFTGRAD_TRY_ACQUIRE(true) FFTGRAD_NO_THREAD_SAFETY_ANALYSIS {
-    return mutex_.try_lock();
+  void lock() FFTGRAD_ACQUIRE() FFTGRAD_NO_THREAD_SAFETY_ANALYSIS {
+    mutex_.lock();
+#if FFTGRAD_ANALYSIS
+    owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+#endif
   }
-  void unlock() FFTGRAD_RELEASE() FFTGRAD_NO_THREAD_SAFETY_ANALYSIS { mutex_.unlock(); }
+  bool try_lock() FFTGRAD_TRY_ACQUIRE(true) FFTGRAD_NO_THREAD_SAFETY_ANALYSIS {
+    if (!mutex_.try_lock()) return false;
+#if FFTGRAD_ANALYSIS
+    owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+#endif
+    return true;
+  }
+  void unlock() FFTGRAD_RELEASE() FFTGRAD_NO_THREAD_SAFETY_ANALYSIS {
+#if FFTGRAD_ANALYSIS
+    // Cleared while still held, so it cannot erase the next owner's id.
+    owner_.store(std::thread::id(), std::memory_order_relaxed);
+#endif
+    mutex_.unlock();
+  }
+
+#if FFTGRAD_ANALYSIS
+  bool held_by_current_thread() const {
+    return owner_.load(std::memory_order_relaxed) == std::this_thread::get_id();
+  }
+#endif
 
  private:
   std::mutex mutex_;
+#if FFTGRAD_ANALYSIS
+  std::atomic<std::thread::id> owner_{};
+#endif
 };
 
 /// Annotated std::shared_mutex: exclusive lock for writers, shared lock

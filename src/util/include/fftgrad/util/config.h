@@ -3,10 +3,10 @@
 // FFTGRAD_ANALYSIS is 1 when the annotated race/invariant checker is
 // compiled in (sanitizer presets, debug builds, or -DFFTGRAD_ANALYSIS=ON)
 // and 0 otherwise. Release builds compile every annotation to nothing:
-// CheckedMutex collapses to a plain std::mutex wrapper, FFTGRAD_ASSERT_HELD
-// to (void)0, the causality tracker to no-op stubs, and the
-// schedule-stress seed to a constant 0 so stress branches fold away; the
-// run ledger's alerts are logged but do not abort.
+// util::Mutex keeps no owner (a plain std::mutex wrapper),
+// FFTGRAD_ASSERT_HELD is (void)0, the causality tracker becomes no-op
+// stubs, and the schedule-stress seed is a constant 0 so stress branches
+// fold away; the run ledger's alerts are logged but do not abort.
 //
 // It lives in util so every layer reads one definition, telemetry's run
 // ledger included (analysis links telemetry, so telemetry cannot include

@@ -10,8 +10,8 @@
 // DESIGN.md "Static concurrency & determinism analysis").
 //
 // Conventions used across the tree:
-//  * Lock types (util::Mutex, util::SharedMutex, analysis::CheckedMutex)
-//    are FFTGRAD_CAPABILITY("mutex") with ACQUIRE/RELEASE/TRY_ACQUIRE on
+//  * Lock types (util::Mutex, util::SharedMutex) are
+//    FFTGRAD_CAPABILITY("mutex") with ACQUIRE/RELEASE/TRY_ACQUIRE on
 //    their methods; their bodies wrap unannotated std primitives and carry
 //    FFTGRAD_NO_THREAD_SAFETY_ANALYSIS (the one sanctioned use: functions
 //    that implement locking primitives themselves).
@@ -78,7 +78,7 @@
   FFTGRAD_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 
 /// Runtime assertion that the capability is held (the static counterpart
-/// of FFTGRAD_ASSERT_HELD in fftgrad/analysis/checked_mutex.h).
+/// of FFTGRAD_ASSERT_HELD in fftgrad/analysis/check.h).
 #define FFTGRAD_ASSERT_CAPABILITY(x) \
   FFTGRAD_THREAD_ANNOTATION(assert_capability(x))
 

@@ -37,7 +37,9 @@ double tensor_mean(std::span<const float> v) {
 // ---------------------------------------------------------------------------
 // Codec matrix invariants
 
-using CodecCase = std::tuple<const char*, std::size_t>;
+// std::string, not const char*: ctest names the cases by their printed
+// parameters, and gtest prints a const char* with its address.
+using CodecCase = std::tuple<std::string, std::size_t>;
 
 class CodecMatrix : public ::testing::TestWithParam<CodecCase> {};
 
@@ -77,13 +79,13 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{64}, std::size_t{257},
                                          std::size_t{1000})));
 
-class ThetaSweep : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+class ThetaSweep : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(ThetaSweep, WireSizeShrinksMonotonicallyWithTheta) {
   const auto [algo, theta] = GetParam();
   const auto g = gradient_like(4096, 7);
-  const std::string spec = std::string(algo) + ":theta=" + std::to_string(theta);
-  const std::string spec_higher = std::string(algo) + ":theta=" + std::to_string(theta + 0.08);
+  const std::string spec = algo + ":theta=" + std::to_string(theta);
+  const std::string spec_higher = algo + ":theta=" + std::to_string(theta + 0.08);
   auto low = core::make_compressor(spec);
   auto high = core::make_compressor(spec_higher);
   EXPECT_GE(low->compress(g).wire_bytes(), high->compress(g).wire_bytes()) << spec;

@@ -31,10 +31,9 @@
 //   unannotated-mutex
 //     No bare `std::mutex` / `std::shared_mutex` (or their recursive/timed
 //     variants, or the std:: lock guards) in src/ outside the annotated
-//     wrapper homes (util/annotated_mutex.h, analysis/checked_mutex.h and
-//     its lock-order graph). Shared state must sit behind util::Mutex,
-//     util::SharedMutex, or analysis::CheckedMutex so Clang Thread Safety
-//     Analysis (the `thread-safety` preset) can see every acquisition.
+//     wrapper home (util/annotated_mutex.h). Shared state must sit behind
+//     util::Mutex or util::SharedMutex so Clang Thread Safety Analysis
+//     (the `thread-safety` preset) can see every acquisition.
 //
 //   unordered-iteration-ordered-output
 //     No `std::unordered_map` / `std::unordered_set` in the layers whose
@@ -323,7 +322,7 @@ void detect_unannotated_mutex(const std::string& file, const std::vector<std::st
                             std::string(token) +
                                 " is invisible to Clang Thread Safety Analysis; use "
                                 "util::Mutex/util::SharedMutex with util::LockGuard/"
-                                "UniqueLock/SharedLockGuard, or analysis::CheckedMutex"});
+                                "UniqueLock/SharedLockGuard"});
         break;  // one finding per line, whichever token hit first
       }
     }
@@ -388,8 +387,8 @@ void detect_async_signal_unsafe(const std::string& file,
                                 std::vector<Finding>& findings) {
   // Anything on this list can deadlock, corrupt state, or allocate when
   // called from a signal handler that interrupted the same facility. The
-  // util::/analysis:: lock wrappers are forbidden alongside the std::
-  // primitives: annotation does not make a lock signal-safe.
+  // util:: lock wrappers are forbidden alongside the std:: primitives:
+  // annotation does not make a lock signal-safe.
   static const char* tokens[] = {
       // allocation
       "malloc", "calloc", "realloc", "free", "new", "delete", "make_unique",
@@ -402,8 +401,7 @@ void detect_async_signal_unsafe(const std::string& file,
       "std::mutex", "std::shared_mutex", "std::recursive_mutex", "std::timed_mutex",
       "std::lock_guard", "std::unique_lock", "std::scoped_lock", "std::shared_lock",
       "util::Mutex", "util::SharedMutex", "util::LockGuard", "util::UniqueLock",
-      "util::SharedLockGuard", "CheckedMutex", "pthread_mutex_lock",
-      "pthread_mutex_unlock",
+      "util::SharedLockGuard", "pthread_mutex_lock", "pthread_mutex_unlock",
       // logging and exceptions
       "log_debug", "log_info", "log_warn", "log_error", "throw"};
   for (std::size_t i = 0; i < lines.size(); ++i) {
