@@ -25,12 +25,12 @@ double iteration_time(std::size_t ranks, double gradient_bytes, double compute_s
   cfg.iters_per_epoch = 4;
   cfg.test_size = 64;
   cfg.record_alpha = false;
-  cfg.paper_scale =
-      core::PaperScale{.raw_gradient_bytes = gradient_bytes, .compute_seconds = compute_s};
+  cfg.paper_scale = core::PaperScale{.raw_gradient_bytes = gradient_bytes,
+                                     .compute_seconds = util::SimSeconds(compute_s)};
   core::DistributedTrainer trainer(nn::models::make_mlp(32, 48, 2, 5, rng),
                                    nn::SyntheticDataset({32}, 5, 50), cfg);
   nn::StepLrSchedule lr({{0, 0.02f}});
-  return trainer.train(factory, core::FixedTheta(0.85), lr).mean_iteration_time_s;
+  return trainer.train(factory, core::FixedTheta(0.85), lr).mean_iteration_time_s.to_double();
 }
 
 void run_workload(const char* title, double gradient_bytes, double compute_s) {

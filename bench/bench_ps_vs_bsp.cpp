@@ -27,11 +27,12 @@ double iteration_time(core::CommScheme scheme, std::size_t ranks,
   cfg.test_size = 32;
   cfg.scheme = scheme;
   cfg.record_alpha = false;
-  cfg.paper_scale = core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = 0.140};
+  cfg.paper_scale =
+      core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(0.140)};
   core::DistributedTrainer trainer(nn::models::make_mlp(16, 24, 2, 4, rng),
                                    nn::SyntheticDataset({16}, 4, 33), cfg);
   nn::StepLrSchedule lr({{0, 0.02f}});
-  return trainer.train(factory, core::FixedTheta(0.85), lr).mean_iteration_time_s;
+  return trainer.train(factory, core::FixedTheta(0.85), lr).mean_iteration_time_s.to_double();
 }
 
 }  // namespace

@@ -37,7 +37,8 @@ int main() {
   cfg.test_size = 512;
   // Charge communication as if the gradient were AlexNet's 250MB and
   // compute as one paper-scale GPU iteration; accuracy remains genuine.
-  cfg.paper_scale = core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = 0.060};
+  cfg.paper_scale =
+      core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(0.060)};
 
   core::DistributedTrainer trainer(nn::models::make_mlp(32, 64, 3, 5, rng),
                                    nn::SyntheticDataset({32}, 5, 99), cfg);
@@ -69,8 +70,8 @@ int main() {
   auto row = [](const char* label, const core::TrainResult& r, double ratio_value) {
     char ratio[32];
     std::snprintf(ratio, sizeof(ratio), "%.1fx", ratio_value);
-    std::printf("%-28s %12.4f %14.2f %12s\n", label, r.final_accuracy, r.total_sim_time_s,
-                ratio);
+    std::printf("%-28s %12.4f %14.2f %12s\n", label, r.final_accuracy,
+                r.total_sim_time_s.to_double(), ratio);
   };
   row("SGD fp32", sgd, 1.0);
   row("FFT (theta=0.85, 10bit)", fft, fft.epochs.back().mean_ratio);

@@ -94,9 +94,8 @@
 namespace fftgrad::comm {
 
 /// Simulated per-rank clock. Charging is dimensionally typed: only
-/// SimSeconds can advance it, so a wall-clock measurement or a raw byte
-/// count cannot be charged by accident (use util::sim_from_wall for the
-/// one sanctioned crossing).
+/// SimSeconds can advance it, and nothing converts a wall-clock measurement
+/// or a raw byte count into SimSeconds, so neither can be charged.
 class SimClock {
  public:
   void advance(util::SimSeconds seconds) { time_ += seconds.to_double(); }

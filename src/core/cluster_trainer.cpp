@@ -58,7 +58,7 @@ ClusterTrainResult cluster_train(
     const std::size_t rank = ctx.rank();
     analysis::CausalityTracker& causality = cluster.causality();
     nn::Network model = model_factory();
-    Replica replica(model, config.momentum);
+    Replica replica(model, kMomentum);
     util::Rng batch_rng = batch_stream(config.seed, rank);
     const std::size_t grad_size = replica.size();
     std::unique_ptr<GradientCompressor> codec = compressor_factory(rank);

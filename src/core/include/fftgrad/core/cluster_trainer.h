@@ -54,7 +54,6 @@ struct ClusterTrainConfig {
   std::size_t batch_per_rank = 16;
   std::size_t iterations = 50;
   float learning_rate = 0.05f;
-  float momentum = 0.9f;
   std::uint64_t seed = 42;  ///< per-rank batch streams derive from this
   /// When set, each phase charges the modelled seconds to the rank's
   /// simulated clock (and emits the matching "cp" leaf span).

@@ -72,7 +72,7 @@ class GradientCompressor {
 
   /// Modelled one-sided codec cost per input byte on GPU-class hardware
   /// (the Sec 3.3 cost model, specialized per algorithm's pipeline). Used
-  /// by the trainer's paper-scale timing mode; the default charges one
+  /// by the trainer's PaperScale accounting; the default charges one
   /// elementwise pass at the conversion throughput.
   virtual double modeled_seconds_per_byte(
       const perfmodel::PrimitiveThroughputs& t) const {

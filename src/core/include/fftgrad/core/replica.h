@@ -33,6 +33,9 @@ inline util::Rng batch_stream(std::uint64_t seed, std::size_t rank) {
   return util::Rng(seed * 7919 + rank);
 }
 
+/// SGD momentum of both trainers' optimizers.
+inline constexpr float kMomentum = 0.9f;
+
 /// Wall time of the phases of the current step.
 struct PhaseTimes {
   util::WallSeconds forward{};

@@ -12,18 +12,16 @@
 //     max over ranks(compute + codec) + allgather(compressed blocks)
 //     + (every `param_sync_every` iters) broadcast(parameters)
 //
-// exactly the BSP timeline of Fig 1b/Sec 4.
-//
-// Two timing modes:
-//  * measured (default)  — compute/compression charge actual wall time of
-//    this host's substrate (a rank's decode charge is its 1/p share of the
-//    p decodes); communication comes from the NetworkModel.
-//  * paper-scale (set PaperScale) — gradient bytes are rescaled to the
-//    paper's real model sizes (AlexNet 250MB, ResNet32 6MB), compute is
-//    charged at the paper's measured per-iteration GPU time, and
-//    compression is charged through the Sec 3.3 analytic model with
-//    GPU-class primitive throughputs. Compression *accuracy* effects stay
-//    genuine — the actual gradients still round-trip through the codec.
+// exactly the BSP timeline of Fig 1b/Sec 4, and every term comes from a
+// model, never from this host's clock. Communication is always charged by
+// the NetworkModel on the packets' wire sizes. Compute and codec time are
+// charged only under PaperScale: gradient bytes are rescaled to the paper's
+// real model sizes (AlexNet 250MB, ResNet32 6MB), compute is charged at the
+// paper's measured per-iteration GPU time, and compression through the
+// Sec 3.3 analytic model with GPU-class primitive throughputs. Without it
+// an iteration costs its exchange alone, as in cluster_train without a
+// SimComputeModel. Compression *accuracy* effects are genuine either way:
+// the actual gradients round-trip through the codec.
 #pragma once
 
 #include <array>
@@ -43,13 +41,14 @@
 #include "fftgrad/nn/network.h"
 #include "fftgrad/nn/optimizer.h"
 #include "fftgrad/perfmodel/cost_model.h"
+#include "fftgrad/util/units.h"
 
 namespace fftgrad::core {
 
-/// Paper-scale cost simulation parameters (timing mode 2).
+/// Paper-scale cost simulation parameters.
 struct PaperScale {
   double raw_gradient_bytes = 250e6;  ///< wire size of the uncompressed gradient
-  double compute_seconds = 0.140;     ///< per-rank fwd+bwd time per iteration
+  util::SimSeconds compute_seconds{0.140};  ///< per-rank fwd+bwd time per iteration
   perfmodel::PrimitiveThroughputs throughputs{};  ///< GPU-class defaults
 };
 
@@ -65,33 +64,31 @@ struct TrainerConfig {
   std::size_t epochs = 10;
   std::size_t iters_per_epoch = 25;
   std::size_t test_size = 512;
-  std::size_t eval_batch = 128;
   std::size_t param_sync_every = 10;  ///< broadcast params every k iterations
   comm::NetworkModel network = comm::NetworkModel::infiniband_fdr56();
   CommScheme scheme = CommScheme::kBspAllgather;
   std::optional<PaperScale> paper_scale;
-  float momentum = 0.9f;
   std::uint64_t seed = 42;
   bool record_alpha = true;  ///< compute Assumption-3.2 alpha each iteration
 };
 
 struct EpochRecord {
   std::size_t epoch = 0;
-  double train_loss = 0.0;     ///< mean over the epoch's iterations
+  double train_loss = 0.0;        ///< mean over the epoch's iterations
   double test_accuracy = 0.0;
-  double theta = 0.0;          ///< sparsification ratio in effect
+  double theta = 0.0;             ///< sparsification ratio in effect
   double lr = 0.0;
-  double sim_time_s = 0.0;     ///< cumulative simulated wall time
-  double mean_alpha = 0.0;     ///< mean Assumption-3.2 alpha over the epoch
-  double mean_ratio = 0.0;     ///< mean achieved compression ratio
+  util::SimSeconds sim_time_s{};  ///< cumulative simulated wall time
+  double mean_alpha = 0.0;        ///< mean Assumption-3.2 alpha over the epoch
+  double mean_ratio = 0.0;        ///< mean achieved compression ratio
 };
 
 struct TrainResult {
   std::vector<EpochRecord> epochs;
   double final_accuracy = 0.0;
-  double total_sim_time_s = 0.0;
-  double total_wire_bytes = 0.0;       ///< per-rank compressed bytes sent
-  double mean_iteration_time_s = 0.0;  ///< simulated; throughput = 1/this
+  util::SimSeconds total_sim_time_s{};
+  double total_wire_bytes = 0.0;             ///< per-rank compressed bytes sent
+  util::SimSeconds mean_iteration_time_s{};  ///< throughput = 1/this
 };
 
 using CompressorFactory = std::function<std::unique_ptr<GradientCompressor>(std::size_t rank)>;
@@ -103,7 +100,7 @@ using CompressorFactory = std::function<std::unique_ptr<GradientCompressor>(std:
 /// parse_state() (fftgrad/core/replica.h) turn it into its blob and back.
 struct TrainerCheckpoint {
   ReplicaState state;  ///< state.iteration: first epoch the resumed run executes
-  double sim_time_s = 0.0;
+  util::SimSeconds sim_time_s{};
   double total_wire_bytes = 0.0;
   std::uint64_t total_iters = 0;
   std::vector<std::array<std::uint64_t, 6>> rng_states;  ///< per-rank batch streams

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "fftgrad/nn/loss.h"
 #include "fftgrad/perfmodel/cost_model.h"
@@ -16,16 +17,8 @@
 namespace fftgrad::core {
 namespace {
 
-/// Per-rank phase durations of one simulated iteration, as charged: the
-/// Fig 2-style spans of each rank's simulated track and the ledger's phase
-/// columns (decompress is part of the codec time charged before the
-/// exchange).
-struct RankPhaseTimes {
-  double forward = 0.0;
-  double backward = 0.0;
-  double compress = 0.0;
-  double decompress = 0.0;
-};
+/// Test examples per evaluation forward pass.
+constexpr std::size_t kEvalBatch = 128;
 
 }  // namespace
 
@@ -34,7 +27,7 @@ static_assert(std::is_trivially_copyable_v<EpochRecord> && sizeof(EpochRecord) =
 
 void TrainerCheckpoint::write(std::vector<std::uint8_t>& bytes) const {
   state.write(bytes);
-  wire::put<double>(bytes, sim_time_s);
+  wire::put<double>(bytes, sim_time_s.to_double());
   wire::put<double>(bytes, total_wire_bytes);
   wire::put<std::uint64_t>(bytes, total_iters);
   wire::put<std::uint64_t>(bytes, rng_states.size());
@@ -46,7 +39,7 @@ void TrainerCheckpoint::write(std::vector<std::uint8_t>& bytes) const {
 TrainerCheckpoint TrainerCheckpoint::read(wire::Reader& reader) {
   TrainerCheckpoint ckpt;
   ckpt.state = ReplicaState::read(reader);
-  ckpt.sim_time_s = reader.get<double>();
+  ckpt.sim_time_s = util::SimSeconds(reader.get<double>());
   ckpt.total_wire_bytes = reader.get<double>();
   ckpt.total_iters = reader.get<std::uint64_t>();
   ckpt.rng_states.resize(reader.get_count(sizeof(std::array<std::uint64_t, 6>)));
@@ -70,8 +63,8 @@ double DistributedTrainer::evaluate() {
   std::size_t hits = 0;
   const std::size_t total = test.labels.size();
   const std::size_t input_size = dataset_.input_size();
-  for (std::size_t at = 0; at < total; at += config_.eval_batch) {
-    const std::size_t count = std::min(config_.eval_batch, total - at);
+  for (std::size_t at = 0; at < total; at += kEvalBatch) {
+    const std::size_t count = std::min(kEvalBatch, total - at);
     std::vector<std::size_t> shape;
     shape.push_back(count);
     for (std::size_t d : dataset_.input_shape()) shape.push_back(d);
@@ -101,13 +94,22 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   // gets its own trace process.
   if (telemetry::Tracer::global().enabled()) telemetry::Tracer::global().begin_sim_session();
   model_.set_params(initial_params_);
-  Replica replica(model_, config_.momentum);
+  Replica replica(model_, kMomentum);
 
   const std::size_t grad_size = replica.size();
   const double raw_bytes = static_cast<double>(grad_size) * sizeof(float);
-  // Wire-size rescale factor for paper-scale mode (1.0 in measured mode).
-  const double wire_scale =
-      config_.paper_scale ? config_.paper_scale->raw_gradient_bytes / raw_bytes : 1.0;
+  // Paper-scale wire-size rescale factor, and the modelled compute and
+  // codec charges of a rank's step (zero without PaperScale). Compression
+  // and decompression are each charged at the codec's own modelled per-byte
+  // cost on the paper-scale message.
+  const std::optional<PaperScale>& paper = config_.paper_scale;
+  const double wire_scale = paper ? paper->raw_gradient_bytes / raw_bytes : 1.0;
+  const util::SimSeconds compute_s = paper ? paper->compute_seconds : util::SimSeconds{};
+  const auto codec_s = [&](const GradientCompressor& codec) {
+    return paper ? util::SimSeconds(2.0 * paper->raw_gradient_bytes *
+                                    codec.modeled_seconds_per_byte(paper->throughputs))
+                 : util::SimSeconds{};
+  };
 
   std::vector<std::unique_ptr<GradientCompressor>> compressors;
   std::vector<util::Rng> rank_rngs;
@@ -123,16 +125,18 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   std::vector<util::Bytes> block_bytes(config_.ranks);
 
   TrainResult result;
-  double sim_time = 0.0;
+  util::SimSeconds sim_time{};
   double total_wire = 0.0;
   std::size_t total_iters = 0;
   std::size_t start_epoch = 0;
 
   // The sequential trainer folds all ranks onto one replica, so the ledger
-  // records the folded view: phase times averaged over the rank loop, one
-  // collective pairing per exchange (the analytic charge *is* the predicted
-  // cost here — there is no sampling — plus the paper's Eq. 2 figure for
-  // the same exchange so reports can compare the two models).
+  // records the folded view: the replica's measured forward, backward and
+  // compress times averaged over the rank loop, its one decode of all p
+  // packets (what every rank of a real run decodes), and one collective
+  // pairing per exchange (the analytic charge *is* the predicted cost here
+  // — there is no sampling — plus the paper's Eq. 2 figure for the same
+  // exchange so reports can compare the two models).
   telemetry::RunLedger& ledger = telemetry::RunLedger::global();
   const bool ledger_on = ledger.enabled();
   std::uint64_t ledger_iter = 0;  ///< row index within this run (resume-safe)
@@ -196,19 +200,13 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
       telemetry::ScopedIteration iteration_scope(
           static_cast<std::int64_t>(epoch * config_.iters_per_epoch + iter));
       std::fill(mean_true.begin(), mean_true.end(), 0.0f);
-      double slowest_rank = 0.0;
-      // Ledger accumulators: per-phase sums over the rank loop (reported as
-      // the across-rank mean) and the iteration's mean achieved ratio.
-      RankPhaseTimes ledger_sum;
+      util::SimSeconds slowest_rank{};
+      // Ledger accumulators: measured phase sums over the rank loop
+      // (reported as the across-rank mean) and the iteration's ratio sum.
+      PhaseTimes ledger_sum;
       double ledger_ratio_sum = 0.0;
       const double loss_before_iter = loss_sum;
-
-      // Only pay for the per-rank phase bookkeeping when a trace is being
-      // collected; the sim-time accounting itself is unchanged either way.
-      telemetry::Tracer& tracer = telemetry::Tracer::global();
-      const bool tracing = tracer.enabled();
-      std::vector<RankPhaseTimes> phases(tracing ? config_.ranks : 0);
-      const double iter_start_sim = sim_time;
+      const util::SimSeconds iter_start_sim = sim_time;
 
       for (std::size_t r = 0; r < config_.ranks; ++r) {
         const nn::Batch batch = dataset_.sample(config_.batch_per_rank, rank_rngs[r]);
@@ -226,33 +224,12 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         ratio_sum += packet.ratio();
         ++ratio_count;
 
-        RankPhaseTimes phase;
-        double rank_time;
-        if (config_.paper_scale) {
-          // Compression + decompression, each charged at the algorithm's
-          // own modelled per-byte cost on the paper-scale message; fwd+bwd
-          // ~ 3x fwd on GPU-class substrates, so the paper's combined
-          // compute figure splits 1:2.
-          const double compute = config_.paper_scale->compute_seconds;
-          const double codec_model =
-              2.0 * config_.paper_scale->raw_gradient_bytes *
-              compressors[r]->modeled_seconds_per_byte(config_.paper_scale->throughputs);
-          rank_time = compute + codec_model;
-          phase = {compute / 3.0, compute * 2.0 / 3.0, codec_model / 2.0, codec_model / 2.0};
-        } else {
-          // The decode is charged once every packet is decoded, below.
-          const PhaseTimes& times = replica.times();
-          phase = {times.forward.to_double(), times.backward.to_double(),
-                   times.compress.to_double(), 0.0};
-          rank_time = phase.forward + phase.backward + phase.compress;
-        }
-        if (tracing) phases[r] = phase;
-        ledger_sum.forward += phase.forward;
-        ledger_sum.backward += phase.backward;
-        ledger_sum.compress += phase.compress;
-        ledger_sum.decompress += phase.decompress;
+        const PhaseTimes& times = replica.times();
+        ledger_sum.forward += times.forward;
+        ledger_sum.backward += times.backward;
+        ledger_sum.compress += times.compress;
         ledger_ratio_sum += packet.ratio();
-        slowest_rank = std::max(slowest_rank, rank_time);
+        slowest_rank = std::max(slowest_rank, compute_s + codec_s(*compressors[r]));
       }
 
       // Each rank of a real run decodes every packet with its own codec;
@@ -262,13 +239,6 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         throw std::logic_error("DistributedTrainer: a codec rejected a packet of its own kind");
       }
       const std::span<const float> mean_recon = replica.averaged();
-      if (!config_.paper_scale) {
-        // Measured mode charges each rank its 1/p share of the p decodes.
-        ledger_sum.decompress = replica.times().decompress.to_double();
-        const double decode_s = ledger_sum.decompress / static_cast<double>(config_.ranks);
-        slowest_rank += decode_s;
-        for (RankPhaseTimes& phase : phases) phase.decompress = decode_s;
-      }
 
       if (config_.record_alpha) {
         const double alpha = util::relative_error_alpha(mean_true, mean_recon);
@@ -295,7 +265,7 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         comm_s = config_.network.ps_push_time(block_bytes) +
                  config_.network.ps_pull_time(params_wire, config_.ranks);
       }
-      sim_time += slowest_rank + (comm_s + sync_s).to_double();
+      sim_time += slowest_rank + (comm_s + sync_s);
       ++total_iters;
       trainer_iterations.add(1.0);
       for (util::Bytes bytes : block_bytes) trainer_wire_bytes.add(bytes.to_double());
@@ -325,11 +295,11 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         telemetry::LedgerIteration row;
         row.iteration = ledger_iter++;
         row.loss = loss_sum - loss_before_iter;  // this iteration's mean loss
-        row.sim_time_s = util::SimSeconds(sim_time);
-        row.forward_s = util::WallSeconds(ledger_sum.forward * inv_ranks);
-        row.backward_s = util::WallSeconds(ledger_sum.backward * inv_ranks);
-        row.compress_s = util::WallSeconds(ledger_sum.compress * inv_ranks);
-        row.decompress_s = util::WallSeconds(ledger_sum.decompress * inv_ranks);
+        row.sim_time_s = sim_time;
+        row.forward_s = ledger_sum.forward * inv_ranks;
+        row.backward_s = ledger_sum.backward * inv_ranks;
+        row.compress_s = ledger_sum.compress * inv_ranks;
+        row.decompress_s = replica.times().decompress;
         row.grad_norm = util::l2_norm(mean_true);
         record_round_trip(row, mean_true, mean_recon, ledger_layout);
         row.ratio = mean_ratio;
@@ -338,30 +308,39 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         ledger.end_iteration(row);
       }
 
-      if (tracing) {
+      telemetry::Tracer& tracer = telemetry::Tracer::global();
+      if (tracer.enabled()) {
         // Lay one BSP iteration onto each rank's simulated track, exactly
-        // as the accounting charged it: compute and codec phases back to
-        // back, then the bulk-synchronous exchange ending at the barrier.
+        // as the accounting charged it: the modelled compute and codec
+        // phases back to back (under PaperScale), then the bulk-synchronous
+        // exchange ending at the barrier.
         const char* exchange_name =
             config_.scheme == CommScheme::kBspAllgather ? "allgather" : "ps_exchange";
-        const double comm_start = iter_start_sim + slowest_rank;
-        const double comm_sd = comm_s.to_double();
-        const double sync_sd = sync_s.to_double();
+        const util::SimSeconds comm_start = iter_start_sim + slowest_rank;
+        const util::SimSeconds comm_end = comm_start + comm_s;
         for (std::size_t r = 0; r < config_.ranks; ++r) {
           const std::int32_t rank = static_cast<std::int32_t>(r);
-          double t = iter_start_sim;
-          tracer.record_sim_span(rank, "forward", "trainer", t, t + phases[r].forward);
-          t += phases[r].forward;
-          tracer.record_sim_span(rank, "backward", "trainer", t, t + phases[r].backward);
-          t += phases[r].backward;
-          tracer.record_sim_span(rank, "compress", "trainer", t, t + phases[r].compress);
-          t += phases[r].compress;
-          tracer.record_sim_span(rank, "decompress", "trainer", t, t + phases[r].decompress);
-          tracer.record_sim_span(rank, exchange_name, "comm", comm_start,
-                                 comm_start + comm_sd);
-          if (sync_sd > 0.0) {
-            tracer.record_sim_span(rank, "param_broadcast", "comm", comm_start + comm_sd,
-                                   comm_start + comm_sd + sync_sd);
+          if (paper) {
+            // fwd+bwd ~ 3x fwd on GPU-class substrates, so the paper's
+            // combined compute figure splits 1:2.
+            const util::SimSeconds codec = codec_s(*compressors[r]);
+            const std::pair<const char*, util::SimSeconds> phases[] = {
+                {"forward", compute_s / 3.0},
+                {"backward", compute_s * 2.0 / 3.0},
+                {"compress", codec / 2.0},
+                {"decompress", codec / 2.0}};
+            util::SimSeconds t = iter_start_sim;
+            for (const auto& [name, seconds] : phases) {
+              tracer.record_sim_span(rank, name, "trainer", t.to_double(),
+                                     (t + seconds).to_double());
+              t += seconds;
+            }
+          }
+          tracer.record_sim_span(rank, exchange_name, "comm", comm_start.to_double(),
+                                 comm_end.to_double());
+          if (sync_s > util::SimSeconds(0.0)) {
+            tracer.record_sim_span(rank, "param_broadcast", "comm", comm_end.to_double(),
+                                   (comm_end + sync_s).to_double());
           }
         }
       }
@@ -384,7 +363,7 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
     }
     util::log_debug() << "epoch " << epoch << " loss=" << record.train_loss
                       << " acc=" << record.test_accuracy << " theta=" << theta
-                      << " sim_t=" << sim_time;
+                      << " sim_t=" << sim_time.to_double();
   }
 
   if (ledger_on) ledger.end_run();
@@ -392,7 +371,7 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   result.total_sim_time_s = sim_time;
   result.total_wire_bytes = total_wire;
   result.mean_iteration_time_s =
-      total_iters == 0 ? 0.0 : sim_time / static_cast<double>(total_iters);
+      total_iters == 0 ? util::SimSeconds{} : sim_time / static_cast<double>(total_iters);
   return result;
 }
 

@@ -87,6 +87,7 @@ bool RunLedger::open(const std::string& path) {
 void RunLedger::close() {
   util::LockGuard<util::Mutex> lock(mutex_);
   enabled_.store(false, std::memory_order_relaxed);
+  bytes_written_ = 0;
   if (file_ == nullptr) return;
   std::fclose(static_cast<std::FILE*>(file_));
   file_ = nullptr;

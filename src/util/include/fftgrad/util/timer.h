@@ -20,8 +20,8 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Dimensionally-typed elapsed time: wall seconds, which cannot be mixed
-  /// into simulated-clock arithmetic without an explicit sim_from_wall().
+  /// Dimensionally-typed elapsed time: wall seconds, which have no
+  /// conversion into simulated-clock arithmetic.
   WallSeconds elapsed() const { return WallSeconds(seconds()); }
 
   double milliseconds() const { return seconds() * 1e3; }

@@ -22,9 +22,9 @@
 // `Bytes / SimSeconds -> BytesPerSecond`, `Bytes / Ratio -> Bytes`, and the
 // explicit Bits<->Bytes conversions (factor 8 lives in exactly one place).
 // Same-unit division yields a plain double (a dimensionless factor).
-// Sim and wall seconds never mix implicitly; the one legitimate crossing —
-// a trainer charging a *measured* duration to the simulated clock — must go
-// through sim_from_wall() so the boundary is grep-able. The only way back
+// Sim and wall seconds never mix: nothing converts a WallSeconds into a
+// SimSeconds, so simulated time comes only from models and a host
+// measurement cannot reach it without a compile error. The only way back
 // to a raw double is the explicit to_double() escape hatch (for printf/JSON
 // serialization and for numerics like pow/log that are unit-transparent).
 //
@@ -152,11 +152,5 @@ constexpr Elements elements(std::size_t count) {
   return Elements(static_cast<double>(count));
 }
 constexpr Bytes byte_count(std::size_t count) { return Bytes(static_cast<double>(count)); }
-
-/// The one sanctioned wall -> simulated crossing: a trainer charging a
-/// *measured* phase duration onto the simulated timeline. Deliberately a
-/// named function (not an operator) so every crossing is grep-able and the
-/// lint gate can audit the call sites.
-constexpr SimSeconds sim_from_wall(WallSeconds wall) { return SimSeconds(wall.to_double()); }
 
 }  // namespace fftgrad::util

@@ -260,12 +260,13 @@ TEST(ParameterServer, ScalesWorseThanBspAtHighRankCounts) {
     cfg.test_size = 32;
     cfg.scheme = scheme;
     cfg.record_alpha = false;
-    cfg.paper_scale = core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = 0.1};
+    cfg.paper_scale =
+        core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(0.1)};
     core::DistributedTrainer trainer(nn::models::make_mlp(8, 16, 2, 2, rng),
                                      nn::SyntheticDataset({8}, 2, 12), cfg);
     nn::StepLrSchedule lr({{0, 0.05f}});
     auto factory = [](std::size_t) { return std::make_unique<core::NoopCompressor>(); };
-    return trainer.train(factory, core::FixedTheta(0.0), lr).mean_iteration_time_s;
+    return trainer.train(factory, core::FixedTheta(0.0), lr).mean_iteration_time_s.to_double();
   };
   const double ps16 = iteration_time(core::CommScheme::kParameterServer, 16);
   const double bsp16 = iteration_time(core::CommScheme::kBspAllgather, 16);

@@ -707,17 +707,18 @@ TEST(TrainerCheckpoint, RestoreReproducesTheUninterruptedRunBitForBit) {
   for (std::size_t e = 0; e < full.epochs.size(); ++e) {
     EXPECT_EQ(resumed.epochs[e].train_loss, full.epochs[e].train_loss) << e;
     EXPECT_EQ(resumed.epochs[e].test_accuracy, full.epochs[e].test_accuracy) << e;
+    EXPECT_EQ(resumed.epochs[e].sim_time_s, full.epochs[e].sim_time_s) << e;
   }
-  // Wire bytes are a pure function of the packets, so they restore exactly.
-  // (Simulated time is NOT compared: measured mode charges real wall time
-  // for compute, which is never bit-stable across runs.)
+  // Wire bytes and simulated time are pure functions of the packets, so
+  // they restore exactly.
   EXPECT_EQ(resumed.total_wire_bytes, full.total_wire_bytes);
+  EXPECT_EQ(resumed.total_sim_time_s, full.total_sim_time_s);
 }
 
 TEST(TrainerCheckpoint, SerializationRoundTripsEveryField) {
   TrainerCheckpoint ckpt;
   ckpt.state.iteration = 9;
-  ckpt.sim_time_s = 1.5;
+  ckpt.sim_time_s = util::SimSeconds(1.5);
   ckpt.total_wire_bytes = 4096.0;
   ckpt.total_iters = 123;
   ckpt.state.params = {1.0f, -2.5f, 3.25f};
@@ -730,7 +731,7 @@ TEST(TrainerCheckpoint, SerializationRoundTripsEveryField) {
   record.test_accuracy = 0.75;
   record.theta = 0.5;
   record.lr = 0.01;
-  record.sim_time_s = 1.25;
+  record.sim_time_s = util::SimSeconds(1.25);
   record.mean_alpha = 0.1;
   record.mean_ratio = 10.0;
   ckpt.epochs.push_back(record);

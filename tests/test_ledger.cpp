@@ -225,6 +225,45 @@ TEST(LedgerReconcile, SequentialTrainerReconcilesAndCarriesPaperModel) {
   }
 }
 
+TEST(LedgerReconcile, SequentialTrainerPhaseColumnsAreMeasuredUnderPaperScale) {
+  // Paper scale charges 10 s of modelled compute per iteration to simulated
+  // time (3.33 s of it forward); the ledger's phase columns are this host's
+  // wall times of the same step, with the decode of all 3 packets.
+  LedgerSession session("seqphases");
+  util::Rng rng(7);
+  core::TrainerConfig cfg;
+  cfg.ranks = 3;
+  cfg.epochs = 1;
+  cfg.iters_per_epoch = 3;
+  cfg.batch_per_rank = 8;
+  cfg.paper_scale =
+      core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(10.0)};
+  core::DistributedTrainer trainer(nn::models::make_mlp(8, 16, 2, 3, rng),
+                                   nn::SyntheticDataset({8}, 3, 29), cfg);
+  trainer.train(
+      [](std::size_t) {
+        return std::make_unique<core::FftCompressor>(
+            core::FftCompressorOptions{.theta = 0.5, .quantizer_bits = 10});
+      },
+      core::FixedTheta(0.5), nn::StepLrSchedule({{0, 0.05f}}));
+  RunLedger::global().close();
+
+  const auto runs = telemetry::read_ledger_file(session.path());
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_EQ(runs[0].iterations.size(), 3u);
+  double previous_sim_s = 0.0;
+  for (const auto& row : runs[0].iterations) {
+    EXPECT_GE(row.number_or("sim_time_s", 0.0) - previous_sim_s, 10.0);
+    previous_sim_s = row.number_or("sim_time_s", 0.0);
+    const auto* phases = row.find("phases");
+    ASSERT_NE(phases, nullptr);
+    for (const char* phase : {"forward_s", "backward_s", "compress_s", "decompress_s"}) {
+      EXPECT_GT(phases->number_or(phase, -1.0), 0.0) << phase;
+      EXPECT_LT(phases->number_or(phase, 99.0), 0.5) << phase;
+    }
+  }
+}
+
 TEST(LedgerReconcile, LossyCodecReportsRoundTripQuality) {
   LedgerSession session("lossy");
   comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
@@ -373,6 +412,19 @@ TEST(LedgerOverhead, DisabledHooksAllocateNothingAndWriteNothing) {
     ledger.end_run();
   }
   EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(ledger.bytes_written(), 0u);
+}
+
+TEST(LedgerOverhead, CloseResetsBytesWritten) {
+  RunLedger& ledger = RunLedger::global();
+  {
+    LedgerSession session("close_reset");
+    ledger.begin_run({});
+    ledger.end_iteration(clean_row(0));
+    ledger.end_run();
+    EXPECT_GT(ledger.bytes_written(), 0u);
+  }
+  ASSERT_FALSE(ledger.enabled());
   EXPECT_EQ(ledger.bytes_written(), 0u);
 }
 

@@ -21,8 +21,9 @@
 //     the network model (exact to 1e-6 on a lossless plan);
 //   * whole-cluster integration — a poisoned gradient heals via rollback, a
 //     collapsed ratio falls back to the lossless codec on every rank at the
-//     same iteration, and an armed-but-idle controller leaves the trained
-//     weights bit-identical to a run without it.
+//     same iteration, a growing error-feedback residual relaxes every rank's
+//     theta, and an armed-but-idle controller leaves the trained weights
+//     bit-identical to a run without it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -657,6 +658,64 @@ TEST(RecoveryCluster, RatioCollapseFallsBackToTheLosslessCodec) {
   EXPECT_EQ(result.remediations, 1u);
   EXPECT_TRUE(result.replicas_identical);
   EXPECT_TRUE(std::isfinite(result.mean_loss_last_iteration));
+}
+
+/// Codec that delivers nothing (every decoded value is zero) and records
+/// the theta of each compress() call. Under error feedback the residual
+/// keeps everything the rank was asked to send, so it only grows.
+class DroppingThetaRecorder : public NoopCompressor {
+ public:
+  explicit DroppingThetaRecorder(std::vector<double>& thetas) : thetas_(&thetas) {}
+  void set_theta(double theta) override { theta_ = theta; }
+  double theta() const override { return theta_; }
+  Packet compress(std::span<const float> gradient) override {
+    thetas_->push_back(theta_);
+    return NoopCompressor::compress(std::vector<float>(gradient.size(), 0.0f));
+  }
+
+ private:
+  std::vector<double>* thetas_;
+  double theta_ = 0.8;
+};
+
+TEST(RecoveryCluster, ResidualGrowthRelaxesThetaOnEveryRank) {
+  LedgerSession session("theta_relax");  // residual_growth fires: aborts off
+  comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
+  ClusterTrainConfig cfg = small_config(4, 6);
+  cfg.recovery = enabled_policy();
+  nn::SyntheticDataset data({8}, 3, 38);
+  // Each rank's residual starts far above kResidualGrowthFactor times any
+  // gradient norm of this model, so the monitor fires at iteration 0.
+  const std::vector<float> residual(mlp_factory()().param_count(), 1e3f);
+  std::vector<std::vector<double>> thetas(cfg.ranks);
+  const ClusterTrainResult result = cluster_train(
+      cluster, cfg, mlp_factory(),
+      [&](std::size_t rank) {
+        auto codec = std::make_unique<ErrorFeedbackCompressor>(
+            std::make_unique<DroppingThetaRecorder>(thetas[rank]));
+        codec->set_residual(residual);
+        return codec;
+      },
+      data);
+  RunLedger::global().close();
+
+  EXPECT_EQ(result.remediations, 1u);
+  EXPECT_TRUE(result.replicas_identical);
+  const auto runs = telemetry::read_ledger_file(session.path());
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_EQ(runs[0].remediations.size(), 1u);
+  const telemetry::JsonValue& row = runs[0].remediations[0];
+  EXPECT_EQ(row.number_or("iter", -1.0), 0.0);
+  EXPECT_EQ(row.string_or("cause", ""), "residual_growth");
+  EXPECT_EQ(row.string_or("action", ""), "theta_relax");
+  // The relaxed theta reaches every rank's codec from the next step on.
+  for (const std::vector<double>& seen : thetas) {
+    ASSERT_EQ(seen.size(), cfg.iterations);
+    EXPECT_EQ(seen.front(), 0.8);
+    for (std::size_t i = 1; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i], 0.8 * kThetaRelaxFactor) << "iteration " << i;
+    }
+  }
 }
 
 TEST(RecoveryCluster, ArmedButIdleControllerLeavesWeightsBitIdentical) {

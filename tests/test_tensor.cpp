@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "fftgrad/tensor/ops.h"
@@ -84,6 +85,13 @@ struct GemmCase {
   bool ta, tb;
   float alpha, beta;
 };
+
+/// Prints a case as e.g. m3_n5_k7_ta0_tb1. ctest names value-parameterized
+/// tests by the printed value, and gtest's default prints the struct's
+/// bytes, whose padding differs between builds.
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << "m" << c.m << "_n" << c.n << "_k" << c.k << "_ta" << c.ta << "_tb" << c.tb;
+}
 
 class GemmParam : public ::testing::TestWithParam<GemmCase> {};
 

@@ -95,7 +95,6 @@ static_assert((Bytes(8e9) / BytesPerSecond(1e9)).to_double() == 8.0);
 static_assert(ratio_of(Bytes(100.0), Bytes(25.0)) == Ratio(4.0));
 static_assert(bits_of(Bytes(2.0)) == Bits(16.0));
 static_assert(bytes_of(Bits(16.0)) == Bytes(2.0));
-static_assert(sim_from_wall(WallSeconds(1.5)) == SimSeconds(1.5));
 
 TEST(Units, TransferTimeMatchesRawFormula) {
   const Bytes message{2.5e8};

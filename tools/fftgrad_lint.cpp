@@ -239,7 +239,8 @@ void detect_wallclock(const std::string& file, const std::vector<std::string>& l
     if (find_token(lines[i], "std::chrono") != std::string::npos) {
       findings.push_back({"wallclock-in-sim", file, i + 1,
                           "std::chrono in simulation-charged code; measure through "
-                          "util::WallTimer (WallSeconds) and cross via sim_from_wall()"});
+                          "util::WallTimer (WallSeconds), which never reaches the "
+                          "simulated clock"});
     }
   }
 }

@@ -1,7 +1,6 @@
 // Seeded violation: a cost model reading the host clock directly. The
-// elapsed wall time ends up charged to the simulated timeline with no
-// sim_from_wall() crossing — exactly the wall/sim mixup the rule exists
-// to stop.
+// elapsed wall time ends up charged to the simulated timeline, which only
+// models may advance — exactly the wall/sim mixup the rule exists to stop.
 // LINT-EXPECT: wallclock-in-sim
 // LINT-EXPECT: wallclock-in-sim
 #include <chrono>
