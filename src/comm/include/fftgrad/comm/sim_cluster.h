@@ -6,8 +6,9 @@
 // genuine distributed run), while a per-rank SimClock accrues the time the
 // configured NetworkModel says the same exchange would have cost on the
 // modelled interconnect. Compute time is charged explicitly by callers
-// (e.g. the trainer charges measured forward/backward wall time), keeping
-// the simulated timeline independent of host scheduling jitter.
+// (cluster_train charges only its config's SimComputeModel, never a
+// measured wall time), keeping the simulated timeline independent of host
+// scheduling jitter.
 //
 // Synchronization uses a reusable two-phase barrier; collectives are
 // bulk-synchronous, matching the paper's BSP parallelization scheme.

@@ -9,6 +9,7 @@
 #include "fftgrad/core/error_feedback.h"
 #include "fftgrad/core/registry.h"
 #include "fftgrad/core/replica.h"
+#include "fftgrad/parallel/thread_pool.h"
 #include "fftgrad/telemetry/ledger.h"
 #include "fftgrad/telemetry/metrics.h"
 #include "fftgrad/telemetry/trace.h"
@@ -53,8 +54,14 @@ ClusterTrainResult cluster_train(
 
   const comm::FaultPlan& plan = cluster.faults();
   const bool recovery_enabled = config.recovery.enabled;
+  // With at least one rank thread per pool worker the cores are taken: a
+  // rank runs its primitives' chunks itself instead of queueing them behind
+  // the other ranks' on the shared pool. The chunks and their order are the
+  // same either way, so results are bit-identical.
+  const bool ranks_fill_pool = config.ranks >= parallel::ThreadPool::global().size();
 
   const auto clocks = cluster.run(config.ranks, [&](comm::RankContext& ctx) {
+    const parallel::ScopedInlineChunks inline_chunks(ranks_fill_pool);
     const std::size_t rank = ctx.rank();
     analysis::CausalityTracker& causality = cluster.causality();
     nn::Network model = model_factory();

@@ -9,7 +9,8 @@
 // asserts it). That one folds the rank loop onto a single replica for the
 // figure benches; this one keeps p real replicas and real message passing,
 // carries faults, recovery and rejoin, and is the template for a real
-// MPI/NCCL integration.
+// MPI/NCCL integration. When the ranks fill ThreadPool::global(), each rank
+// thread runs its parallel primitives' chunks inline, on its own core.
 #pragma once
 
 #include <cstddef>

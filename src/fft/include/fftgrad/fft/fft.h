@@ -16,8 +16,9 @@
 // Bluestein transform of 32,769 points or more (m >= 2^17; for an even-n
 // rfft/irfft that is the n/2-point half) splits its work across
 // parallel::ThreadPool::global() and blocks until it is done; called from a
-// task of that pool, it runs inline instead. Either way the result is
-// bit-identical.
+// pool task or a thread marked to run chunks inline (a rank thread of a
+// cluster_train whose ranks fill the pool), it runs the same pieces inline
+// instead. Either way the result is bit-identical.
 //
 // Real transforms (what the compressor uses — gradients are real 1-D
 // signals) are exposed as rfft/irfft over the non-redundant half spectrum

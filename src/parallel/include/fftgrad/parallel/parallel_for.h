@@ -5,9 +5,11 @@
 //
 // Work is split into contiguous chunks, one per worker; each primitive
 // blocks until every chunk completes, and the first exception (if any)
-// is rethrown on the caller. Called from one of the pool's own workers, a
-// primitive runs the same chunks in order on that worker, so nested calls
-// cannot deadlock and a reduction combines the same partials.
+// is rethrown on the caller. Called from a pool worker, or from a thread
+// inside a ScopedInlineChunks (thread_pool.h; cluster_train's rank threads
+// when the ranks fill the pool), a primitive runs the same chunks in order
+// on the calling thread, so nested calls cannot deadlock and a reduction
+// combines the same partials.
 #pragma once
 
 #include <cstddef>
@@ -47,10 +49,10 @@ namespace detail {
 
 /// Runs task(c) for every c < count and returns once all have finished,
 /// rethrowing the first exception: on `pool`, or in order on the calling
-/// thread when it is one of the pool's workers.
+/// thread when runs_chunks_inline().
 template <typename Task>
 void run_chunks(ThreadPool& pool, std::size_t count, const Task& task) {
-  if (pool.on_worker()) {
+  if (runs_chunks_inline()) {
     for (std::size_t c = 0; c < count; ++c) task(c);
     return;
   }

@@ -38,12 +38,6 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// True when the calling thread is one of this pool's workers. The
-  /// parallel primitives then run their chunks on the calling thread: had
-  /// every worker queued subtasks and blocked on them, none would be left
-  /// to run them.
-  bool on_worker() const;
-
   /// Enqueue `task`; the future resolves when it has run. Exceptions thrown
   /// by the task propagate through the future.
   std::future<void> submit(std::function<void()> task);
@@ -64,6 +58,31 @@ class ThreadPool {
   // condition_variable_any: util::Mutex is Lockable but not std::mutex.
   std::condition_variable_any cv_;
   bool stopping_ FFTGRAD_GUARDED_BY(queue_mutex_) = false;
+};
+
+/// True when the calling thread runs the parallel primitives' chunks in
+/// order on itself instead of queueing them on a pool. A pool's workers
+/// always do: had every worker queued subtasks and blocked on them, none
+/// would be left to run them. Any other thread does inside a
+/// ScopedInlineChunks.
+bool runs_chunks_inline();
+
+/// While alive, and when constructed with `on`, makes the calling thread
+/// run the parallel primitives' chunks inline, as a pool worker does; the
+/// destructor restores the previous mark. For a thread that already has a
+/// core of its own, such as one of cluster_train's rank threads when the
+/// ranks fill the pool: queued, its chunks would only wait behind the
+/// other threads' chunks.
+class ScopedInlineChunks {
+ public:
+  explicit ScopedInlineChunks(bool on = true);
+  ~ScopedInlineChunks();
+
+  ScopedInlineChunks(const ScopedInlineChunks&) = delete;
+  ScopedInlineChunks& operator=(const ScopedInlineChunks&) = delete;
+
+ private:
+  bool previous_;
 };
 
 }  // namespace fftgrad::parallel

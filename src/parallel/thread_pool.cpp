@@ -27,8 +27,9 @@ struct PoolMetrics {
   }
 };
 
-/// The pool whose worker_loop runs on this thread, if any.
-thread_local const ThreadPool* t_worker_of = nullptr;
+/// Whether this thread runs the parallel primitives' chunks inline: set
+/// for good by worker_loop, and for a scope by ScopedInlineChunks.
+thread_local bool t_inline_chunks = false;
 
 }  // namespace
 
@@ -86,8 +87,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-bool ThreadPool::on_worker() const { return t_worker_of == this; }
-
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
@@ -109,7 +108,7 @@ std::packaged_task<void()> ThreadPool::take_task_locked() {
 }
 
 void ThreadPool::worker_loop() {
-  t_worker_of = this;
+  t_inline_chunks = true;
   // One relaxed load when the host-time profiler was never configured.
   telemetry::Profiler::register_current_thread();
   for (;;) {
@@ -126,5 +125,13 @@ void ThreadPool::worker_loop() {
     task();
   }
 }
+
+bool runs_chunks_inline() { return t_inline_chunks; }
+
+ScopedInlineChunks::ScopedInlineChunks(bool on) : previous_(t_inline_chunks) {
+  t_inline_chunks = previous_ || on;
+}
+
+ScopedInlineChunks::~ScopedInlineChunks() { t_inline_chunks = previous_; }
 
 }  // namespace fftgrad::parallel

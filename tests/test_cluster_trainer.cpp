@@ -3,11 +3,13 @@
 // the sequential DistributedTrainer relies on), the result matches the
 // sequential trainer's parameters bit for bit under lossless, sparsifying,
 // quantizing and error-feedback codecs (both run the one step of
-// fftgrad/core/replica.h), compressed exchange still learns, and a packet
-// the codec rejects after its checksum passed is left out of the average
-// the way a missing one is.
+// fftgrad/core/replica.h) whether the rank threads queue their parallel
+// chunks on the pool or run them inline, compressed exchange still learns,
+// and a packet the codec rejects after its checksum passed is left out of
+// the average the way a missing one is.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -20,6 +22,8 @@
 #include "fftgrad/core/trainer.h"
 #include "fftgrad/nn/loss.h"
 #include "fftgrad/nn/models.h"
+#include "fftgrad/parallel/thread_pool.h"
+#include "fftgrad/telemetry/metrics.h"
 
 namespace fftgrad::core {
 namespace {
@@ -67,41 +71,80 @@ TEST(ClusterTrain, ReplicasStayBitIdenticalUnderFftCompression) {
 }
 
 TEST(ClusterTrain, MatchesSequentialTrainerBitForBit) {
+  // At 3 ranks the rank threads queue their primitives' chunks on
+  // ThreadPool::global() (on a pool of 4 or more workers); at as many ranks
+  // as the pool has workers they run them inline. The fold always uses the
+  // pool, so the second pass compares the two schedules byte for byte.
   const std::uint64_t kSeed = 7;
   nn::SyntheticDataset data({8}, 3, 13);
-  for (const char* spec : {"none", "fft", "topk", "qsgd", "ef[topk]"}) {
-    const CompressorFactory factory = [spec](std::size_t) { return make_compressor(spec); };
+  const std::size_t pool_ranks = std::max<std::size_t>(2, parallel::ThreadPool::global().size());
+  for (const std::size_t ranks : {std::size_t{3}, pool_ranks}) {
+    for (const char* spec : {"none", "fft", "topk", "qsgd", "ef[topk]"}) {
+      const CompressorFactory factory = [spec](std::size_t) { return make_compressor(spec); };
 
-    comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
-    ClusterTrainConfig ccfg;
-    ccfg.ranks = 3;
-    ccfg.batch_per_rank = 16;
-    ccfg.iterations = 6;
-    ccfg.learning_rate = 0.05f;
-    ccfg.seed = kSeed;
-    const ClusterTrainResult threaded = cluster_train(cluster, ccfg, mlp_factory(), factory, data);
-    ASSERT_TRUE(threaded.replicas_identical) << spec;
+      comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
+      ClusterTrainConfig ccfg;
+      ccfg.ranks = ranks;
+      ccfg.batch_per_rank = 16;
+      ccfg.iterations = 6;
+      ccfg.learning_rate = 0.05f;
+      ccfg.seed = kSeed;
+      const ClusterTrainResult threaded =
+          cluster_train(cluster, ccfg, mlp_factory(), factory, data);
+      ASSERT_TRUE(threaded.replicas_identical) << spec << " at " << ranks << " ranks";
 
-    TrainerConfig scfg;
-    scfg.ranks = 3;
-    scfg.batch_per_rank = 16;
-    scfg.epochs = 1;
-    scfg.iters_per_epoch = 6;
-    scfg.test_size = 16;
-    scfg.seed = kSeed;
-    util::Rng rng(999);
-    DistributedTrainer sequential(nn::models::make_mlp(8, 16, 2, 3, rng), data, scfg);
-    nn::StepLrSchedule lr({{0, 0.05f}});
-    // cluster_train never sets theta, so the fold keeps each codec's own.
-    sequential.train(factory, FixedTheta(make_compressor(spec)->theta()), lr);
-    std::vector<float> sequential_params(sequential.model().param_count());
-    sequential.model().copy_params(sequential_params);
+      TrainerConfig scfg;
+      scfg.ranks = ranks;
+      scfg.batch_per_rank = 16;
+      scfg.epochs = 1;
+      scfg.iters_per_epoch = 6;
+      scfg.test_size = 16;
+      scfg.seed = kSeed;
+      util::Rng rng(999);
+      DistributedTrainer sequential(nn::models::make_mlp(8, 16, 2, 3, rng), data, scfg);
+      nn::StepLrSchedule lr({{0, 0.05f}});
+      // cluster_train never sets theta, so the fold keeps each codec's own.
+      sequential.train(factory, FixedTheta(make_compressor(spec)->theta()), lr);
+      std::vector<float> sequential_params(sequential.model().param_count());
+      sequential.model().copy_params(sequential_params);
 
-    ASSERT_EQ(threaded.final_params.size(), sequential_params.size()) << spec;
-    EXPECT_EQ(0, std::memcmp(threaded.final_params.data(), sequential_params.data(),
-                             sequential_params.size() * sizeof(float)))
-        << spec;
+      ASSERT_EQ(threaded.final_params.size(), sequential_params.size())
+          << spec << " at " << ranks << " ranks";
+      EXPECT_EQ(0, std::memcmp(threaded.final_params.data(), sequential_params.data(),
+                               sequential_params.size() * sizeof(float)))
+          << spec << " at " << ranks << " ranks";
+    }
   }
+}
+
+TEST(ClusterTrain, RankThreadsRunChunksInlineWhenRanksFillThePool) {
+  // With at least as many ranks as ThreadPool::global() has workers, every
+  // core already runs a rank thread, and each rank runs its primitives'
+  // chunks itself: the run submits no pool task. A lone rank still spreads
+  // its chunks over the pool.
+  const std::size_t workers = parallel::ThreadPool::global().size();
+  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const telemetry::Counter& tasks = registry.counter("pool.tasks");
+  nn::SyntheticDataset data({8}, 3, 15);
+  const auto tasks_submitted = [&](std::size_t ranks) {
+    comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
+    ClusterTrainConfig cfg;
+    cfg.ranks = ranks;
+    cfg.iterations = 3;
+    cfg.seed = 9;
+    const double before = tasks.value();
+    const ClusterTrainResult result = cluster_train(
+        cluster, cfg, mlp_factory(), [](std::size_t) { return make_compressor("fft"); }, data);
+    EXPECT_TRUE(result.replicas_identical) << ranks << " ranks";
+    return tasks.value() - before;
+  };
+  EXPECT_EQ(tasks_submitted(workers), 0.0);
+  if (workers >= 2) {
+    EXPECT_GT(tasks_submitted(1), 0.0);
+  }
+  registry.set_enabled(was_enabled);
 }
 
 TEST(ClusterTrain, CompressedTrainingReducesLoss) {

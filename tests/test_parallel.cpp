@@ -6,10 +6,12 @@
 #include <chrono>
 #include <latch>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "fftgrad/parallel/parallel_for.h"
 #include "fftgrad/parallel/thread_pool.h"
+#include "fftgrad/telemetry/metrics.h"
 
 namespace fftgrad::parallel {
 namespace {
@@ -86,6 +88,67 @@ TEST(ThreadPool, NestedCallsFromEveryWorkerFinish) {
         << "task " << t;
   }
   delete state;
+}
+
+TEST(ThreadPool, InlineThreadRunsTheSameChunksWithoutSubmitting) {
+  // A plain thread marked to run chunks inline, as cluster_train marks its
+  // rank threads when the ranks fill the pool, submits nothing to a
+  // four-worker pool, yet reduces over the same four chunks in the same
+  // order, so its sum equals the pooled one bit for bit.
+  constexpr std::size_t kN = 100000;
+  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const telemetry::Counter& tasks = registry.counter("pool.tasks");
+  ThreadPool pool(4);
+
+  const double pooled_before = tasks.value();
+  const float pooled = harmonic_sum(pool, kN);
+  EXPECT_EQ(tasks.value() - pooled_before, 4.0);
+
+  float inline_sum = 0.0f;
+  double submitted = -1.0;
+  std::vector<int> visits(kN, 0);
+  std::thread caller([&] {
+    const ScopedInlineChunks inline_chunks;
+    const double before = tasks.value();
+    parallel_for(pool, kN, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) ++visits[i];
+    });
+    inline_sum = harmonic_sum(pool, kN);
+    submitted = tasks.value() - before;
+  });
+  caller.join();
+  registry.set_enabled(was_enabled);
+
+  EXPECT_EQ(submitted, 0.0);
+  EXPECT_EQ(inline_sum, pooled);
+  EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), static_cast<std::ptrdiff_t>(kN));
+}
+
+TEST(ThreadPool, ScopedInlineChunksRestoresThePreviousMark) {
+  EXPECT_FALSE(runs_chunks_inline());
+  {
+    const ScopedInlineChunks off(false);
+    EXPECT_FALSE(runs_chunks_inline());
+    const ScopedInlineChunks on;
+    EXPECT_TRUE(runs_chunks_inline());
+  }
+  EXPECT_FALSE(runs_chunks_inline());
+  // A worker runs inline for good: a scope constructed off leaves it so.
+  ThreadPool pool(1);
+  bool in_scope = false;
+  bool after_scope = false;
+  pool.submit([&] {
+        {
+          const ScopedInlineChunks off(false);
+          in_scope = runs_chunks_inline();
+        }
+        after_scope = runs_chunks_inline();
+      })
+      .get();
+  EXPECT_TRUE(in_scope);
+  EXPECT_TRUE(after_scope);
 }
 
 TEST(SplitRange, CoversWholeDomainWithoutGaps) {
