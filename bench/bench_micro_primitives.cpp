@@ -94,19 +94,44 @@ void fft_sizes(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_FftForward)->Apply(fft_sizes);
 BENCHMARK(BM_FftInverse)->Apply(fft_sizes);
 
+/// Both codecs keep k = 15% (theta 0.85) through sparse::topk_mask: the
+/// FFT codec over the 166,918 bins of a 333,834-float gradient's real
+/// spectrum, the Top-k codec over the gradient itself. BM_TopKSelect times
+/// the select alone, BM_TopKMask the whole call. Timed on the wall clock:
+/// the first digit's histogram and the mask words run on pool workers.
+void topk_sizes(benchmark::internal::Benchmark* b) {
+  b->Arg(166918)->Arg(333834);
+  b->UseRealTime();
+}
+
+std::size_t codec_k(std::size_t n) {
+  return static_cast<std::size_t>(std::llround(0.15 * static_cast<double>(n)));
+}
+
 void BM_TopKSelect(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
-  std::vector<float> mags(g.size());
-  for (std::size_t i = 0; i < g.size(); ++i) mags[i] = std::fabs(g[i]);
-  const std::size_t k = g.size() / 10;
+  const std::size_t k = codec_k(g.size());
   for (auto _ : state) {
-    auto result = sparse::topk_threshold(mags, k);
+    auto result = sparse::topk_threshold(g, k);
     benchmark::DoNotOptimize(result.threshold);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.size() * sizeof(float)));
 }
-BENCHMARK(BM_TopKSelect)->Arg(1 << 20);
+BENCHMARK(BM_TopKSelect)->Apply(topk_sizes);
+
+void BM_TopKMask(benchmark::State& state) {
+  const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));
+  const std::size_t k = codec_k(g.size());
+  for (auto _ : state) {
+    const sparse::Bitmap mask = sparse::topk_mask(g, k);
+    benchmark::DoNotOptimize(mask.words().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.size() * sizeof(float)));
+}
+BENCHMARK(BM_TopKMask)->Apply(topk_sizes);
 
 void BM_FftCompressorEndToEnd(benchmark::State& state) {
   const auto g = gradient_like(static_cast<std::size_t>(state.range(0)));

@@ -63,9 +63,7 @@ Packet TopKCompressor::compress(std::span<const float> gradient) {
   const std::size_t kept_target = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::llround((1.0 - theta_) * static_cast<double>(n))));
 
-  std::vector<float> magnitudes(n);
-  for (std::size_t i = 0; i < n; ++i) magnitudes[i] = std::fabs(gradient[i]);
-  const sparse::Bitmap mask = sparse::topk_mask(magnitudes, kept_target);
+  const sparse::Bitmap mask = sparse::topk_mask(gradient, kept_target);
   auto& pool = parallel::ThreadPool::global();
   const std::vector<float> kept = sparse::pack_bitmap<float>(pool, gradient, mask);
 

@@ -111,14 +111,19 @@ void parallel_inclusive_scan(ThreadPool& pool, std::span<const TIn> in, std::spa
   if (n == 0) return;
   const auto ranges = split_range(n, pool.size());
   std::vector<TOut> totals(ranges.size(), TOut{});
-  detail::run_chunks(pool, ranges.size(), [&](std::size_t c) {
+  const auto scan_chunk = [&](std::size_t c) {
     TOut acc{};
     for (std::size_t i = ranges[c].begin; i < ranges[c].end; ++i) {
       acc += static_cast<TOut>(in[i]);
       out[i] = acc;
     }
     totals[c] = acc;
-  });
+  };
+  if (ranges.size() == 1) {
+    scan_chunk(0);
+    return;
+  }
+  detail::run_chunks(pool, ranges.size(), scan_chunk);
 
   // Exclusive scan of chunk totals (serial; chunk count == thread count).
   std::vector<TOut> offsets(ranges.size(), TOut{});

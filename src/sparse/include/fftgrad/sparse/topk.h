@@ -1,12 +1,17 @@
-// Top-k selection over magnitudes: the thresholding primitive behind both
+// Top-k selection by magnitude: the thresholding primitive behind both
 // the paper's FFT sparsifier (keep the top (1-theta) fraction of frequency
 // components) and the Top-k baseline (keep the top (1-theta) fraction of
 // raw gradients).
 //
-// The selection is a serial std::nth_element over a copy of the
-// magnitudes (O(n) expected). It returns the magnitude of the k-th largest
-// element ("threshold") and a count of how many elements strictly exceed
-// it, so callers can keep exactly k elements even in the presence of ties.
+// Both functions rank values by |x|, read through the bits of |x|: the
+// float's bits without the sign bit, as a uint32. These order as the
+// magnitudes do, with -0 equal to +0, and every NaN ranks above +inf. The
+// selection is an exact most-significant-digit radix select over those
+// keys: one 11-bit histogram pass over all n, split over the thread pool,
+// then an 11-bit and a 9-bit pass over the keys that share the digits
+// above. It returns the k-th largest magnitude ("threshold") and counts of
+// the values above and at it, so callers can keep exactly k elements even
+// in the presence of ties.
 #pragma once
 
 #include <cstddef>
@@ -22,15 +27,14 @@ struct TopKResult {
   std::size_t at_threshold = 0;///< elements with magnitude == threshold
 };
 
-/// Find the k-th largest value of `magnitudes` (k in [1, n]). Magnitudes
-/// must be non-negative (callers pass |x| or complex modulus). k == 0
-/// returns a threshold of +inf (keep nothing).
-TopKResult topk_threshold(std::span<const float> magnitudes, std::size_t k);
+/// Find the k-th largest magnitude |x| of `values` (k in [1, n]); values
+/// may be signed. k == 0 returns a threshold of +inf (keep nothing).
+TopKResult topk_threshold(std::span<const float> values, std::size_t k);
 
 /// The exact-k keep mask shared by the FFT codec (over bin moduli) and the
-/// Top-k baseline (over |g|): every element whose magnitude exceeds the
+/// Top-k baseline (over g): every element whose magnitude exceeds the
 /// k-th largest, then ties at that threshold in index order, so exactly
-/// min(k, n) bits are set.
-Bitmap topk_mask(std::span<const float> magnitudes, std::size_t k);
+/// min(k, n) bits are set, NaN and infinities included.
+Bitmap topk_mask(std::span<const float> values, std::size_t k);
 
 }  // namespace fftgrad::sparse

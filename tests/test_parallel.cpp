@@ -230,6 +230,32 @@ TEST_P(ScanTest, InclusiveScanMatchesSerialReference) {
 INSTANTIATE_TEST_SUITE_P(Sizes, ScanTest,
                          ::testing::Values(1, 2, 3, 63, 64, 65, 1000, 4096, 100000));
 
+TEST(Scan, OneRangeRunsOnTheCallerLikeForAndReduce) {
+  // On a one-worker pool each primitive has a single range, which it runs
+  // on the calling thread rather than queueing one task to block on.
+  constexpr std::size_t kN = 1000;
+  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const telemetry::Counter& tasks = registry.counter("pool.tasks");
+  ThreadPool pool(1);
+  std::vector<std::uint32_t> in(kN, 1), out(kN);
+  std::vector<double> submitted;
+  double before = tasks.value();
+  parallel_for(pool, kN, [&](std::size_t, std::size_t) {});
+  submitted.push_back(tasks.value() - before);
+  before = tasks.value();
+  harmonic_sum(pool, kN);
+  submitted.push_back(tasks.value() - before);
+  before = tasks.value();
+  parallel_inclusive_scan<std::uint32_t, std::uint32_t>(pool, in, out);
+  submitted.push_back(tasks.value() - before);
+  registry.set_enabled(was_enabled);
+
+  EXPECT_EQ(submitted, std::vector<double>(3, 0.0));
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(out[i], i + 1) << "at index " << i;
+}
+
 TEST(Scan, RejectsMismatchedSpans) {
   ThreadPool pool(2);
   std::vector<std::uint32_t> in(4), out(5);

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "fftgrad/parallel/thread_pool.h"
@@ -26,32 +30,103 @@ std::vector<float> random_magnitudes(std::size_t n, std::uint64_t seed) {
 // ---------------------------------------------------------------------------
 // Top-k selection
 
+/// The exact-k rule stated directly: order the indices by magnitude,
+/// largest first, NaN above every number and ties by index (a stable
+/// sort), and keep the first k.
+Bitmap stable_sort_mask(std::span<const float> values, std::size_t k) {
+  const auto rank = [&](std::size_t i) {
+    return std::pair{std::isnan(values[i]), std::fabs(values[i])};
+  };
+  std::vector<std::size_t> order(values.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return rank(a) > rank(b); });
+  Bitmap mask(values.size());
+  for (std::size_t i = 0; i < std::min(k, order.size()); ++i) mask.set(order[i]);
+  return mask;
+}
+
+enum class Shape {
+  kNormal,     ///< |N(0, 1)|
+  kOneBin,     ///< [1, 1.125): every key shares the select's first digit
+  kSubnormal,  ///< signed denormals, and +0 or -0 for half of the values
+  kLevels,     ///< {0, 0.25, 0.5, 0.75}: ties at the threshold in every word
+};
+
 struct TopKCase {
   std::size_t n;
   std::size_t k;
+  Shape shape = Shape::kNormal;
 };
+
+// Names each case by its fields rather than its raw bytes, padding
+// included.
+void PrintTo(const TopKCase& c, std::ostream* os) {
+  static constexpr const char* kShapes[] = {"normal", "onebin", "subnormal", "levels"};
+  *os << "n" << c.n << "_k" << c.k << "_" << kShapes[static_cast<int>(c.shape)];
+}
+
+std::vector<float> case_values(const TopKCase& c) {
+  if (c.shape == Shape::kNormal) return random_magnitudes(c.n, c.n * 31 + c.k);
+  util::Rng rng(c.n * 31 + c.k);
+  std::vector<float> v(c.n);
+  for (float& x : v) {
+    const auto bits = static_cast<std::uint32_t>(rng.next_u64());
+    if (c.shape == Shape::kOneBin) {
+      x = std::bit_cast<float>(0x3f800000u | (bits & 0xfffffu));
+    } else if (c.shape == Shape::kSubnormal) {
+      x = bits % 4 == 0   ? 0.0f
+          : bits % 4 == 1 ? -0.0f
+                          : std::bit_cast<float>((bits & 0x807fffffu) | 1u);
+    } else {
+      x = 0.25f * static_cast<float>(bits % 4);
+    }
+  }
+  return v;
+}
 
 class TopKParam : public ::testing::TestWithParam<TopKCase> {};
 
 TEST_P(TopKParam, ThresholdMatchesSortedReference) {
   const TopKCase c = GetParam();
-  const auto mags = random_magnitudes(c.n, c.n * 31 + c.k);
-  std::vector<float> sorted = mags;
+  const std::vector<float> values = case_values(c);
+  std::vector<float> sorted(values.size());
+  std::transform(values.begin(), values.end(), sorted.begin(),
+                 [](float v) { return std::fabs(v); });
   std::sort(sorted.begin(), sorted.end(), std::greater<float>());
-  const TopKResult result = topk_threshold(mags, c.k);
-  EXPECT_FLOAT_EQ(result.threshold, sorted[c.k - 1]);
-  EXPECT_LT(result.above, c.k);
-  EXPECT_GE(result.above + result.at_threshold, c.k);
+  const float kth = sorted[c.k - 1];
+  const TopKResult result = topk_threshold(values, c.k);
+  EXPECT_EQ(result.threshold, kth);
+  EXPECT_EQ(result.above, static_cast<std::size_t>(std::count_if(
+                              sorted.begin(), sorted.end(), [&](float m) { return m > kth; })));
+  EXPECT_EQ(result.at_threshold,
+            static_cast<std::size_t>(std::count(sorted.begin(), sorted.end(), kth)));
+
+  const Bitmap mask = topk_mask(values, c.k);
+  EXPECT_TRUE(mask == stable_sort_mask(values, c.k));
+  // The mask ranks by |x|, so signs change nothing.
+  std::vector<float> flipped = values;
+  for (std::size_t i = 0; i < flipped.size(); i += 3) flipped[i] = -flipped[i];
+  EXPECT_TRUE(topk_mask(flipped, c.k) == mask);
 }
 
 // Edge shapes among them: one and two elements, an odd median, k = n - 1,
-// k = n of an odd-sized input, and k = 1 (the max) of a large input.
+// k = n of an odd-sized input, and k = 1 (the max) of a large input. Then
+// the two codecs' calls on the benchmark's gradient (166,918 bins and
+// 333,834 values at theta 0.85), values that all share the first digit,
+// signed denormals among +0 and -0 (the threshold among the denormals,
+// then at zero), and ties at the threshold in every word. Most n are not
+// multiples of 64.
 INSTANTIATE_TEST_SUITE_P(
     Cases, TopKParam,
     ::testing::Values(TopKCase{100, 1}, TopKCase{100, 50}, TopKCase{100, 100},
                       TopKCase{10000, 1500}, TopKCase{65537, 100}, TopKCase{1, 1},
                       TopKCase{2, 1}, TopKCase{2, 2}, TopKCase{101, 51}, TopKCase{1000, 999},
-                      TopKCase{65537, 65537}, TopKCase{262144, 1}));
+                      TopKCase{65537, 65537}, TopKCase{262144, 1}, TopKCase{166918, 25038},
+                      TopKCase{333834, 50075}, TopKCase{50001, 7500, Shape::kOneBin},
+                      TopKCase{4099, 820, Shape::kSubnormal},
+                      TopKCase{4099, 2459, Shape::kSubnormal},
+                      TopKCase{10007, 3750, Shape::kLevels}));
 
 TEST(TopK, KZeroKeepsNothing) {
   const auto result = topk_threshold(random_magnitudes(10, 1), 0);
@@ -175,17 +250,30 @@ TEST(TopKMask, StrictlyLargerMagnitudesComeBeforeEarlierTies) {
   for (std::size_t i = 0; i < magnitudes.size(); i += 2) EXPECT_EQ(mask.test(i), i < 6) << i;
 }
 
-/// The exact-k rule stated directly: order the indices by magnitude,
-/// largest first and ties by index (a stable sort), and keep the first k.
-Bitmap stable_sort_mask(std::span<const float> magnitudes, std::size_t k) {
-  std::vector<std::size_t> order(magnitudes.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return magnitudes[a] > magnitudes[b];
-  });
-  Bitmap mask(magnitudes.size());
-  for (std::size_t i = 0; i < std::min(k, order.size()); ++i) mask.set(order[i]);
-  return mask;
+TEST(TopKMask, KeepsExactlyKWithNonFiniteMagnitudes) {
+  // A diverging run hands both codecs NaN and infinities. Whatever its
+  // sign, every NaN ranks above +inf, and equal magnitudes tie in index
+  // order.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::size_t n : {std::size_t{64}, std::size_t{1000}, std::size_t{100000}}) {
+    for (const int kind : {0, 1, 2}) {  // NaN, inf, both
+      for (const double share : {0.01, 0.05, 0.1, 0.15, 0.25, 0.5}) {
+        std::vector<float> values = random_magnitudes(n, n + 7);
+        util::Rng rng(n + static_cast<std::size_t>(kind));
+        for (std::size_t i = 0; i < n; ++i) {
+          if (rng.uniform() >= share) continue;
+          const float bad = kind == 0 || (kind == 2 && i % 4 < 2) ? nan : inf;
+          values[i] = i % 2 == 0 ? bad : -bad;
+        }
+        const std::size_t k = n * 15 / 100;
+        SCOPED_TRACE(testing::Message() << "n " << n << " kind " << kind << " share " << share);
+        const Bitmap mask = topk_mask(values, k);
+        EXPECT_EQ(mask.count(), k);
+        EXPECT_TRUE(mask == stable_sort_mask(values, k));
+      }
+    }
+  }
 }
 
 struct TopKMaskCase {
