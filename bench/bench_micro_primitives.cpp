@@ -1,7 +1,8 @@
 // Microbenchmarks of the four compression primitives of the Sec 3.3 cost
 // model (Tm: precision conversion, Tf: FFT, Ts: top-k selection, Tp: see
 // bench_packing) plus the end-to-end codecs. The measured bytes/second here
-// are this substrate's inputs to the Fig 10 analytic model.
+// are this substrate's inputs to the Fig 10 analytic model. BM_Gemm and
+// BM_Conv2dBackward time the NN kernels that set an iteration's compute.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -10,10 +11,14 @@
 #include "fftgrad/core/baseline_compressors.h"
 #include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/fft/fft.h"
+#include "fftgrad/nn/layers.h"
+#include "fftgrad/parallel/thread_pool.h"
 #include "fftgrad/quant/half.h"
 #include "fftgrad/quant/range_float.h"
 #include "fftgrad/sparse/topk.h"
 #include "fftgrad/telemetry/telemetry.h"
+#include "fftgrad/tensor/ops.h"
+#include "fftgrad/tensor/tensor.h"
 #include "fftgrad/util/rng.h"
 
 namespace {
@@ -188,6 +193,53 @@ void BM_TernGradCompressorEndToEnd(benchmark::State& state) {
                           static_cast<std::int64_t>(g.size() * sizeof(float)));
 }
 BENCHMARK(BM_TernGradCompressorEndToEnd)->Arg(1 << 18)->UseRealTime();
+
+/// gemm at its training shapes (m, n, k, transpose_a, transpose_b): conv dW
+/// 16x144x256 NT (dY col^T), conv forward 16x256x144 NN (W col), dcol
+/// 144x256x16 TN (W^T dY) and dense forward 16x512x512 NT (x W^T). Runs on
+/// the calling thread, as on a cluster_train rank thread when the ranks fill
+/// the pool; items are multiply-adds.
+void BM_Gemm(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const auto a = gradient_like(m * k);
+  const auto b = gradient_like(k * n);
+  std::vector<float> c(m * n);
+  parallel::ScopedInlineChunks inline_chunks;
+  for (auto _ : state) {
+    tensor::gemm(m, n, k, 1.0f, a.data(), state.range(3) != 0, b.data(), state.range(4) != 0,
+                 0.0f, c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m * n * k));
+}
+BENCHMARK(BM_Gemm)
+    ->Args({16, 144, 256, 0, 1})
+    ->Args({16, 256, 144, 0, 0})
+    ->Args({144, 256, 16, 1, 0})
+    ->Args({16, 512, 512, 0, 1})
+    ->UseRealTime();
+
+/// One ResNetMini residual-block convolution's backward (16 -> 16 channels,
+/// 3x3, 16x16 images, batch 16): per image an im2col, the dW and dcol GEMMs
+/// and a col2im. On the calling thread, as BM_Gemm.
+void BM_Conv2dBackward(benchmark::State& state) {
+  util::Rng rng(7);
+  nn::Conv2d conv(16, 16, 3, 1, 1, rng);
+  const tensor::Tensor x = tensor::Tensor::randn({16, 16, 16, 16}, rng);
+  const tensor::Tensor dy = tensor::Tensor::randn({16, 16, 16, 16}, rng, 0.0f, 0.02f);
+  parallel::ScopedInlineChunks inline_chunks;
+  conv.forward(x);
+  for (auto _ : state) {
+    const tensor::Tensor dx = conv.backward(dy);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Conv2dBackward)->UseRealTime();
 
 }  // namespace
 

@@ -84,6 +84,23 @@ std::string Conv2d::name() const {
          std::to_string(k_) + ")";
 }
 
+namespace {
+
+/// The output columns [lo, hi) whose input column ox * stride + kx - pad
+/// lies inside an image `w` wide; empty when none does.
+struct Span {
+  std::size_t lo, hi;
+};
+
+Span in_image_span(std::size_t kx, std::size_t stride, std::size_t pad, std::size_t w,
+                   std::size_t ow) {
+  const std::size_t lo = kx >= pad ? 0 : (pad - kx + stride - 1) / stride;
+  const std::size_t hi = kx >= w + pad ? 0 : (w + pad - kx + stride - 1) / stride;
+  return {std::min(lo, ow), std::max(std::min(lo, ow), std::min(hi, ow))};
+}
+
+}  // namespace
+
 void Conv2d::im2col(const float* img, std::size_t h, std::size_t w, float* col) const {
   const std::size_t oh = out_height(h);
   const std::size_t ow = out_width(w);
@@ -94,21 +111,27 @@ void Conv2d::im2col(const float* img, std::size_t h, std::size_t w, float* col) 
     for (std::size_t ky = 0; ky < k_; ++ky) {
       for (std::size_t kx = 0; kx < k_; ++kx) {
         float* row = col + ((c * k_ + ky) * k_ + kx) * cols;
+        const Span span = in_image_span(kx, stride_, pad_, w, ow);
         for (std::size_t oy = 0; oy < oh; ++oy) {
+          float* out = row + oy * ow;
           const std::ptrdiff_t iy =
               static_cast<std::ptrdiff_t>(oy * stride_ + ky) - static_cast<std::ptrdiff_t>(pad_);
           if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
-            std::fill(row + oy * ow, row + (oy + 1) * ow, 0.0f);
+            std::fill(out, out + ow, 0.0f);
             continue;
           }
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                                      static_cast<std::ptrdiff_t>(pad_);
-            row[oy * ow + ox] =
-                (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w))
-                    ? 0.0f
-                    : channel[static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix)];
+          std::fill(out, out + span.lo, 0.0f);
+          const float* src = channel + static_cast<std::size_t>(iy) * w;
+          // At stride 1 the span is a contiguous run, which the compiler
+          // vectorizes; it cannot see that through a run-time stride.
+          if (stride_ == 1) {
+            for (std::size_t ox = span.lo; ox < span.hi; ++ox) out[ox] = src[ox + kx - pad_];
+          } else {
+            for (std::size_t ox = span.lo; ox < span.hi; ++ox) {
+              out[ox] = src[ox * stride_ + kx - pad_];
+            }
           }
+          std::fill(out + span.hi, out + ow, 0.0f);
         }
       }
     }
@@ -124,16 +147,19 @@ void Conv2d::col2im(const float* col, std::size_t h, std::size_t w, float* img) 
     for (std::size_t ky = 0; ky < k_; ++ky) {
       for (std::size_t kx = 0; kx < k_; ++kx) {
         const float* row = col + ((c * k_ + ky) * k_ + kx) * cols;
+        const Span span = in_image_span(kx, stride_, pad_, w, ow);
         for (std::size_t oy = 0; oy < oh; ++oy) {
           const std::ptrdiff_t iy =
               static_cast<std::ptrdiff_t>(oy * stride_ + ky) - static_cast<std::ptrdiff_t>(pad_);
           if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                                      static_cast<std::ptrdiff_t>(pad_);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-            channel[static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix)] +=
-                row[oy * ow + ox];
+          float* dst = channel + static_cast<std::size_t>(iy) * w;
+          const float* in = row + oy * ow;
+          if (stride_ == 1) {
+            for (std::size_t ox = span.lo; ox < span.hi; ++ox) dst[ox + kx - pad_] += in[ox];
+          } else {
+            for (std::size_t ox = span.lo; ox < span.hi; ++ox) {
+              dst[ox * stride_ + kx - pad_] += in[ox];
+            }
           }
         }
       }

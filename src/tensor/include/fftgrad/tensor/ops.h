@@ -1,6 +1,7 @@
 // Tensor kernels used by the NN layers: GEMM (the workhorse of Dense and
 // im2col-based Conv2d), axpy-style elementwise updates, and softmax.
-// GEMM is blocked for cache reuse and parallelized across row panels.
+// GEMM is blocked for cache reuse and parallelized across row panels; with
+// transposed B it runs a 4x8 register-blocked kernel on 4-lane vectors.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +13,21 @@ namespace fftgrad::tensor {
 
 /// C(m x n) = alpha * op(A) * op(B) + beta * C, row-major.
 /// op(A) is A (m x k) or A^T when transpose_a (A stored k x m); same for B.
+///
+/// Rounding contract. Replicas, packets and golden outputs depend on every
+/// C element getting these float operations in this order, whatever the
+/// thread count or blocking:
+///   1. beta == 0: c = 0 (C is not read); beta == 1: c unchanged; else
+///      c *= beta.
+///   2. For each depth block [p0, min(p0 + 256, k)), p0 ascending:
+///      - !transpose_b: for p ascending, av = alpha * op(A)[i][p]; if
+///        av == 0 nothing is added, else c += av * op(B)[p][j];
+///      - transpose_b: acc = 0; for p ascending acc += op(A)[i][p] *
+///        op(B)[p][j]; then c += alpha * acc.
+/// So without transposed B a zero entry of op(A) adds nothing (0 * inf or
+/// 0 * NaN in B never enters C, and a -0 in C survives beta = 1); with
+/// transposed B every product enters the dot product, so the same
+/// 0 * inf makes c NaN.
 void gemm(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
           bool transpose_a, const float* b, bool transpose_b, float beta, float* c);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "fftgrad/nn/dataset.h"
@@ -131,6 +132,81 @@ TEST(Conv2d, StridedGradientsMatchNumericDifferentiation) {
   tensor::Tensor x = tensor::Tensor::randn({1, 1, 7, 7}, rng);
   check_gradients(conv, std::move(x), 3e-2f);
 }
+
+struct ConvShiftCase {
+  std::size_t h, w, k, stride, pad;
+};
+
+/// Prints a case as e.g. h5_w7_k3_s1_p1 (see GemmCase's PrintTo).
+void PrintTo(const ConvShiftCase& c, std::ostream* os) {
+  *os << "h" << c.h << "_w" << c.w << "_k" << c.k << "_s" << c.stride << "_p" << c.pad;
+}
+
+class Conv2dOneHot : public ::testing::TestWithParam<ConvShiftCase> {};
+
+/// With one tap of the kernel set to 1 (output channel o reads input
+/// channel o) and no bias, forward must copy the input shifted by that tap,
+/// with zeros where the tap falls outside the image, and backward must
+/// scatter dY into grad_in the same way, bit for bit: the zero skip of
+/// gemm's non-transposed-B path keeps every other tap out of both sums.
+TEST_P(Conv2dOneHot, ForwardShiftsAndBackwardScattersExactly) {
+  const ConvShiftCase c = GetParam();
+  constexpr std::size_t kBatch = 2, kChannels = 2;
+  util::Rng rng(c.h * 1009 + c.w * 101 + c.k * 31 + c.stride * 7 + c.pad);
+  Conv2d conv(kChannels, kChannels, c.k, c.stride, c.pad, rng);
+  const std::size_t oh = conv.out_height(c.h), ow = conv.out_width(c.w);
+  const tensor::Tensor x = tensor::Tensor::randn({kBatch, kChannels, c.h, c.w}, rng);
+  const tensor::Tensor dy = tensor::Tensor::randn({kBatch, kChannels, oh, ow}, rng);
+  auto params = conv.params();
+  params[1].value->fill(0.0f);
+  for (std::size_t ky = 0; ky < c.k; ++ky) {
+    for (std::size_t kx = 0; kx < c.k; ++kx) {
+      params[0].value->fill(0.0f);
+      for (std::size_t ch = 0; ch < kChannels; ++ch) {
+        (*params[0].value)[((ch * kChannels + ch) * c.k + ky) * c.k + kx] = 1.0f;
+      }
+      const tensor::Tensor y = conv.forward(x);
+      const tensor::Tensor dx = conv.backward(dy);
+      tensor::Tensor expected_y({kBatch, kChannels, oh, ow});
+      tensor::Tensor expected_dx({kBatch, kChannels, c.h, c.w});
+      for (std::size_t n = 0; n < kBatch; ++n) {
+        for (std::size_t ch = 0; ch < kChannels; ++ch) {
+          for (std::size_t oy = 0; oy < oh; ++oy) {
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+              const std::size_t iy = oy * c.stride + ky, ix = ox * c.stride + kx;
+              if (iy < c.pad || iy - c.pad >= c.h || ix < c.pad || ix - c.pad >= c.w) continue;
+              expected_y.at(n, ch, oy, ox) = x.at(n, ch, iy - c.pad, ix - c.pad);
+              expected_dx.at(n, ch, iy - c.pad, ix - c.pad) = dy.at(n, ch, oy, ox);
+            }
+          }
+        }
+      }
+      ASSERT_EQ(y.shape(), expected_y.shape());
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        ASSERT_EQ(y[i], expected_y[i]) << "tap " << ky << "," << kx << " y[" << i << "]";
+      }
+      for (std::size_t i = 0; i < dx.size(); ++i) {
+        ASSERT_EQ(dx[i], expected_dx[i]) << "tap " << ky << "," << kx << " dx[" << i << "]";
+      }
+    }
+  }
+}
+
+// Strides 1-3, pads 0-3, non-square images. In h2_w1_k2_s3_p3 the pad
+// reaches past the kernel: tap kx = 1 lands outside the one-column image
+// at every output column (an empty span), and in h3_w1_k1_s3_p2 so does
+// the only tap.
+INSTANTIATE_TEST_SUITE_P(Shapes, Conv2dOneHot,
+                         ::testing::Values(ConvShiftCase{5, 7, 3, 1, 1},
+                                           ConvShiftCase{5, 7, 4, 1, 0},
+                                           ConvShiftCase{5, 7, 4, 1, 3},
+                                           ConvShiftCase{6, 5, 3, 2, 1},
+                                           ConvShiftCase{7, 4, 3, 2, 0},
+                                           ConvShiftCase{8, 5, 3, 3, 2},
+                                           ConvShiftCase{4, 7, 2, 3, 3},
+                                           ConvShiftCase{4, 6, 1, 1, 2},
+                                           ConvShiftCase{2, 1, 2, 3, 3},
+                                           ConvShiftCase{3, 1, 1, 3, 2}));
 
 TEST(ReLU, ZeroesNegativesForwardAndBackward) {
   ReLU relu;

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <ostream>
 #include <vector>
 
+#include "fftgrad/parallel/thread_pool.h"
 #include "fftgrad/tensor/ops.h"
 #include "fftgrad/tensor/tensor.h"
 #include "fftgrad/util/rng.h"
@@ -131,6 +135,163 @@ TEST(Gemm, BetaZeroOverwritesGarbage) {
   std::vector<float> c = {std::numeric_limits<float>::quiet_NaN()};
   gemm(1, 1, 1, 1.0f, a.data(), false, b.data(), false, 0.0f, c.data());
   EXPECT_FLOAT_EQ(c[0], 2.0f);
+}
+
+// ---------------------------------------------------------------------------
+// GEMM rounding contract: every C element gets the floating-point operations
+// of gemm's scalar loops, in their order.
+
+/// gemm's scalar loops, serial: the bit-exact reference for the kernels.
+void scalar_gemm(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
+                 bool ta, const float* b, bool tb, float beta, float* c) {
+  constexpr std::size_t kRowBlock = 64, kColBlock = 256, kDepthBlock = 256;
+  std::vector<float> a_panel(kRowBlock * kDepthBlock);
+  for (std::size_t i0 = 0; i0 < m; i0 += kRowBlock) {
+    const std::size_t i_lim = std::min(i0 + kRowBlock, m);
+    for (std::size_t i = i0; i < i_lim; ++i) {
+      float* row = c + i * n;
+      if (beta == 0.0f) {
+        std::fill(row, row + n, 0.0f);
+      } else if (beta != 1.0f) {
+        for (std::size_t j = 0; j < n; ++j) row[j] *= beta;
+      }
+    }
+    for (std::size_t p0 = 0; p0 < k; p0 += kDepthBlock) {
+      const std::size_t p_lim = std::min(p0 + kDepthBlock, k);
+      const std::size_t depth = p_lim - p0;
+      for (std::size_t i = i0; i < i_lim; ++i) {
+        float* dst = a_panel.data() + (i - i0) * kDepthBlock;
+        for (std::size_t p = p0; p < p_lim; ++p) dst[p - p0] = ta ? a[p * m + i] : a[i * k + p];
+      }
+      for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
+        const std::size_t j_lim = std::min(j0 + kColBlock, n);
+        for (std::size_t i = i0; i < i_lim; ++i) {
+          const float* a_row = a_panel.data() + (i - i0) * kDepthBlock;
+          float* c_row = c + i * n;
+          if (!tb) {
+            for (std::size_t p = 0; p < depth; ++p) {
+              const float av = alpha * a_row[p];
+              if (av == 0.0f) continue;
+              const float* b_row = b + (p0 + p) * n;
+              for (std::size_t j = j0; j < j_lim; ++j) c_row[j] += av * b_row[j];
+            }
+          } else {
+            for (std::size_t j = j0; j < j_lim; ++j) {
+              const float* b_row = b + j * k + p0;
+              float acc = 0.0f;
+              for (std::size_t p = 0; p < depth; ++p) acc += a_row[p] * b_row[p];
+              c_row[j] += alpha * acc;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A float's bits, with every NaN read as one pattern.
+std::uint32_t exact_bits(float v) {
+  if (std::isnan(v)) return 0x7fc00000u;
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+struct ExactGemmCase {
+  bool ta, tb;
+  float beta;
+};
+
+void PrintTo(const ExactGemmCase& c, std::ostream* os) {
+  *os << "ta" << c.ta << "_tb" << c.tb << "_beta"
+      << (c.beta == 0.5f ? "half" : c.beta == 0.0f ? "0" : "1");
+}
+
+class GemmBitExact : public ::testing::TestWithParam<ExactGemmCase> {};
+
+/// Every shape runs pooled (from this thread: m*n*k >= 2^18 splits the rows
+/// over the global pool when it has more than one worker) and inline (inside
+/// a ScopedInlineChunks). B holds -0, +-inf and NaN and A exact zeros, so
+/// the non-transposed-B path's zero skip and the transposed-B path's NaN
+/// products both show.
+TEST_P(GemmBitExact, MatchesScalarLoopsBitForBit) {
+  const ExactGemmCase c = GetParam();
+  constexpr float kAlpha = 0.75f;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (std::size_t m : {1, 3, 4, 5, 64, 65, 130}) {
+    for (std::size_t n : {1, 7, 8, 9, 256, 257}) {
+      for (std::size_t k : {1, 255, 256, 257, 513}) {
+        util::Rng rng(m * 7919 + n * 131 + k);
+        std::vector<float> a(m * k), b(k * n), c0(m * n);
+        for (float& v : a) v = static_cast<float>(rng.normal());
+        for (float& v : b) v = static_cast<float>(rng.normal());
+        for (float& v : c0) v = static_cast<float>(rng.normal());
+        for (std::size_t i = 0; i < a.size(); i += 5) a[i] = i % 2 == 0 ? 0.0f : -0.0f;
+        for (std::size_t i = 3; i < b.size(); i += 11) b[i] = -0.0f;
+        b[b.size() / 3] = kInf;
+        b[b.size() / 2] = -kInf;
+        b[b.size() - 1] = std::numeric_limits<float>::quiet_NaN();
+
+        std::vector<float> expected = c0, pooled = c0, inlined = c0;
+        scalar_gemm(m, n, k, kAlpha, a.data(), c.ta, b.data(), c.tb, c.beta, expected.data());
+        gemm(m, n, k, kAlpha, a.data(), c.ta, b.data(), c.tb, c.beta, pooled.data());
+        {
+          parallel::ScopedInlineChunks inline_chunks;
+          gemm(m, n, k, kAlpha, a.data(), c.ta, b.data(), c.tb, c.beta, inlined.data());
+        }
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(exact_bits(pooled[i]), exact_bits(expected[i]))
+              << "pooled m" << m << " n" << n << " k" << k << " at " << i;
+          ASSERT_EQ(exact_bits(inlined[i]), exact_bits(expected[i]))
+              << "inline m" << m << " n" << n << " k" << k << " at " << i;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transpositions, GemmBitExact,
+                         ::testing::Values(ExactGemmCase{false, false, 0.0f},
+                                           ExactGemmCase{false, false, 0.5f},
+                                           ExactGemmCase{false, false, 1.0f},
+                                           ExactGemmCase{false, true, 0.0f},
+                                           ExactGemmCase{false, true, 0.5f},
+                                           ExactGemmCase{false, true, 1.0f},
+                                           ExactGemmCase{true, false, 0.0f},
+                                           ExactGemmCase{true, false, 0.5f},
+                                           ExactGemmCase{true, false, 1.0f},
+                                           ExactGemmCase{true, true, 0.0f},
+                                           ExactGemmCase{true, true, 0.5f},
+                                           ExactGemmCase{true, true, 1.0f}));
+
+/// ops.h's contract: without transposed B a zero entry of op(A) adds
+/// nothing, so 0 * inf never enters C and a -0 in C survives beta = 1; with
+/// transposed B every product enters the dot product. 5 x 9 covers both the
+/// 4 x 8 register block and the scalar edge rows and columns.
+TEST(Gemm, ZeroEntriesOfASkipOnlyWithoutTransposedB) {
+  constexpr std::size_t m = 5, n = 9, k = 2;
+  const std::vector<float> twos(k * n, 2.0f);  // B and B^T alike
+  std::vector<float> a(m * k), c(m * n);
+  for (std::size_t i = 0; i < m; ++i) a[i * k + 1] = 1.0f;  // op(A) rows are [0 1]
+  // Column 0 of op(B) is inf: row 0 of B (k x n), entry 0 of each B^T row (n x k).
+  std::vector<float> b = twos, b_t = twos;
+  for (std::size_t j = 0; j < n; ++j) {
+    b[j] = std::numeric_limits<float>::infinity();
+    b_t[j * k] = std::numeric_limits<float>::infinity();
+  }
+  gemm(m, n, k, 1.0f, a.data(), false, b.data(), false, 0.0f, c.data());
+  for (float v : c) EXPECT_EQ(v, 2.0f);
+  gemm(m, n, k, 1.0f, a.data(), false, b_t.data(), true, 0.0f, c.data());
+  for (float v : c) EXPECT_TRUE(std::isnan(v));
+
+  // op(A) = 0 onto C = -0 with beta = 1: the skip leaves -0, the dot product
+  // adds +0 and leaves +0.
+  const std::vector<float> zeros(m * k, 0.0f);
+  std::fill(c.begin(), c.end(), -0.0f);
+  gemm(m, n, k, 1.0f, zeros.data(), false, twos.data(), false, 1.0f, c.data());
+  for (float v : c) EXPECT_TRUE(v == 0.0f && std::signbit(v));
+  gemm(m, n, k, 1.0f, zeros.data(), false, twos.data(), true, 1.0f, c.data());
+  for (float v : c) EXPECT_TRUE(v == 0.0f && !std::signbit(v));
 }
 
 // ---------------------------------------------------------------------------
