@@ -11,6 +11,7 @@
 // communication-dominated (hard to overlap) — the paper's motivation for
 // compression over overlapping.
 #include <cstdio>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -48,14 +49,16 @@ std::vector<LayerSpec> resnet32_layers() {
     int spatial;
   };
   const Stage stages[3] = {{16, 32}, {32, 16}, {64, 8}};
-  static std::vector<std::string> names;  // keep c_str storage alive
+  // Keeps the c_str storage alive; a deque never moves its elements.
+  static std::deque<std::string> names;
   for (int s = 0; s < 3; ++s) {
     for (int b = 0; b < 5; ++b) {
       for (int c = 0; c < 2; ++c) {
         const double ch = stages[s].ch;
         const double sp = stages[s].spatial;
-        names.push_back("s" + std::to_string(s + 1) + "b" + std::to_string(b + 1) + "c" +
-                        std::to_string(c + 1) + " 3x3x" + std::to_string(stages[s].ch));
+        char name[32];
+        std::snprintf(name, sizeof(name), "s%db%dc%d 3x3x%d", s + 1, b + 1, c + 1, stages[s].ch);
+        names.emplace_back(name);
         layers.push_back({names.back().c_str(), 9.0 * ch * ch,
                           2.0 * 9 * ch * ch * sp * sp * 128});
       }

@@ -93,8 +93,11 @@ for preset in "${presets[@]}"; do
   # as build errors, and it produces no test binaries to run.
   [[ "$preset" == analyze ]] && continue
   # The labels that get their own reported row below run only there: the
-  # full-suite step excludes them, so each test runs once per preset.
-  own_rows=(chaos causality)
+  # full-suite step excludes them, so each test runs once per preset. The
+  # exhaustive label (the fp16 kernel over all 2^32 floats, ~7 s in
+  # Release) has a row under the default preset only: a sanitized build
+  # would take minutes for no new coverage.
+  own_rows=(chaos causality exhaustive)
   if [[ "$preset" == default || "$preset" == asan ]]; then
     own_rows+=(ledger recovery critpath profile)
   fi
@@ -141,6 +144,7 @@ for preset in "${presets[@]}"; do
     run_step "$preset" profile-e2e scripts/profile_gate.sh "$build_dir"
   fi
   if [[ "$preset" == default ]]; then
+    run_step "$preset" exhaustive ctest --preset "$preset" -j "$jobs" -L exhaustive
     # Golden-output gate: every bench with a committed
     # bench/golden/<bench>.txt (the figures' α–β model outputs and
     # seeded-training accuracies) must print exactly that file; the diff

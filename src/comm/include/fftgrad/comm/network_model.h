@@ -57,7 +57,7 @@ struct NetworkModel {
   /// honestly include recovery cost. Zero keeps the lossless formulas
   /// bit-identical to the historical model.
   double loss_rate = 0.0;
-  RetryPolicy retry;
+  RetryPolicy retry{};
 
   /// Fault-free cost of one message of `size`: alpha + size/beta.
   SimSeconds p2p_base_time(Bytes size) const {

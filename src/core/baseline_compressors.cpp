@@ -69,9 +69,8 @@ Packet TopKCompressor::compress(std::span<const float> gradient) {
 
   wire::put<std::uint64_t>(packet.bytes, n);
   wire::put<std::uint64_t>(packet.bytes, kept.size());
-  const std::vector<std::uint8_t> mask_bytes = sparse::encode_mask(mask);
-  wire::put<std::uint64_t>(packet.bytes, mask_bytes.size());
-  wire::put_span<std::uint8_t>(packet.bytes, mask_bytes);
+  wire::put<std::uint64_t>(packet.bytes, sparse::encoded_mask_bytes(n, kept.size()));
+  sparse::encode_mask(mask, packet.bytes);
   wire::put_span<float>(packet.bytes, kept);
   record_codec_packet(packet.elements, packet);
   return packet;
@@ -88,9 +87,8 @@ void TopKCompressor::decompress(const Packet& packet, std::span<float> out) {
   if (n != packet.elements) throw std::runtime_error("TopKCompressor: corrupt packet");
   const auto kept_count = static_cast<std::size_t>(reader.get<std::uint64_t>());
   if (kept_count > n) throw std::runtime_error("TopKCompressor: corrupt kept count");
-  const std::size_t mask_size = reader.get_count(sizeof(std::uint8_t));
-  std::vector<std::uint8_t> mask_bytes(mask_size);
-  reader.get_span<std::uint8_t>(mask_bytes);
+  const std::span<const std::uint8_t> mask_bytes =
+      reader.get_bytes(reader.get_count(sizeof(std::uint8_t)));
   // Receiver expectation: survivor count must match the value payload.
   const sparse::Bitmap mask =
       std::move(sparse::decode_mask(mask_bytes, n))
@@ -137,8 +135,7 @@ Packet QsgdCompressor::compress(std::span<const float> gradient) {
   }
   wire::put<std::uint64_t>(packet.bytes, n);
   wire::put<float>(packet.bytes, norm);
-  const std::vector<std::uint8_t> packed = quant::pack_codes(codes, bits_);
-  wire::put_span<std::uint8_t>(packet.bytes, packed);
+  quant::pack_codes(codes, bits_, packet.bytes);
   record_codec_packet(packet.elements, packet);
   return packet;
 }
@@ -153,11 +150,10 @@ void QsgdCompressor::decompress(const Packet& packet, std::span<float> out) {
   const auto n = static_cast<std::size_t>(reader.get<std::uint64_t>());
   if (n != packet.elements) throw std::runtime_error("QsgdCompressor: corrupt packet");
   const float norm = reader.get<float>();
-  std::vector<std::uint8_t> packed(reader.remaining());
-  reader.get_span<std::uint8_t>(packed);
-  const std::vector<std::uint32_t> codes =
-      std::move(quant::unpack_codes(packed, bits_, n))
-          .release([&](const std::vector<std::uint32_t>& c) { return c.size() == n; },
+  std::vector<std::uint32_t> buffer(n);
+  const std::span<const std::uint32_t> codes =
+      std::move(quant::unpack_codes(reader.get_bytes(reader.remaining()), bits_, buffer))
+          .release([&](std::span<const std::uint32_t> c) { return c.size() == n; },
                    "QSGD codes");
   const float s = static_cast<float>(levels_);
   const std::uint32_t sign_bit = std::uint32_t{1} << (bits_ - 1);
@@ -245,8 +241,7 @@ Packet OneBitCompressor::compress(std::span<const float> gradient) {
   wire::put<std::uint64_t>(packet.bytes, n);
   wire::put<float>(packet.bytes, positive_scale);
   wire::put<float>(packet.bytes, negative_scale);
-  const std::vector<std::uint8_t> packed = quant::pack_codes(signs, 1);
-  wire::put_span<std::uint8_t>(packet.bytes, packed);
+  quant::pack_codes(signs, 1, packet.bytes);
   record_codec_packet(packet.elements, packet);
   return packet;
 }
@@ -262,11 +257,10 @@ void OneBitCompressor::decompress(const Packet& packet, std::span<float> out) {
   if (n != packet.elements) throw std::runtime_error("OneBitCompressor: corrupt packet");
   const float positive_scale = reader.get<float>();
   const float negative_scale = reader.get<float>();
-  std::vector<std::uint8_t> packed(reader.remaining());
-  reader.get_span<std::uint8_t>(packed);
-  const std::vector<std::uint32_t> signs =
-      std::move(quant::unpack_codes(packed, 1, n))
-          .release([&](const std::vector<std::uint32_t>& c) { return c.size() == n; },
+  std::vector<std::uint32_t> buffer(n);
+  const std::span<const std::uint32_t> signs =
+      std::move(quant::unpack_codes(reader.get_bytes(reader.remaining()), 1, buffer))
+          .release([&](std::span<const std::uint32_t> c) { return c.size() == n; },
                    "one-bit signs");
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = signs[i] ? positive_scale : negative_scale;
@@ -297,8 +291,7 @@ Packet TernGradCompressor::compress(std::span<const float> gradient) {
   }
   wire::put<std::uint64_t>(packet.bytes, n);
   wire::put<float>(packet.bytes, scale);
-  const std::vector<std::uint8_t> packed = quant::pack_codes(codes, 2);
-  wire::put_span<std::uint8_t>(packet.bytes, packed);
+  quant::pack_codes(codes, 2, packet.bytes);
   record_codec_packet(packet.elements, packet);
   return packet;
 }
@@ -313,14 +306,13 @@ void TernGradCompressor::decompress(const Packet& packet, std::span<float> out) 
   const auto n = static_cast<std::size_t>(reader.get<std::uint64_t>());
   if (n != packet.elements) throw std::runtime_error("TernGradCompressor: corrupt packet");
   const float scale = reader.get<float>();
-  std::vector<std::uint8_t> packed(reader.remaining());
-  reader.get_span<std::uint8_t>(packed);
   // Ternary code space is {0, +1, -1}: a wire value of 3 is well-formed at
   // the bit level but semantically invalid, so reject it here rather than
   // silently decoding it as -scale.
-  const std::vector<std::uint32_t> codes =
-      std::move(quant::unpack_codes(packed, 2, n))
-          .release([&](const std::vector<std::uint32_t>& c) {
+  std::vector<std::uint32_t> buffer(n);
+  const std::span<const std::uint32_t> codes =
+      std::move(quant::unpack_codes(reader.get_bytes(reader.remaining()), 2, buffer))
+          .release([&](std::span<const std::uint32_t> c) {
             if (c.size() != n) return false;
             for (std::uint32_t code : c) {
               if (code > 2) return false;

@@ -51,14 +51,21 @@ Packet ChunkedCompressor::compress(std::span<const float> gradient) {
   packet.elements = gradient.size();
   const std::size_t chunks =
       gradient.empty() ? 0 : (gradient.size() + chunk_elements_ - 1) / chunk_elements_;
-  wire::put<std::uint64_t>(packet.bytes, gradient.size());
-  wire::put<std::uint64_t>(packet.bytes, chunks);
+  // Every chunk's packet first, so the whole one is sized once.
+  std::vector<Packet> inner(chunks);
+  std::size_t size = 2 * sizeof(std::uint64_t);
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t begin = c * chunk_elements_;
     const std::size_t len = std::min(chunk_elements_, gradient.size() - begin);
-    const Packet inner = codec_for(c).compress(gradient.subspan(begin, len));
-    wire::put<std::uint64_t>(packet.bytes, inner.bytes.size());
-    wire::put_span<std::uint8_t>(packet.bytes, inner.bytes);
+    inner[c] = codec_for(c).compress(gradient.subspan(begin, len));
+    size += sizeof(std::uint64_t) + inner[c].bytes.size();
+  }
+  packet.bytes.reserve(size);
+  wire::put<std::uint64_t>(packet.bytes, gradient.size());
+  wire::put<std::uint64_t>(packet.bytes, chunks);
+  for (const Packet& chunk : inner) {
+    wire::put<std::uint64_t>(packet.bytes, chunk.bytes.size());
+    wire::put_span<std::uint8_t>(packet.bytes, chunk.bytes);
   }
   return packet;
 }

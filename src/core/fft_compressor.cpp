@@ -1,6 +1,7 @@
 #include "fftgrad/core/fft_compressor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <stdexcept>
@@ -11,11 +12,27 @@
 #include "fftgrad/sparse/pack.h"
 #include "fftgrad/sparse/topk.h"
 #include "fftgrad/telemetry/trace.h"
+#include "fftgrad/util/scratch.h"
 
 namespace fftgrad::core {
 namespace {
 
 constexpr std::uint8_t kFlagQuantized = 1;
+
+// Roles of the per-thread scratch (util::thread_scratch) that compress and
+// decompress share: the half spectrum (compress writes the fp16 signal
+// into it first, as floats, and rfft transforms it in place), the kept
+// coefficients and their codes. The bin moduli borrow the transforms' own
+// buffer (fft::TransformScratch), which rfft has left free.
+struct SpectrumScratch;
+struct KeptScratch;
+struct CodeScratch;
+
+/// `values`' floats, re at 2i and im at 2i + 1 (the array layout the
+/// standard guarantees for std::complex).
+std::span<float> as_floats(std::span<fft::cfloat> values) {
+  return {reinterpret_cast<float*>(values.data()), 2 * values.size()};
+}
 
 }  // namespace
 
@@ -65,9 +82,12 @@ Packet FftCompressor::compress(std::span<const float> gradient) {
   packet.elements = gradient.size();
   const std::size_t n = gradient.size();
   if (n == 0) return packet;
+  const fft::FftPlan& plan = plan_for(n);
+  const std::size_t bins = plan.real_bins();
+  const std::span<fft::cfloat> spectrum = util::thread_scratch<fft::cfloat, SpectrumScratch>(bins);
 
-  // Stage 2: fp16 conversion.
-  std::vector<float> signal(n);
+  // Stage 2: fp16 conversion, into the spectrum's storage.
+  const std::span<float> signal = as_floats(spectrum).first(n);
   {
     telemetry::TraceSpan span("fft.fp16", "codec");
     if (options_.use_fp16_stage) {
@@ -77,10 +97,7 @@ Packet FftCompressor::compress(std::span<const float> gradient) {
     }
   }
 
-  // Stage 3: real FFT.
-  const fft::FftPlan& plan = plan_for(n);
-  const std::size_t bins = plan.real_bins();
-  std::vector<fft::cfloat> spectrum(bins);
+  // Stage 3: real FFT, in place.
   {
     telemetry::TraceSpan span("fft.rfft", "codec");
     plan.rfft(signal, spectrum);
@@ -90,10 +107,10 @@ Packet FftCompressor::compress(std::span<const float> gradient) {
   const std::size_t kept_target = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::llround((1.0 - options_.theta) *
                                                static_cast<double>(bins))));
-  std::vector<float> magnitudes(bins);
   sparse::Bitmap mask;
   {
     telemetry::TraceSpan span("fft.lowpass", "codec");
+    const std::span<float> magnitudes = util::thread_scratch<float, fft::TransformScratch>(bins);
     // |z| as glibc's hypotf computes it: the squares are exact in double,
     // summed and rooted in double, rounded once more to float. For finite
     // bins that is std::abs bit for bit, but this loop vectorizes where a
@@ -106,36 +123,54 @@ Packet FftCompressor::compress(std::span<const float> gradient) {
     mask = sparse::topk_mask(magnitudes, kept_target);
   }
 
-  // Stage 6 (gather part): pack surviving bins densely, in bin order.
-  auto& pool = parallel::ThreadPool::global();
-  std::vector<fft::cfloat> kept;
+  // Stage 6 (gather part): pack surviving bins densely, in bin order, and
+  // take stage 5's peak |re| or |im| on the way.
+  const std::size_t kept_count = mask.count();
+  const std::span<fft::cfloat> kept = util::thread_scratch<fft::cfloat, KeptScratch>(kept_count);
+  float peak = 0.0f;
   {
     telemetry::TraceSpan span("fft.pack", "codec");
-    kept = sparse::pack_bitmap<fft::cfloat>(pool, spectrum, mask);
+    const std::span<const std::uint64_t> words = mask.words();
+    std::size_t at = 0;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+        const fft::cfloat bin = spectrum[64 * w + static_cast<std::size_t>(std::countr_zero(word))];
+        kept[at++] = bin;
+        peak = std::max(peak, std::fabs(bin.real()));
+        peak = std::max(peak, std::fabs(bin.imag()));
+      }
+    }
   }
-  // View the kept coefficients as interleaved re/im floats for stage 5.
-  std::span<const float> parts(reinterpret_cast<const float*>(kept.data()), kept.size() * 2);
+  // The kept coefficients as interleaved re/im floats for stage 5.
+  const std::span<const float> parts = as_floats(kept);
 
   // Stage 5: range-based quantization of the peak-normalized coefficients.
-  float peak = 0.0f;
-  bool quantized = false;
-  std::vector<float> normalized;
-  {
+  const bool quantized = options_.quantizer_bits != 0 && peak > 0.0f;
+  const std::span<std::uint32_t> codes =
+      util::thread_scratch<std::uint32_t, CodeScratch>(quantized ? parts.size() : 0);
+  if (quantized) {
     telemetry::TraceSpan span("fft.quantize", "codec");
-    for (float v : parts) peak = std::max(peak, std::fabs(v));
-    quantized = options_.quantizer_bits != 0 && peak > 0.0f;
-    if (quantized) {
-      normalized.resize(parts.size());
-      const float inv_peak = 1.0f / peak;
+    const float inv_peak = 1.0f / peak;
+    if (!quantizer_) {
+      std::vector<float> normalized(parts.size());
       for (std::size_t i = 0; i < parts.size(); ++i) normalized[i] = parts[i] * inv_peak;
-      if (!quantizer_) calibrate_quantizer(normalized);
+      calibrate_quantizer(normalized);
     }
+    quantizer_->encode(parts, codes, inv_peak);
   }
 
   // Wire format: header, bitmap words, then coefficient payload.
   telemetry::TraceSpan encode_span("fft.encode", "codec");
+  const int bits = quantized ? quantizer_->params().bits : 0;
+  const std::size_t mask_size = sparse::encoded_mask_bytes(bins, kept_count);
+  const std::size_t payload_size =
+      quantized ? (parts.size() * static_cast<std::size_t>(bits) + 7) / 8
+                : parts.size() * sizeof(float);
+  packet.bytes.reserve(2 * sizeof(std::uint64_t) + sizeof(std::uint8_t) +
+                       (quantized ? 2 * sizeof(std::int32_t) + 4 * sizeof(float) : 0) +
+                       sizeof(std::uint64_t) + mask_size + payload_size);
   wire::put<std::uint64_t>(packet.bytes, n);
-  wire::put<std::uint64_t>(packet.bytes, kept.size());
+  wire::put<std::uint64_t>(packet.bytes, kept_count);
   std::uint8_t flags = quantized ? kFlagQuantized : 0;
   wire::put<std::uint8_t>(packet.bytes, flags);
   if (quantized) {
@@ -147,15 +182,10 @@ Packet FftCompressor::compress(std::span<const float> gradient) {
     wire::put<float>(packet.bytes, p.eps);
     wire::put<float>(packet.bytes, peak);
   }
-  const std::vector<std::uint8_t> mask_bytes = sparse::encode_mask(mask);
-  wire::put<std::uint64_t>(packet.bytes, mask_bytes.size());
-  wire::put_span<std::uint8_t>(packet.bytes, mask_bytes);
+  wire::put<std::uint64_t>(packet.bytes, mask_size);
+  sparse::encode_mask(mask, packet.bytes);
   if (quantized) {
-    std::vector<std::uint32_t> codes(normalized.size());
-    quantizer_->encode(normalized, codes);
-    const std::vector<std::uint8_t> packed =
-        quant::pack_codes(codes, quantizer_->params().bits);
-    wire::put_span<std::uint8_t>(packet.bytes, packed);
+    quant::pack_codes(codes, bits, packet.bytes);
   } else {
     wire::put_span<float>(packet.bytes, parts);
   }
@@ -190,9 +220,8 @@ void FftCompressor::decompress(const Packet& packet, std::span<float> out) {
   const fft::FftPlan& plan = plan_for(n);
   const std::size_t bins = plan.real_bins();
   if (kept_count > bins) throw std::runtime_error("FftCompressor: corrupt kept count");
-  const std::size_t mask_size = reader.get_count(sizeof(std::uint8_t));
-  std::vector<std::uint8_t> mask_bytes(mask_size);
-  reader.get_span<std::uint8_t>(mask_bytes);
+  const std::span<const std::uint8_t> mask_bytes =
+      reader.get_bytes(reader.get_count(sizeof(std::uint8_t)));
   // Receiver expectation: the mask's survivor count must match the packet's
   // kept-coefficient count, or unpack_bitmap would mispair values and bins.
   const sparse::Bitmap mask =
@@ -200,26 +229,24 @@ void FftCompressor::decompress(const Packet& packet, std::span<float> out) {
           .release([&](const sparse::Bitmap& m) { return m.count() == kept_count; },
                    "FFT keep-mask");
 
-  std::vector<fft::cfloat> kept(kept_count);
-  std::span<float> parts(reinterpret_cast<float*>(kept.data()), kept_count * 2);
+  const std::span<fft::cfloat> kept = util::thread_scratch<fft::cfloat, KeptScratch>(kept_count);
+  const std::span<float> parts = as_floats(kept);
   {
     telemetry::TraceSpan span("fft.dequantize", "codec");
     if (codec) {
-      std::vector<std::uint8_t> packed(reader.remaining());
-      reader.get_span<std::uint8_t>(packed);
-      const std::vector<std::uint32_t> codes =
-          std::move(quant::unpack_codes(packed, codec->params().bits, parts.size()))
-              .release([&](const std::vector<std::uint32_t>& c) {
-                return c.size() == parts.size();
-              }, "FFT quantized coefficients");
-      codec->decode(codes, parts);
-      for (float& v : parts) v *= peak;
+      const std::span<std::uint32_t> codes =
+          std::move(quant::unpack_codes(reader.get_bytes(reader.remaining()), codec->params().bits,
+                                        util::thread_scratch<std::uint32_t, CodeScratch>(
+                                            parts.size())))
+              .release([&](std::span<const std::uint32_t> c) { return c.size() == parts.size(); },
+                       "FFT quantized coefficients");
+      codec->decode(codes, parts, peak);
     } else {
       reader.get_span<float>(parts);
     }
   }
 
-  std::vector<fft::cfloat> spectrum(bins);
+  const std::span<fft::cfloat> spectrum = util::thread_scratch<fft::cfloat, SpectrumScratch>(bins);
   auto& pool = parallel::ThreadPool::global();
   {
     telemetry::TraceSpan span("fft.unpack", "codec");

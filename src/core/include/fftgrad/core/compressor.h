@@ -85,18 +85,24 @@ class GradientCompressor {
 
 namespace wire {
 
+// Appends grow the vector, then copy: GCC 12 reports false -Warray-bounds
+// and -Wstringop-overflow on vector::insert of a few bytes.
 template <typename T>
 void put(std::vector<std::uint8_t>& bytes, const T& value) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* raw = reinterpret_cast<const std::uint8_t*>(&value);
-  bytes.insert(bytes.end(), raw, raw + sizeof(T));
+  const std::size_t at = bytes.size();
+  bytes.resize(at + sizeof(T));
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
 }
 
 template <typename T>
 void put_span(std::vector<std::uint8_t>& bytes, std::span<const T> values) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* raw = reinterpret_cast<const std::uint8_t*>(values.data());
-  bytes.insert(bytes.end(), raw, raw + values.size_bytes());
+  // An empty span may carry a null pointer, which memcpy must not see.
+  if (values.empty()) return;
+  const std::size_t at = bytes.size();
+  bytes.resize(at + values.size_bytes());
+  std::memcpy(bytes.data() + at, values.data(), values.size_bytes());
 }
 
 class Reader {
@@ -121,6 +127,15 @@ class Reader {
     if (at_ + out.size_bytes() > bytes_.size()) throw std::runtime_error("wire: truncated packet");
     std::memcpy(out.data(), bytes_.data() + at_, out.size_bytes());
     at_ += out.size_bytes();
+  }
+
+  /// The next `count` bytes, consumed, as a view into the packet (valid
+  /// while the packet's bytes are).
+  std::span<const std::uint8_t> get_bytes(std::size_t count) {
+    if (count > remaining()) throw std::runtime_error("wire: truncated packet");
+    const std::span<const std::uint8_t> view = bytes_.subspan(at_, count);
+    at_ += count;
+    return view;
   }
 
   std::size_t remaining() const { return bytes_.size() - at_; }

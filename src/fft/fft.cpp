@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "fftgrad/parallel/parallel_for.h"
+#include "fftgrad/util/scratch.h"
 
 namespace fftgrad::fft {
 namespace {
@@ -26,6 +27,29 @@ inline cfloat mul(cfloat a, cfloat b) {
   const float bi = kConj ? -b.imag() : b.imag();
   return cfloat(a.real() * br - a.imag() * bi, a.real() * bi + a.imag() * br);
 }
+
+/// Complex arrays come in two layouts: complex values, and interleaved
+/// float pairs (re at 2j, im at 2j + 1), which is how rfft reads its real
+/// input and irfft writes its real output, each as n/2 complex values.
+/// offset() is the address of complex element j, load()/store() read and
+/// write it.
+inline const cfloat* offset(const cfloat* p, std::size_t j) { return p + j; }
+inline cfloat* offset(cfloat* p, std::size_t j) { return p + j; }
+inline const float* offset(const float* p, std::size_t j) { return p + 2 * j; }
+inline float* offset(float* p, std::size_t j) { return p + 2 * j; }
+inline cfloat load(const cfloat* p, std::size_t j) { return p[j]; }
+inline cfloat load(const float* p, std::size_t j) { return cfloat(p[2 * j], p[2 * j + 1]); }
+inline void store(cfloat* p, std::size_t j, cfloat v) { p[j] = v; }
+inline void store(float* p, std::size_t j, cfloat v) {
+  p[2 * j] = v.real();
+  p[2 * j + 1] = v.imag();
+}
+
+/// The per-thread scratch behind a transform: TransformScratch is the split
+/// re/im working buffer of one complex transform (2n floats for a power of
+/// two, 2m for Bluestein), and OddRealScratch the n complex values an
+/// odd-n real transform runs on.
+struct OddRealScratch;
 
 /// Appends exp(-2*pi*i*r*j/len) for j < count to `table` as `count` real
 /// parts followed by `count` imaginary parts.
@@ -187,13 +211,13 @@ void dit4_quads(float* __restrict re, float* __restrict im, std::size_t m) {
 /// __restrict parameters: called from outside the function that allocates
 /// the buffer, GCC could no longer tell the arrays apart and the transforms
 /// below the pool threshold ran 7% slower.
-template <bool kConj>
-void chirp_in(const cfloat* __restrict in, const float* __restrict cr, const float* __restrict ci,
+template <bool kConj, typename In>
+void chirp_in(const In* __restrict in, const float* __restrict cr, const float* __restrict ci,
               const float* __restrict wr, const float* __restrict wi, float* __restrict r0,
               float* __restrict i0, float* __restrict r1, float* __restrict i1,
               std::size_t count) {
   for (std::size_t j = 0; j < count; ++j) {
-    const cfloat x = mul<kConj>(in[j], cfloat(cr[j], ci[j]));
+    const cfloat x = mul<kConj>(load(in, j), cfloat(cr[j], ci[j]));
     const cfloat t = mul<false>(x, cfloat(wr[j], wi[j]));
     r0[j] = x.real();
     i0[j] = x.imag();
@@ -205,16 +229,16 @@ void chirp_in(const cfloat* __restrict in, const float* __restrict cr, const flo
 /// Bluestein's output loop for j < count: the pruned trailing radix-2
 /// stage y = a + b * conj(w[j]), then y * c[j] (conj(c) when kConj), times
 /// `scale`.
-template <bool kConj>
+template <bool kConj, typename Out>
 void chirp_out(const float* __restrict r0, const float* __restrict i0, const float* __restrict r1,
                const float* __restrict i1, const float* __restrict cr, const float* __restrict ci,
                const float* __restrict wr, const float* __restrict wi, float scale,
-               cfloat* __restrict out, std::size_t count) {
+               Out* __restrict out, std::size_t count) {
   for (std::size_t j = 0; j < count; ++j) {
     const cfloat t = mul<true>(cfloat(r1[j], i1[j]), cfloat(wr[j], wi[j]));
     const cfloat y(r0[j] + t.real(), i0[j] + t.imag());
     const cfloat v = mul<kConj>(y, cfloat(cr[j], ci[j]));
-    out[j] = cfloat(v.real() * scale, v.imag() * scale);
+    store(out, j, cfloat(v.real() * scale, v.imag() * scale));
   }
 }
 
@@ -398,9 +422,11 @@ class ComplexPlan {
                  lead.begin() + static_cast<std::ptrdiff_t>(h + n));
   }
 
-  /// out = DFT(in), or the 1/n-normalized inverse DFT when `invert`.
-  /// in.data() == out.data() is allowed.
-  void execute(std::span<const cfloat> in, std::span<cfloat> out, bool invert) const {
+  /// out = DFT(in), or the 1/n-normalized inverse DFT when `invert`, over
+  /// n complex values in either layout. Every input is read before any
+  /// output is written, so `in` may be `out`'s storage.
+  template <typename In, typename Out>
+  void execute(const In* in, Out* out, bool invert) const {
     if (!chirp_.empty()) {
       if (invert) {
         bluestein<true>(in, out);
@@ -410,12 +436,12 @@ class ComplexPlan {
       return;
     }
     // Gather into bit-reversed split form, then one DIT pass.
-    const auto buf = std::make_unique_for_overwrite<float[]>(2 * n_);
-    float* re = buf.get();
+    float* re = util::thread_scratch<float, TransformScratch>(2 * n_).data();
     float* im = re + n_;
     for (std::size_t i = 0, rev = 0; i < n_; ++i) {
-      re[i] = in[rev].real();
-      im[i] = in[rev].imag();
+      const cfloat x = load(in, rev);
+      re[i] = x.real();
+      im[i] = x.imag();
       std::size_t bit = n_ >> 1;
       while ((rev & bit) != 0) {
         rev ^= bit;
@@ -429,28 +455,29 @@ class ComplexPlan {
       kernel_.dit<false>(re, im);
     }
     const float scale = invert ? 1.0f / static_cast<float>(n_) : 1.0f;
-    for (std::size_t i = 0; i < n_; ++i) out[i] = cfloat(re[i] * scale, im[i] * scale);
+    for (std::size_t i = 0; i < n_; ++i) store(out, i, cfloat(re[i] * scale, im[i] * scale));
   }
 
  private:
   /// chirp -> DIF -> pointwise x filter spectrum -> DIT -> chirp. The padded
   /// input is zero from n <= h on and only outputs below n are kept, so the
   /// m-point transforms' radix-2 stages prune to one twiddle multiply each,
-  /// fused with the chirp. The padded buffer is allocated per call so a
-  /// const plan can be shared across threads without any scratch held
-  /// between calls.
+  /// fused with the chirp. The padded buffer is the calling thread's
+  /// transform scratch, so a const plan can serve any number of threads and
+  /// holds no scratch itself.
   ///
   /// The work runs as three pieces, each split over disjoint parts of the
-  /// buffer when the kernel is large enough to pay for the pool. Every
-  /// element sees the same float operations whichever way its piece runs,
-  /// so the result is bit-identical either way.
-  template <bool kInvert>
-  void bluestein(std::span<const cfloat> in, std::span<cfloat> out) const {
+  /// buffer when the kernel is large enough to pay for the pool; the pool's
+  /// workers then work on the caller's buffer. Every element sees the same
+  /// float operations whichever way its piece runs, so the result is
+  /// bit-identical either way. The first piece reads all of `in` and only
+  /// the last writes `out`.
+  template <bool kInvert, typename In, typename Out>
+  void bluestein(const In* in, Out* out) const {
     const std::size_t h = kernel_.size();
     const std::size_t m = 2 * h;
     const std::size_t leg = kernel_.leg();
-    const auto buf = std::make_unique_for_overwrite<float[]>(2 * m);
-    float* re = buf.get();
+    float* re = util::thread_scratch<float, TransformScratch>(2 * m).data();
     float* im = re + m;
     const bool pooled = h >= kPoolMinKernel;
     // A slice [j0, j1) of the first kernel stage of both halves, after the
@@ -483,15 +510,14 @@ class ComplexPlan {
   /// Bluestein's input for j in [a, b): x = in[j] * chirp[j] into the first
   /// half and x * w^j (the pruned leading stage) into the second, zero from
   /// n on.
-  template <bool kInvert>
-  void input(std::span<const cfloat> in, float* re, float* im, std::size_t a,
-             std::size_t b) const {
+  template <bool kInvert, typename In>
+  void input(const In* in, float* re, float* im, std::size_t a, std::size_t b) const {
     const std::size_t h = kernel_.size();
     const std::size_t end = std::clamp(n_, a, b);
     if (a < end) {
       const float* c = chirp_.data();
       const float* w = lead_.data();
-      chirp_in<kInvert>(in.data() + a, c + a, c + n_ + a, w + a, w + n_ + a, re + a, im + a,
+      chirp_in<kInvert>(offset(in, a), c + a, c + n_ + a, w + a, w + n_ + a, re + a, im + a,
                         re + h + a, im + h + a, end - a);
     }
     std::fill(re + end, re + b, 0.0f);
@@ -502,9 +528,8 @@ class ComplexPlan {
 
   /// Bluestein's output for j in [a, b), j < n: the pruned trailing stage,
   /// the chirp and the inverse's 1/n.
-  template <bool kInvert>
-  void output(const float* re, const float* im, std::span<cfloat> out, std::size_t a,
-              std::size_t b) const {
+  template <bool kInvert, typename Out>
+  void output(const float* re, const float* im, Out* out, std::size_t a, std::size_t b) const {
     const std::size_t h = kernel_.size();
     const std::size_t end = std::min(b, n_);
     if (end <= a) return;
@@ -512,7 +537,7 @@ class ComplexPlan {
     const float* w = lead_.data();
     const float scale = kInvert ? 1.0f / static_cast<float>(n_) : 1.0f;
     chirp_out<kInvert>(re + a, im + a, re + h + a, im + h + a, c + a, c + n_ + a, w + a,
-                       w + n_ + a, scale, out.data() + a, end - a);
+                       w + n_ + a, scale, offset(out, a), end - a);
   }
 
   template <bool kConj>
@@ -554,8 +579,9 @@ void split_bins(cfloat* __restrict out, const cfloat* __restrict w, std::size_t 
   }
 }
 
-/// irfft_even's mirror of split_bins, from the spectrum `in` into z.
-void merge_bins(const cfloat* __restrict in, const cfloat* __restrict w, cfloat* __restrict z,
+/// irfft_even's mirror of split_bins, from the spectrum `in` into z, h
+/// complex values stored as interleaved float pairs.
+void merge_bins(const cfloat* __restrict in, const cfloat* __restrict w, float* __restrict z,
                 std::size_t h) {
   for (std::size_t k = 1; 2 * k < h; ++k) {
     const cfloat x = in[k];
@@ -563,8 +589,8 @@ void merge_bins(const cfloat* __restrict in, const cfloat* __restrict w, cfloat*
     const cfloat e(0.5f * (x.real() + y.real()), 0.5f * (x.imag() + y.imag()));
     const cfloat d(0.5f * (x.real() - y.real()), 0.5f * (x.imag() - y.imag()));
     const cfloat o = mul<true>(d, w[k]);
-    z[k] = cfloat(e.real() - o.imag(), e.imag() + o.real());
-    z[h - k] = cfloat(e.real() + o.imag(), o.real() - e.imag());
+    store(z, k, cfloat(e.real() - o.imag(), e.imag() + o.real()));
+    store(z, h - k, cfloat(e.real() + o.imag(), o.real() - e.imag()));
   }
 }
 
@@ -610,18 +636,17 @@ struct FftPlan::Impl {
 
   void execute(std::span<const cfloat> in, std::span<cfloat> out, bool invert) {
     if (in.size() != n || out.size() != n) throw std::invalid_argument("FftPlan: bad span length");
-    full().execute(in, out, invert);
+    full().execute(in.data(), out.data(), invert);
   }
 
-  /// Even n. z[j] = x[2j] + i*x[2j+1] has the h = n/2 point spectrum Z, and
-  /// with A = Z[k], B = conj(Z[h-k]) the real spectrum is
+  /// Even n. z[j] = x[2j] + i*x[2j+1], the signal read as h = n/2
+  /// interleaved complex values, has the h-point spectrum Z, and with
+  /// A = Z[k], B = conj(Z[h-k]) the real spectrum is
   ///   X[k] = E + W^k * O,  E = (A + B)/2,  O = -i(A - B)/2,  W = exp(-2*pi*i/n)
   /// and X[h-k] = conj(E - W^k * O), so each pass handles bins k and h-k.
   void rfft_even(std::span<const float> in, std::span<cfloat> out) const {
     const std::size_t h = n / 2;
-    const std::span<cfloat> z = out.first(h);
-    for (std::size_t j = 0; j < h; ++j) z[j] = cfloat(in[2 * j], in[2 * j + 1]);
-    half->execute(z, z, /*invert=*/false);
+    half->execute(in.data(), out.data(), /*invert=*/false);
     const cfloat z0 = out[0];
     out[0] = cfloat(z0.real() + z0.imag(), 0.0f);
     out[h] = cfloat(z0.real() - z0.imag(), 0.0f);
@@ -633,20 +658,18 @@ struct FftPlan::Impl {
   /// Even n: the exact mirror of rfft_even. With D = (X[k] - conj(X[h-k]))/2,
   /// E = (X[k] + conj(X[h-k]))/2 and O = conj(W^k) * D, Z[k] = E + i*O and
   /// Z[h-k] = conj(E) + i*conj(O). Only the real parts of X[0] and X[h] are
-  /// read, which projects them to the real values a real signal needs.
+  /// read, which projects them to the real values a real signal needs. Z is
+  /// built in `out` as h interleaved complex values and transformed in
+  /// place, which leaves x[2j] + i*x[2j+1] exactly where x belongs.
   void irfft_even(std::span<const cfloat> in, std::span<float> out) const {
     const std::size_t h = n / 2;
-    std::vector<cfloat> z(h);
+    float* z = out.data();
     const float dc = in[0].real();
     const float nyquist = in[h].real();
-    z[0] = cfloat(0.5f * (dc + nyquist), 0.5f * (dc - nyquist));
-    merge_bins(in.data(), split.data(), z.data(), h);
-    if (h % 2 == 0 && h >= 2) z[h / 2] = std::conj(in[h / 2]);
-    half->execute(z, z, /*invert=*/true);
-    for (std::size_t j = 0; j < h; ++j) {
-      out[2 * j] = z[j].real();
-      out[2 * j + 1] = z[j].imag();
-    }
+    store(z, 0, cfloat(0.5f * (dc + nyquist), 0.5f * (dc - nyquist)));
+    merge_bins(in.data(), split.data(), z, h);
+    if (h % 2 == 0 && h >= 2) store(z, h / 2, std::conj(in[h / 2]));
+    half->execute(static_cast<const float*>(z), z, /*invert=*/true);
   }
 };
 
@@ -673,9 +696,10 @@ void FftPlan::rfft(std::span<const float> in, std::span<cfloat> out) const {
     impl_->rfft_even(in, out);
     return;
   }
-  std::vector<cfloat> buf(n);
+  // `in` is read in full before `out` is written, so it may alias out.
+  const std::span<cfloat> buf = util::thread_scratch<cfloat, OddRealScratch>(n);
   for (std::size_t i = 0; i < n; ++i) buf[i] = cfloat(in[i], 0.0f);
-  impl_->full().execute(buf, buf, /*invert=*/false);
+  impl_->full().execute(static_cast<const cfloat*>(buf.data()), buf.data(), /*invert=*/false);
   std::copy(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(real_bins()), out.begin());
 }
 
@@ -687,13 +711,14 @@ void FftPlan::irfft(std::span<const cfloat> in, std::span<float> out) const {
     impl_->irfft_even(in, out);
     return;
   }
-  std::vector<cfloat> spectrum(n);
+  const std::span<cfloat> spectrum = util::thread_scratch<cfloat, OddRealScratch>(n);
   // The DC bin must be real for a real signal. Rather than trusting the
   // caller we project it.
   spectrum[0] = cfloat(in[0].real(), 0.0f);
   for (std::size_t k = 1; k < real_bins(); ++k) spectrum[k] = in[k];
   for (std::size_t k = real_bins(); k < n; ++k) spectrum[k] = std::conj(spectrum[n - k]);
-  impl_->full().execute(spectrum, spectrum, /*invert=*/true);
+  impl_->full().execute(static_cast<const cfloat*>(spectrum.data()), spectrum.data(),
+                        /*invert=*/true);
   for (std::size_t i = 0; i < n; ++i) out[i] = spectrum[i].real();
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "fftgrad/tensor/ops.h"
+#include "fftgrad/util/scratch.h"
 
 namespace fftgrad::nn {
 
@@ -99,6 +100,12 @@ Span in_image_span(std::size_t kx, std::size_t stride, std::size_t pad, std::siz
   return {std::min(lo, ow), std::max(std::min(lo, ow), std::min(hi, ow))};
 }
 
+// Roles of the per-thread scratch (util::thread_scratch) behind Conv2d's
+// patch matrix and its gradient: im2col writes every element of `col`, and
+// the gemm into `col_grad` runs with beta = 0, so neither is zeroed first.
+struct ColScratch;
+struct ColGradScratch;
+
 }  // namespace
 
 void Conv2d::im2col(const float* img, std::size_t h, std::size_t w, float* col) const {
@@ -174,7 +181,7 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x) {
   const std::size_t oh = out_height(h), ow = out_width(w);
   const std::size_t patch = cin_ * k_ * k_;
   tensor::Tensor y({batch, cout_, oh, ow});
-  std::vector<float> col(patch * oh * ow);
+  const std::span<float> col = util::thread_scratch<float, ColScratch>(patch * oh * ow);
   for (std::size_t n = 0; n < batch; ++n) {
     im2col(x.data() + n * cin_ * h * w, h, w, col.data());
     // (cout x patch) * (patch x oh*ow)
@@ -199,8 +206,8 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out) {
   }
   const std::size_t patch = cin_ * k_ * k_;
   tensor::Tensor grad_in({batch, cin_, h, w});
-  std::vector<float> col(patch * oh * ow);
-  std::vector<float> col_grad(patch * oh * ow);
+  const std::span<float> col = util::thread_scratch<float, ColScratch>(patch * oh * ow);
+  const std::span<float> col_grad = util::thread_scratch<float, ColGradScratch>(patch * oh * ow);
   for (std::size_t n = 0; n < batch; ++n) {
     im2col(input_cache_.data() + n * cin_ * h * w, h, w, col.data());
     const float* dy = grad_out.data() + n * cout_ * oh * ow;

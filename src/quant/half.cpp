@@ -78,6 +78,37 @@ float decode(std::uint16_t h) {
   return std::bit_cast<float>(f);
 }
 
+/// All ones when `c` holds, else zero.
+std::uint32_t all_ones_if(bool c) { return 0u - static_cast<std::uint32_t>(c); }
+
+/// decode(encode(x)) without a branch, on the float's own bits, so the
+/// loop over it runs on vector lanes. With a the magnitude bits:
+///  - a >= 0x38800000 (2^-14, half's smallest normal): round the 23-bit
+///    mantissa to half's 10 bits, ties to even, by an add and a mask. A
+///    carry into the exponent is the correct rounding up.
+///  - Below that, half is subnormal, with a fixed quantum of 2^-24. Near
+///    0.5f one float ulp is 2^-24, so |x| + 0.5f rounds |x| to that quantum
+///    (ties to even) and subtracting 0.5f again is exact.
+///  - a >= 0x477ff000 (65520, halfway above half's largest finite 65504)
+///    saturates to infinity. Every NaN becomes the quiet NaN decode gives.
+/// The sign is put back last. Every case is computed and masks pick one:
+/// with ?: the compiler moves the float addition under a branch, which
+/// keeps the loop off vector lanes.
+float round_trip(float x) {
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(x);
+  const std::uint32_t a = bits & 0x7fffffffu;
+  const std::uint32_t normal = (a + 0x0fffu + ((a >> 13) & 1u)) & 0xffffe000u;
+  const std::uint32_t subnormal =
+      std::bit_cast<std::uint32_t>((std::bit_cast<float>(a) + 0.5f) - 0.5f);
+  const std::uint32_t below_normal = all_ones_if(a < 0x38800000u);
+  const std::uint32_t overflow = all_ones_if(a >= 0x477ff000u);
+  const std::uint32_t nan = all_ones_if(a > 0x7f800000u);
+  std::uint32_t r = (subnormal & below_normal) | (normal & ~below_normal);
+  r = (0x7f800000u & overflow) | (r & ~overflow);
+  r = (0x7fc00000u & nan) | (r & ~nan);
+  return std::bit_cast<float>(r | (bits & 0x80000000u));
+}
+
 }  // namespace
 
 Half float_to_half(float value) { return Half{encode(value)}; }
@@ -109,7 +140,7 @@ void half_to_float(std::span<const Half> in, std::span<float> out) {
 void half_round_trip(std::span<const float> in, std::span<float> out) {
   if (in.size() != out.size()) throw std::invalid_argument("half_round_trip: size mismatch");
   auto convert = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = decode(encode(in[i]));
+    for (std::size_t i = begin; i < end; ++i) out[i] = round_trip(in[i]);
   };
   if (in.size() < kParallelThreshold) {
     convert(0, in.size());

@@ -80,9 +80,12 @@ class RangeFloat {
   /// Representative of code P: the largest positive representable number.
   float actual_max() const { return decode(positive_codes_); }
 
-  /// Bulk encode/decode (parallel for large spans).
-  void encode(std::span<const float> in, std::span<std::uint32_t> out) const;
-  void decode(std::span<const std::uint32_t> in, std::span<float> out) const;
+  /// Bulk encode/decode (parallel for large spans). encode() codes
+  /// in[i] * scale and decode() yields decode(in[i]) * scale, so a caller
+  /// that normalizes by a peak does it in the same pass; the default 1 is
+  /// exact and changes no value.
+  void encode(std::span<const float> in, std::span<std::uint32_t> out, float scale = 1.0f) const;
+  void decode(std::span<const std::uint32_t> in, std::span<float> out, float scale = 1.0f) const;
 
   /// Quantize-reconstruct each value: the exact lossy map of this stage.
   void round_trip(std::span<const float> in, std::span<float> out) const;
@@ -99,13 +102,19 @@ class RangeFloat {
   std::uint32_t code_count_ = 0;      // 2^N
 };
 
-/// Pack a vector of N-bit codes into a contiguous byte stream (the wire
-/// format of the quantized gradient frequencies) and unpack it back. The
-/// unpacked codes are wire input and come back Untrusted: release them
-/// through a validator asserting the receiver's expectations (count matches
-/// the codec's element count, codes inside its code space).
-std::vector<std::uint8_t> pack_codes(std::span<const std::uint32_t> codes, int bits);
-util::Untrusted<std::vector<std::uint32_t>> unpack_codes(std::span<const std::uint8_t> bytes,
-                                                         int bits, std::size_t count);
+/// Append N-bit codes to `out` as one little-endian bit stream of
+/// ceil(codes.size() * bits / 8) bytes (the wire format of the quantized
+/// gradient frequencies), a word at a time, so a codec packs straight into
+/// its packet. `bits` is in [1, 32]; each code's bits above it are dropped.
+void pack_codes(std::span<const std::uint32_t> codes, int bits, std::vector<std::uint8_t>& out);
+
+/// Unpack out.size() codes of `bits` each from the front of `bytes` into
+/// `out`, reading a word at a time. Throws std::invalid_argument, before
+/// writing anything, when `bytes` holds fewer codes than that. The codes
+/// are wire input and come back Untrusted, as a view of `out`: release
+/// them through a validator asserting the receiver's expectations (codes
+/// inside its code space).
+util::Untrusted<std::span<std::uint32_t>> unpack_codes(std::span<const std::uint8_t> bytes,
+                                                       int bits, std::span<std::uint32_t> out);
 
 }  // namespace fftgrad::quant

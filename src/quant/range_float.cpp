@@ -1,6 +1,7 @@
 #include "fftgrad/quant/range_float.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -95,10 +96,11 @@ float RangeFloat::decode(std::uint32_t code) const {
   return bits_float(((pbase_ + offset - 1) << shift_) | 0x80000000u);
 }
 
-void RangeFloat::encode(std::span<const float> in, std::span<std::uint32_t> out) const {
+void RangeFloat::encode(std::span<const float> in, std::span<std::uint32_t> out,
+                        float scale) const {
   if (in.size() != out.size()) throw std::invalid_argument("RangeFloat::encode: size mismatch");
   auto run = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = encode(in[i]);
+    for (std::size_t i = begin; i < end; ++i) out[i] = encode(in[i] * scale);
   };
   if (in.size() < kParallelThreshold) {
     run(0, in.size());
@@ -107,10 +109,11 @@ void RangeFloat::encode(std::span<const float> in, std::span<std::uint32_t> out)
   }
 }
 
-void RangeFloat::decode(std::span<const std::uint32_t> in, std::span<float> out) const {
+void RangeFloat::decode(std::span<const std::uint32_t> in, std::span<float> out,
+                        float scale) const {
   if (in.size() != out.size()) throw std::invalid_argument("RangeFloat::decode: size mismatch");
   auto run = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = decode(in[i]);
+    for (std::size_t i = begin; i < end; ++i) out[i] = decode(in[i]) * scale;
   };
   if (in.size() < kParallelThreshold) {
     run(0, in.size());
@@ -213,49 +216,81 @@ RangeFloat RangeFloat::tune(int bits, float min, float max, std::span<const floa
   return *best;
 }
 
-std::vector<std::uint8_t> pack_codes(std::span<const std::uint32_t> codes, int bits) {
-  if (bits < 1 || bits > 32) throw std::invalid_argument("pack_codes: bits must be in [1, 32]");
-  const std::size_t total_bits = codes.size() * static_cast<std::size_t>(bits);
-  std::vector<std::uint8_t> bytes((total_bits + 7) / 8, 0);
-  std::size_t bit_at = 0;
-  const std::uint64_t mask = bits == 32 ? ~std::uint64_t{0} >> 32 : (std::uint64_t{1} << bits) - 1;
-  for (std::uint32_t code : codes) {
-    std::uint64_t value = code & mask;
-    std::size_t byte = bit_at >> 3;
-    const std::size_t offset = bit_at & 7;
-    value <<= offset;
-    for (int remaining = bits + static_cast<int>(offset); remaining > 0;
-         remaining -= 8, value >>= 8, ++byte) {
-      bytes[byte] |= static_cast<std::uint8_t>(value & 0xffu);
-    }
-    bit_at += static_cast<std::size_t>(bits);
-  }
-  return bytes;
+namespace {
+
+// The code stream is little-endian; words are moved in native order.
+static_assert(std::endian::native == std::endian::little);
+
+/// The eight bytes at `p` as one word, and back: single 8-byte moves.
+std::uint64_t load_word(const std::uint8_t* p) {
+  std::array<std::uint8_t, 8> raw;
+  std::copy_n(p, raw.size(), raw.begin());
+  return std::bit_cast<std::uint64_t>(raw);
 }
 
-util::Untrusted<std::vector<std::uint32_t>> unpack_codes(std::span<const std::uint8_t> bytes,
-                                                         int bits, std::size_t count) {
+void store_word(std::uint8_t* p, std::uint64_t word) {
+  const auto raw = std::bit_cast<std::array<std::uint8_t, 8>>(word);
+  std::copy(raw.begin(), raw.end(), p);
+}
+
+}  // namespace
+
+void pack_codes(std::span<const std::uint32_t> codes, int bits, std::vector<std::uint8_t>& out) {
+  if (bits < 1 || bits > 32) throw std::invalid_argument("pack_codes: bits must be in [1, 32]");
+  const auto width = static_cast<unsigned>(bits);
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+  const std::size_t start = out.size();
+  out.resize(start + (codes.size() * width + 7) / 8);
+  std::uint8_t* dst = out.data() + start;
+  // `pending` holds the stream's next `filled` (< 64) bits, lowest first;
+  // each time it fills, it goes out as one word.
+  std::uint64_t pending = 0;
+  unsigned filled = 0;
+  for (const std::uint32_t code : codes) {
+    const std::uint64_t value = code & mask;
+    pending |= value << filled;
+    filled += width;
+    if (filled >= 64) {
+      store_word(dst, pending);
+      dst += 8;
+      filled -= 64;
+      pending = value >> (width - filled);  // the bits that did not fit
+    }
+  }
+  for (; filled > 0; pending >>= 8) {
+    *dst++ = static_cast<std::uint8_t>(pending);
+    filled -= std::min(filled, 8u);
+  }
+}
+
+util::Untrusted<std::span<std::uint32_t>> unpack_codes(std::span<const std::uint8_t> bytes,
+                                                       int bits, std::span<std::uint32_t> out) {
   if (bits < 1 || bits > 32) throw std::invalid_argument("unpack_codes: bits must be in [1, 32]");
+  const auto width = static_cast<std::size_t>(bits);
   // Division form: `count * bits` can wrap for a wire-supplied count, which
   // would let a corrupt header pass the length check and read out of bounds.
-  if (count > bytes.size() * 8 / static_cast<std::size_t>(bits)) {
+  if (out.size() > bytes.size() * 8 / width) {
     throw std::invalid_argument("unpack_codes: byte stream too short");
   }
-  std::vector<std::uint32_t> codes(count);
-  const std::uint64_t mask = bits == 32 ? ~std::uint64_t{0} >> 32 : (std::uint64_t{1} << bits) - 1;
-  std::size_t bit_at = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t byte = bit_at >> 3;
-    const std::size_t offset = bit_at & 7;
-    std::uint64_t value = 0;
-    const std::size_t span_bytes = (offset + static_cast<std::size_t>(bits) + 7) / 8;
-    for (std::size_t b = 0; b < span_bytes; ++b) {
-      value |= static_cast<std::uint64_t>(bytes[byte + b]) << (8 * b);
-    }
-    codes[i] = static_cast<std::uint32_t>((value >> offset) & mask);
-    bit_at += static_cast<std::size_t>(bits);
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+  // A code starts at most 7 bits into its first byte and is at most 32
+  // bits wide, so the word at that byte holds all of it: one load per code
+  // while a whole word fits in the stream, then byte by byte.
+  std::size_t i = 0;
+  std::size_t bit = 0;
+  for (; i < out.size() && (bit >> 3) + 8 <= bytes.size(); ++i, bit += width) {
+    out[i] = static_cast<std::uint32_t>((load_word(bytes.data() + (bit >> 3)) >> (bit & 7)) & mask);
   }
-  return util::untrusted(std::move(codes));
+  for (; i < out.size(); ++i, bit += width) {
+    const std::size_t first = bit >> 3;
+    const std::size_t last = (bit + width - 1) >> 3;
+    std::uint64_t word = 0;
+    for (std::size_t b = first; b <= last; ++b) {
+      word |= static_cast<std::uint64_t>(bytes[b]) << (8 * (b - first));
+    }
+    out[i] = static_cast<std::uint32_t>((word >> (bit & 7)) & mask);
+  }
+  return util::untrusted(out);
 }
 
 }  // namespace fftgrad::quant

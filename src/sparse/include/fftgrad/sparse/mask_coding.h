@@ -29,8 +29,14 @@ std::size_t index_encoding_bytes(std::size_t n, std::size_t kept);
 /// The cheaper encoding for the given shape.
 MaskEncoding choose_mask_encoding(std::size_t n, std::size_t kept);
 
-/// Serialize `mask` using the cheaper encoding (1 tag byte + payload).
-std::vector<std::uint8_t> encode_mask(const Bitmap& mask);
+/// Size in bytes of encode_mask's output for the given shape: the tag byte
+/// plus the cheaper payload.
+std::size_t encoded_mask_bytes(std::size_t n, std::size_t kept);
+
+/// Append `mask` to `out` in the cheaper encoding (1 tag byte + payload),
+/// encoded_mask_bytes(mask.size(), mask.count()) bytes, so a codec writes
+/// it straight into its packet.
+void encode_mask(const Bitmap& mask, std::vector<std::uint8_t>& out);
 
 /// Inverse of encode_mask; `n` is the mask length in bits. The payload is
 /// wire input, so the parsed mask comes back Untrusted: release it through

@@ -19,6 +19,7 @@
 // quantized codes).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -115,28 +116,32 @@ std::vector<T> pack_bitmap(parallel::ThreadPool& pool, std::span<const T> sparse
 }
 
 /// Inverse scatter: place dense[j] at the j-th set position of `keep`,
-/// zero-fill everywhere else. `out` must have keep.size() elements.
+/// zero-fill everywhere else. `out` must have keep.size() elements. Like
+/// pack_bitmap's gather it visits set bits only: each chunk of words
+/// zero-fills its part of `out`, then writes its survivors there.
+/// dense.size() must equal keep.count(), which counts any set bits past
+/// keep.size() in the last word; those bits are ignored.
 template <typename T>
 void unpack_bitmap(parallel::ThreadPool& pool, std::span<const T> dense, const Bitmap& keep,
                    std::span<T> out) {
   if (out.size() != keep.size()) throw std::invalid_argument("unpack_bitmap: size mismatch");
-  auto words = keep.words();
-  std::vector<std::uint32_t> word_offsets(words.size() + 1, 0);
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    word_offsets[w + 1] =
-        word_offsets[w] + static_cast<std::uint32_t>(std::popcount(words[w]));
-  }
-  if (word_offsets.back() != dense.size()) {
+  if (keep.count() != dense.size()) {
     throw std::invalid_argument("unpack_bitmap: dense size does not match set-bit count");
   }
+  auto words = keep.words();
   parallel::parallel_for(pool, words.size(), [&](std::size_t wbegin, std::size_t wend) {
+    std::size_t at = 0;
+    for (std::size_t w = 0; w < wbegin; ++w) {
+      at += static_cast<std::size_t>(std::popcount(words[w]));
+    }
+    const std::size_t end = std::min(out.size(), wend * 64);
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(wbegin * 64),
+              out.begin() + static_cast<std::ptrdiff_t>(end), T{});
     for (std::size_t w = wbegin; w < wend; ++w) {
-      const std::size_t base = w * 64;
-      const std::size_t limit = std::min<std::size_t>(64, out.size() - base);
-      std::uint64_t word = words[w];
-      std::size_t at = word_offsets[w];
-      for (std::size_t b = 0; b < limit; ++b) {
-        out[base + b] = (word >> b) & 1 ? dense[at++] : T{};
+      for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+        const std::size_t i = w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+        if (i >= end) break;
+        out[i] = dense[at++];
       }
     }
   });

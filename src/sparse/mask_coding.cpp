@@ -1,5 +1,6 @@
 #include "fftgrad/sparse/mask_coding.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <span>
@@ -8,21 +9,24 @@
 namespace fftgrad::sparse {
 namespace {
 
-/// Append `count` values of `bits` width each, little-endian bit order.
-void pack_indices(std::vector<std::uint8_t>& out, const std::vector<std::uint64_t>& values,
-                  int bits) {
-  const std::size_t start = out.size();
-  out.resize(start + (values.size() * static_cast<std::size_t>(bits) + 7) / 8, 0);
+/// Write the set positions of `mask` below its size, ascending, `bits`
+/// wide each and little-endian bit order, into the zeroed bytes at `out`.
+void pack_indices(std::uint8_t* out, const Bitmap& mask, int bits) {
+  const std::span<const std::uint64_t> words = mask.words();
   std::size_t bit_at = 0;
-  for (std::uint64_t value : values) {
-    std::size_t byte = start + (bit_at >> 3);
-    const std::size_t offset = bit_at & 7;
-    __uint128_t shifted = static_cast<__uint128_t>(value) << offset;
-    for (int remaining = bits + static_cast<int>(offset); remaining > 0;
-         remaining -= 8, shifted >>= 8, ++byte) {
-      out[byte] |= static_cast<std::uint8_t>(shifted & 0xffu);
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+      const std::size_t value = 64 * w + static_cast<std::size_t>(std::countr_zero(word));
+      if (value >= mask.size()) return;
+      std::size_t byte = bit_at >> 3;
+      const std::size_t offset = bit_at & 7;
+      __uint128_t shifted = static_cast<__uint128_t>(value) << offset;
+      for (int remaining = bits + static_cast<int>(offset); remaining > 0;
+           remaining -= 8, shifted >>= 8, ++byte) {
+        out[byte] |= static_cast<std::uint8_t>(shifted & 0xffu);
+      }
+      bit_at += static_cast<std::size_t>(bits);
     }
-    bit_at += static_cast<std::size_t>(bits);
   }
 }
 
@@ -70,29 +74,27 @@ MaskEncoding choose_mask_encoding(std::size_t n, std::size_t kept) {
                                                                   : MaskEncoding::kBitmap;
 }
 
-std::vector<std::uint8_t> encode_mask(const Bitmap& mask) {
+std::size_t encoded_mask_bytes(std::size_t n, std::size_t kept) {
+  return 1 + std::min(bitmap_encoding_bytes(n), index_encoding_bytes(n, kept));
+}
+
+void encode_mask(const Bitmap& mask, std::vector<std::uint8_t>& out) {
   const std::size_t n = mask.size();
   const std::size_t kept = mask.count();
-  std::vector<std::uint8_t> out;
   const MaskEncoding encoding = choose_mask_encoding(n, kept);
-  out.push_back(static_cast<std::uint8_t>(encoding));
+  const std::size_t start = out.size();
+  out.resize(start + encoded_mask_bytes(n, kept));
+  std::uint8_t* dst = out.data() + start;
+  dst[0] = static_cast<std::uint8_t>(encoding);
   if (encoding == MaskEncoding::kBitmap) {
     const auto words = mask.words();
-    const auto* raw = reinterpret_cast<const std::uint8_t*>(words.data());
-    out.insert(out.end(), raw, raw + words.size_bytes());
-    return out;
+    if (!words.empty()) std::memcpy(dst + 1, words.data(), words.size_bytes());
+    return;
   }
   // Index list: survivor count then packed positions in ascending order.
   const std::uint64_t count = kept;
-  const auto* count_raw = reinterpret_cast<const std::uint8_t*>(&count);
-  out.insert(out.end(), count_raw, count_raw + sizeof(count));
-  std::vector<std::uint64_t> positions;
-  positions.reserve(kept);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mask.test(i)) positions.push_back(i);
-  }
-  pack_indices(out, positions, index_bits(n));
-  return out;
+  std::memcpy(dst + 1, &count, sizeof(count));
+  pack_indices(dst + 1 + sizeof(count), mask, index_bits(n));
 }
 
 util::Untrusted<Bitmap> decode_mask(std::span<const std::uint8_t> bytes, std::size_t n) {

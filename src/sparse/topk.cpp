@@ -59,20 +59,28 @@ std::uint64_t word_bits(std::span<const float> values, std::size_t w, Pred pred)
   return bits;
 }
 
+/// Inputs shorter than this take their first histogram serially: below it
+/// the pool dispatch costs about what the pass does, and the per-chunk
+/// partials (16 KB each) would be allocated for nothing.
+constexpr std::size_t kParallelThreshold = std::size_t{1} << 16;
+
 /// The k-th largest key of `values` (1 <= k <= n) as a float, with the
 /// number of keys above it and equal to it.
 TopKResult select_kth(std::span<const float> values, std::size_t k) {
-  Histogram h = parallel::parallel_reduce<Histogram>(
-      parallel::ThreadPool::global(), values.size(), Histogram{},
-      [&](std::size_t begin, std::size_t end) {
-        Histogram part{};
-        for (std::size_t i = begin; i < end; ++i) ++part[key_of(values[i]) >> kTopShift];
-        return part;
-      },
-      [](Histogram a, const Histogram& b) {
-        for (std::size_t d = 0; d < kBins; ++d) a[d] += b[d];
-        return a;
-      });
+  const auto count_top_digits = [&](std::size_t begin, std::size_t end) {
+    Histogram part{};
+    for (std::size_t i = begin; i < end; ++i) ++part[key_of(values[i]) >> kTopShift];
+    return part;
+  };
+  Histogram h =
+      values.size() < kParallelThreshold
+          ? count_top_digits(0, values.size())
+          : parallel::parallel_reduce<Histogram>(
+                parallel::ThreadPool::global(), values.size(), Histogram{}, count_top_digits,
+                [](Histogram a, const Histogram& b) {
+                  for (std::size_t d = 0; d < kBins; ++d) a[d] += b[d];
+                  return a;
+                });
   Bin bin = bin_of_kth(h, k);
   Key prefix = bin.digit;
   std::size_t above = bin.above;

@@ -341,10 +341,9 @@ TEST(FuzzWire, MaskDecodingNeverCrashes) {
   for (std::size_t i = 0; i < kBits; i += 2) dense.set(i);
   fftgrad::sparse::Bitmap sparse_mask(kBits);
   for (std::size_t i = 0; i < kBits; i += 97) sparse_mask.set(i);
-  std::vector<std::vector<std::uint8_t>> corpus = {
-      fftgrad::sparse::encode_mask(dense),
-      fftgrad::sparse::encode_mask(sparse_mask),
-  };
+  std::vector<std::vector<std::uint8_t>> corpus(2);
+  fftgrad::sparse::encode_mask(dense, corpus[0]);
+  fftgrad::sparse::encode_mask(sparse_mask, corpus[1]);
   ASSERT_EQ(corpus[0][0], static_cast<std::uint8_t>(fftgrad::sparse::MaskEncoding::kBitmap));
   ASSERT_EQ(corpus[1][0], static_cast<std::uint8_t>(fftgrad::sparse::MaskEncoding::kIndexList));
 
@@ -363,9 +362,12 @@ TEST(FuzzWire, MaskDecodingNeverCrashes) {
 
 TEST(FuzzWire, PackedCodeStreamNeverCrashes) {
   // The quantized-coefficient stream as FftCompressor writes it: u64 code
-  // count + bit-packed codes. unpack_codes must reject any count whose
-  // payload cannot fit — including counts where `count * bits` wraps.
+  // count + bit-packed codes. A receiver sizes its code buffer from what it
+  // expects; here that is the header's count, capped as a receiver's model
+  // caps it. unpack_codes must reject any stream too short for the buffer
+  // before it reads past the bytes.
   constexpr int kBitsPerCode = 10;
+  constexpr std::size_t kMaxCodes = 4096;
   std::vector<std::vector<std::uint8_t>> corpus;
   fftgrad::fuzz::Xorshift code_rng(0xc0de5eed);
   for (std::size_t count : {1u, 37u, 200u}) {
@@ -373,8 +375,7 @@ TEST(FuzzWire, PackedCodeStreamNeverCrashes) {
     for (auto& c : codes) c = static_cast<std::uint32_t>(code_rng.below(1u << kBitsPerCode));
     std::vector<std::uint8_t> bytes;
     wire::put<std::uint64_t>(bytes, count);
-    const std::vector<std::uint8_t> packed = fftgrad::quant::pack_codes(codes, kBitsPerCode);
-    wire::put_span<std::uint8_t>(bytes, packed);
+    fftgrad::quant::pack_codes(codes, kBitsPerCode, bytes);
     corpus.push_back(std::move(bytes));
   }
 
@@ -382,11 +383,12 @@ TEST(FuzzWire, PackedCodeStreamNeverCrashes) {
       fftgrad::fuzz::drive(corpus, 0x9ac4ed, [&](const std::vector<std::uint8_t>& bytes) {
         wire::Reader reader(bytes);
         const auto count = static_cast<std::size_t>(reader.get<std::uint64_t>());
-        std::vector<std::uint8_t> payload(reader.remaining());
-        reader.get_span<std::uint8_t>(payload);
-        const std::vector<std::uint32_t> codes =
-            fftgrad::quant::unpack_codes(payload, kBitsPerCode, count)
-                .release([&](const std::vector<std::uint32_t>& c) { return c.size() == count; },
+        if (count > kMaxCodes) throw std::length_error("code count above the receiver's model");
+        std::vector<std::uint32_t> buffer(count);
+        const std::span<const std::uint32_t> codes =
+            fftgrad::quant::unpack_codes(reader.get_bytes(reader.remaining()), kBitsPerCode,
+                                         buffer)
+                .release([&](std::span<const std::uint32_t> c) { return c.size() == count; },
                          "fuzzed codes");
         ASSERT_EQ(codes.size(), count);
         for (std::uint32_t c : codes) ASSERT_LT(c, 1u << kBitsPerCode);

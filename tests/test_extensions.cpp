@@ -56,12 +56,20 @@ TEST(MaskCoding, CrossoverNearOneOverLogN) {
   EXPECT_EQ(sparse::choose_mask_encoding(n, n / 10), sparse::MaskEncoding::kBitmap);
 }
 
+/// encode_mask's bytes on their own.
+std::vector<std::uint8_t> encoded(const sparse::Bitmap& mask) {
+  std::vector<std::uint8_t> bytes;
+  sparse::encode_mask(mask, bytes);
+  return bytes;
+}
+
 class MaskCodingRoundTrip : public ::testing::TestWithParam<std::pair<std::size_t, double>> {};
 
 TEST_P(MaskCodingRoundTrip, EncodeDecodeIsIdentity) {
   const auto [n, density] = GetParam();
   const sparse::Bitmap mask = random_mask(n, density, n + 17);
-  const auto bytes = sparse::encode_mask(mask);
+  const auto bytes = encoded(mask);
+  EXPECT_EQ(bytes.size(), sparse::encoded_mask_bytes(n, mask.count()));
   const sparse::Bitmap decoded =
       sparse::decode_mask(bytes, n).release(
           [&](const sparse::Bitmap& m) { return m.count() == mask.count(); },
@@ -77,15 +85,28 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MaskCodingRoundTrip,
                                            std::pair<std::size_t, double>{10000, 0.3},
                                            std::pair<std::size_t, double>{100003, 0.005}));
 
+TEST(MaskCoding, AppendsAfterWhatTheBufferHolds) {
+  for (const double density : {0.001, 0.3}) {
+    const sparse::Bitmap mask = random_mask(10000, density, 23);
+    std::vector<std::uint8_t> bytes = {7, 8, 9};
+    sparse::encode_mask(mask, bytes);
+    const std::vector<std::uint8_t> alone = encoded(mask);
+    ASSERT_EQ(bytes.size(), 3 + alone.size());
+    EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + 3),
+              (std::vector<std::uint8_t>{7, 8, 9}));
+    EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin() + 3, bytes.end()), alone);
+  }
+}
+
 TEST(MaskCoding, EmptyAndFullMasks) {
   sparse::Bitmap empty(1000);
-  EXPECT_EQ(sparse::decode_mask(sparse::encode_mask(empty), 1000)
+  EXPECT_EQ(sparse::decode_mask(encoded(empty), 1000)
                 .release([](const sparse::Bitmap& m) { return m.count() == 0; },
                          "empty mask"),
             empty);
   sparse::Bitmap full(1000);
   for (std::size_t i = 0; i < 1000; ++i) full.set(i);
-  EXPECT_EQ(sparse::decode_mask(sparse::encode_mask(full), 1000)
+  EXPECT_EQ(sparse::decode_mask(encoded(full), 1000)
                 .release([](const sparse::Bitmap& m) { return m.count() == 1000; },
                          "full mask"),
             full);

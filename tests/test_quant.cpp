@@ -359,33 +359,72 @@ INSTANTIATE_TEST_SUITE_P(Widths, RangeFloatBits, ::testing::Values(6, 8, 10, 12,
 // ---------------------------------------------------------------------------
 // Code packing
 
+/// The stream pack_codes writes, one bit at a time: bit b of code i is
+/// stream bit i * bits + b, stream bit j is bit j % 8 of byte j / 8.
+std::vector<std::uint8_t> bitwise_reference(const std::vector<std::uint32_t>& codes, int bits) {
+  const auto width = static_cast<std::size_t>(bits);
+  std::vector<std::uint8_t> bytes((codes.size() * width + 7) / 8, 0);
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    for (std::size_t b = 0; b < width; ++b) {
+      if ((codes[i] >> b) & 1u) {
+        const std::size_t j = i * width + b;
+        bytes[j / 8] = static_cast<std::uint8_t>(bytes[j / 8] | (1u << (j % 8)));
+      }
+    }
+  }
+  return bytes;
+}
+
 TEST(PackCodes, RoundTripsExactly) {
   util::Rng rng(8);
   for (int bits : {1, 2, 3, 7, 8, 10, 13, 16, 24, 32}) {
-    std::vector<std::uint32_t> codes(257);
-    const std::uint64_t mask = bits == 32 ? 0xffffffffull : ((1ull << bits) - 1);
-    for (auto& c : codes) c = static_cast<std::uint32_t>(rng.next_u64() & mask);
-    const auto bytes = pack_codes(codes, bits);
-    EXPECT_EQ(bytes.size(), (codes.size() * static_cast<std::size_t>(bits) + 7) / 8);
-    const auto unpacked = unpack_codes(bytes, bits, codes.size())
-                              .release([&](const std::vector<std::uint32_t>& c) {
-                                return c.size() == codes.size();
-                              }, "round-trip codes");
-    EXPECT_EQ(unpacked, codes) << "bits=" << bits;
+    // 257 codes end the stream mid-word for every width; 64 and 3 check
+    // streams that are all whole words and shorter than one.
+    for (std::size_t count : {257u, 64u, 3u}) {
+      std::vector<std::uint32_t> codes(count);
+      const std::uint64_t mask = bits == 32 ? 0xffffffffull : ((1ull << bits) - 1);
+      for (auto& c : codes) c = static_cast<std::uint32_t>(rng.next_u64() & mask);
+      std::vector<std::uint8_t> bytes;
+      pack_codes(codes, bits, bytes);
+      EXPECT_EQ(bytes, bitwise_reference(codes, bits)) << "bits=" << bits << " count=" << count;
+      std::vector<std::uint32_t> unpacked(count);
+      const auto released = unpack_codes(bytes, bits, unpacked)
+                                 .release([&](std::span<const std::uint32_t> c) {
+                                   return c.size() == codes.size();
+                                 }, "round-trip codes");
+      EXPECT_EQ(released.data(), unpacked.data());
+      EXPECT_EQ(unpacked, codes) << "bits=" << bits << " count=" << count;
+    }
   }
 }
 
+TEST(PackCodes, AppendsAndDropsBitsAboveTheWidth) {
+  const std::vector<std::uint32_t> codes = {0xffffffffu, 0x12345u, 0x3ffu, 0u, 0x400u};
+  std::vector<std::uint8_t> bytes = {0xaa, 0xbb};
+  pack_codes(codes, 10, bytes);
+  std::vector<std::uint32_t> low(codes.size());
+  for (std::size_t i = 0; i < codes.size(); ++i) low[i] = codes[i] & 0x3ffu;
+  std::vector<std::uint8_t> expected = {0xaa, 0xbb};
+  const std::vector<std::uint8_t> stream = bitwise_reference(low, 10);
+  expected.insert(expected.end(), stream.begin(), stream.end());
+  EXPECT_EQ(bytes, expected);
+}
+
 TEST(PackCodes, EmptyInputYieldsEmptyOutput) {
-  EXPECT_TRUE(pack_codes({}, 10).empty());
-  EXPECT_TRUE(unpack_codes({}, 10, 0)
-                  .release([](const std::vector<std::uint32_t>& c) { return c.empty(); },
+  std::vector<std::uint8_t> bytes;
+  pack_codes({}, 10, bytes);
+  EXPECT_TRUE(bytes.empty());
+  EXPECT_TRUE(unpack_codes({}, 10, {})
+                  .release([](std::span<const std::uint32_t> c) { return c.empty(); },
                            "empty codes")
                   .empty());
 }
 
 TEST(PackCodes, UnpackRejectsShortStream) {
-  std::vector<std::uint8_t> bytes(2);
-  EXPECT_THROW((void)unpack_codes(bytes, 10, 3), std::invalid_argument);
+  std::vector<std::uint8_t> bytes(2, 0xff);
+  std::vector<std::uint32_t> codes(3, 7u);
+  EXPECT_THROW((void)unpack_codes(bytes, 10, codes), std::invalid_argument);
+  EXPECT_EQ(codes, std::vector<std::uint32_t>(3, 7u));
 }
 
 // ---------------------------------------------------------------------------
