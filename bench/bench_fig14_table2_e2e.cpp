@@ -116,8 +116,8 @@ core::DistributedTrainer alexnet_trainer() {
   // compute: paper reports AlexNet communication at 64.17% of an
   // iteration on FDR; with 8 ranks the 250MB allgather costs ~250ms,
   // which pins fwd+bwd at ~140ms.
-  cfg.paper_scale =
-      core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(0.140)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(0.140)};
+  cfg.raw_gradient_bytes = util::Bytes(250e6);
   return core::DistributedTrainer(nn::models::make_alexnet_mini(8, 5, rng),
                                   nn::SyntheticDataset({3, 8, 8}, 5, 30), cfg);
 }
@@ -133,8 +133,8 @@ core::DistributedTrainer resnet_trainer() {
   cfg.test_size = 640;
   // compute: paper reports ResNet32 communication at 43.96% of an
   // iteration; the 6MB allgather costs ~6ms on 8 FDR ranks -> ~8ms compute.
-  cfg.paper_scale =
-      core::PaperScale{.raw_gradient_bytes = 6e6, .compute_seconds = util::SimSeconds(0.008)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(0.008)};
+  cfg.raw_gradient_bytes = util::Bytes(6e6);
   return core::DistributedTrainer(nn::models::make_resnet_mini(8, 2, 5, rng),
                                   nn::SyntheticDataset({3, 8, 8}, 5, 40), cfg);
 }

@@ -25,8 +25,8 @@ double iteration_time(std::size_t ranks, double gradient_bytes, double compute_s
   cfg.iters_per_epoch = 4;
   cfg.test_size = 64;
   cfg.record_alpha = false;
-  cfg.paper_scale = core::PaperScale{.raw_gradient_bytes = gradient_bytes,
-                                     .compute_seconds = util::SimSeconds(compute_s)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(compute_s)};
+  cfg.raw_gradient_bytes = util::Bytes(gradient_bytes);
   core::DistributedTrainer trainer(nn::models::make_mlp(32, 48, 2, 5, rng),
                                    nn::SyntheticDataset({32}, 5, 50), cfg);
   nn::StepLrSchedule lr({{0, 0.02f}});

@@ -27,8 +27,8 @@ double iteration_time(core::CommScheme scheme, std::size_t ranks,
   cfg.test_size = 32;
   cfg.scheme = scheme;
   cfg.record_alpha = false;
-  cfg.paper_scale =
-      core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(0.140)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(0.140)};
+  cfg.raw_gradient_bytes = util::Bytes(250e6);
   core::DistributedTrainer trainer(nn::models::make_mlp(16, 24, 2, 4, rng),
                                    nn::SyntheticDataset({16}, 4, 33), cfg);
   nn::StepLrSchedule lr({{0, 0.02f}});

@@ -37,8 +37,8 @@ int main() {
   cfg.test_size = 512;
   // Charge communication as if the gradient were AlexNet's 250MB and
   // compute as one paper-scale GPU iteration; accuracy remains genuine.
-  cfg.paper_scale =
-      core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(0.060)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(0.060)};
+  cfg.raw_gradient_bytes = util::Bytes(250e6);
 
   core::DistributedTrainer trainer(nn::models::make_mlp(32, 64, 3, 5, rng),
                                    nn::SyntheticDataset({32}, 5, 99), cfg);

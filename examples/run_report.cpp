@@ -364,9 +364,9 @@ bool contains(const std::string& text, const char* needle) {
 
 /// Coarse mapping of a sample's span onto the critical-path analyzer's
 /// simulated categories (fftgrad/telemetry/critical_path.h), so host
-/// self-time shares line up row-by-row with the simulated shares. Order
-/// matters: codec sub-stages like fft.pack belong to the packing bucket
-/// even though their name also says "fft".
+/// self-time shares line up row-by-row with the simulated shares. Every
+/// codec span (the trainer's compress/decompress, a codec's own, its fft.*
+/// stages, framing and CRC) is `codec`.
 std::string critpath_category_for(const fftgrad::telemetry::FoldedStack& stack) {
   std::string span;
   span.reserve(stack.span.size());
@@ -374,15 +374,10 @@ std::string critpath_category_for(const fftgrad::telemetry::FoldedStack& stack) 
     span += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
   if (span.empty()) return "other";
-  if (contains(span, "crc") || contains(span, "wire") || contains(span, "encode") ||
-      contains(span, "decode")) {
-    return "wire_crc";
+  for (const char* codec : {"compress", "fft", "quant", "sparse", "topk", "crc", "wire",
+                            "encode", "decode"}) {
+    if (contains(span, codec)) return "codec";
   }
-  if (contains(span, "quant") || contains(span, "pack") || contains(span, "fp16") ||
-      contains(span, "lowpass") || contains(span, "topk")) {
-    return "quant_pack";
-  }
-  if (contains(span, "fft")) return "fft";
   if (span == "forward" || span == "backward" || span == "apply") return "backprop";
   if (contains(span, "allgather") || contains(span, "allreduce") ||
       contains(span, "broadcast") || contains(span, "gather") ||

@@ -15,9 +15,10 @@
 //   --session N        analyze simulated session N instead of the newest
 //   --ledger <path>    reconcile comm-on-path against the run ledger's
 //                      charged collective costs (uses the file's last run)
-//   --check            run the structural validator (contiguity, 1e-6
-//                      category sum, happens-before support) and fail if
-//                      any problem is found
+//   --check            run the structural validator (the analyzer's own
+//                      problems, contiguity, 1e-6 category sum,
+//                      happens-before support) and fail if any problem is
+//                      found
 //
 // Exit status: 0 on success, 1 on unreadable input, an empty trace, or —
 // with --check — a validation problem.
@@ -143,9 +144,10 @@ int main(int argc, char** argv) {
     } else {
       status = 1;
     }
-  }
-  for (const std::string& problem : analysis.problems) {
-    std::cerr << "trace_analyze: warning: " << problem << "\n";
+  } else {
+    for (const std::string& problem : analysis.problems) {
+      std::cerr << "trace_analyze: warning: " << problem << "\n";
+    }
   }
   return status;
 }

@@ -30,6 +30,9 @@ std::vector<std::string> validate_critical_path(const telemetry::CpAnalysis& ana
     report_violation("critpath", what);
   };
 
+  // (0): what the analyzer itself found while walking.
+  for (const std::string& problem : analysis.problems) complain(problem);
+
   // (1) + (2): contiguous tiling within windows, back-to-back windows.
   SimSeconds previous_end{-1.0};
   for (const telemetry::CpIteration& iteration : analysis.iterations) {

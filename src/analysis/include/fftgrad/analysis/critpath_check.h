@@ -4,6 +4,9 @@
 // evidence the causality layer mirrored into the trace actually supports
 // the walk:
 //
+//   (0) the analyzer's own problems (CpAnalysis::problems): a leaf span
+//       whose name maps to no category, a rank without spans, a barrier
+//       generation without live arrivals or released after its last one;
 //   (1) contiguity: within every iteration window the path segments tile
 //       [start, end] with no gaps or overlaps, so the per-category times
 //       sum to the end-to-end time (within 1e-6 s; timestamps compare

@@ -87,14 +87,12 @@ void ChunkedCompressor::decompress(const Packet& packet, std::span<float> out) {
   }
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t begin = c * chunk_elements_;
-    const std::size_t len = std::min(chunk_elements_, total - begin);
-    Packet inner;
-    inner.elements = len;
+    chunk_.elements = std::min(chunk_elements_, total - begin);
     // get_count: reject per-chunk sizes larger than the bytes actually
     // present instead of allocating a corrupt 64-bit length.
-    inner.bytes.resize(reader.get_count(1));
-    reader.get_span<std::uint8_t>(inner.bytes);
-    codec_for(c).decompress(inner, out.subspan(begin, len));
+    const std::span<const std::uint8_t> bytes = reader.get_bytes(reader.get_count(1));
+    chunk_.bytes.assign(bytes.begin(), bytes.end());
+    codec_for(c).decompress(chunk_, out.subspan(begin, chunk_.elements));
   }
 }
 

@@ -89,11 +89,11 @@ ClusterTrainResult cluster_train(
 
     // Modelled compute: charge the phase's seconds to the simulated clock
     // and emit the matching critical-path leaf span. Charges sit outside
-    // the wall-timing TraceSpans so wall measurements stay untouched.
-    const SimComputeModel* compute_model =
-        config.sim_compute.has_value() ? &*config.sim_compute : nullptr;
+    // the wall-timing TraceSpans so wall measurements stay untouched; a
+    // phase that charges nothing emits nothing.
+    const util::Bytes gradient_bytes = util::byte_count(grad_size * sizeof(float));
     const auto charge = [&](const char* phase, util::SimSeconds seconds) {
-      if (compute_model == nullptr || seconds <= util::SimSeconds(0.0)) return;
+      if (seconds <= util::SimSeconds(0.0)) return;
       const util::SimSeconds start = ctx.clock().time();
       ctx.clock().advance(seconds);
       telemetry::Tracer::global().record_sim_span(static_cast<std::int32_t>(rank), phase,
@@ -167,16 +167,18 @@ ClusterTrainResult cluster_train(
         }
 
         const std::size_t skips_at_entry = rank_skips[rank];
+        // From the codec in use: a lossless fallback drops the codec charge.
+        const StepCharges cost = step_charges(config.compute, *codec, gradient_bytes);
         telemetry::LedgerIteration row;
         // SimCluster::run bound this thread to its rank track, so the step's
         // spans land per rank on the wall timeline (and the collective's
         // span inside allgather also lands on the simulated timeline).
         const nn::Batch batch = dataset.sample(config.batch_per_rank, batch_rng);
         last_loss = replica.forward(batch);
-        if (compute_model != nullptr) charge("forward", compute_model->forward_s);
+        charge("forward", cost.forward);
         losses[rank][iter] = last_loss;
         replica.backward();
-        if (compute_model != nullptr) charge("backward", compute_model->backward_s);
+        charge("backward", cost.backward);
 
         // Compress, allgather packets, decompress every peer, average. In
         // analysis builds the frame carries the causality trailer (sender
@@ -200,11 +202,7 @@ ClusterTrainResult cluster_train(
           }
           wire = wire::frame_packet(compressed, trailer);
         });
-        if (compute_model != nullptr) {
-          charge("fft", compute_model->fft_s);
-          charge("quant_pack", compute_model->quant_pack_s);
-          charge("wire_crc", compute_model->wire_crc_s);
-        }
+        charge("compress", cost.compress);
         const auto gathered = ctx.allgather(wire);
 
         // Unframe first (this is where the CRC rejects corrupted packets and
@@ -292,20 +290,14 @@ ClusterTrainResult cluster_train(
           rank_skips[rank] += rejected;
           peers_skipped.add(static_cast<double>(rejected));
         }
-        if (compute_model != nullptr && unframed > 0) {
-          charge("inverse_fft", compute_model->inverse_fft_s);
-          charge("dequant", compute_model->dequant_s);
-        }
+        if (unframed > 0) charge("decompress", cost.decompress);
         const std::size_t decoded = unframed - rejected;
         if (decoded < gathered.size()) {
           ++rank_degraded[rank];
           degraded_iters.add(1.0);
         }
 
-        if (decoded > 0) {
-          replica.apply(config.learning_rate);
-          if (compute_model != nullptr) charge("apply", compute_model->apply_s);
-        }
+        if (decoded > 0) replica.apply(config.learning_rate);
 
         // Cross-rank state-hash agreement: surviving replicas must hold
         // bit-identical parameters after every step, so a logical race is

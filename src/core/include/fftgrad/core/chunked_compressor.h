@@ -50,6 +50,7 @@ class ChunkedCompressor : public GradientCompressor {
   double theta_ = 0.0;
   bool theta_set_ = false;
   std::vector<std::unique_ptr<GradientCompressor>> codecs_;
+  Packet chunk_;  ///< decompress's per-chunk packet, its buffer reused
 };
 
 }  // namespace fftgrad::core

@@ -5,8 +5,9 @@
 // copy of the global gradient after allgather).
 //
 // Both this and the sequential DistributedTrainer run the step of
-// fftgrad/core/replica.h and end bit-identical (test_cluster_trainer
-// asserts it). That one folds the rank loop onto a single replica for the
+// fftgrad/core/replica.h, charge simulated compute through its
+// step_charges(), and end bit-identical (test_cluster_trainer asserts
+// it). That one folds the rank loop onto a single replica for the
 // figure benches; this one keeps p real replicas and real message passing,
 // carries faults, recovery and rejoin, and is the template for a real
 // MPI/NCCL integration. When the ranks fill ThreadPool::global(), each rank
@@ -25,30 +26,9 @@
 #include "fftgrad/nn/dataset.h"
 #include "fftgrad/nn/network.h"
 #include "fftgrad/nn/optimizer.h"
+#include "fftgrad/perfmodel/cost_model.h"
 
 namespace fftgrad::core {
-
-/// Deterministic modelled compute charged to each rank's SimClock, per
-/// iteration phase. The cluster's network costs are already modelled, but
-/// compute is only wall-*measured* by default, which keeps the simulated
-/// timeline free of compute entirely. Supplying a SimComputeModel makes
-/// the simulated iteration fully modelled — forward/backward/codec/framing
-/// time charged between the collectives — so the critical-path analyzer
-/// (fftgrad/telemetry/critical_path.h) sees a deterministic,
-/// host-independent timeline it can attribute exactly. Phases map onto the
-/// analyzer's categories: forward/backward/apply -> backprop,
-/// fft/inverse_fft -> FFT, quant_pack/dequant -> quantize/pack, wire_crc
-/// -> wire+CRC. Zero entries charge nothing.
-struct SimComputeModel {
-  util::SimSeconds forward_s{};
-  util::SimSeconds backward_s{};
-  util::SimSeconds fft_s{};         ///< forward FFT of the sparsifying codec
-  util::SimSeconds quant_pack_s{};  ///< quantize + bit-pack
-  util::SimSeconds wire_crc_s{};    ///< frame + checksum
-  util::SimSeconds inverse_fft_s{};
-  util::SimSeconds dequant_s{};     ///< unpack + dequantize
-  util::SimSeconds apply_s{};       ///< optimizer step
-};
 
 struct ClusterTrainConfig {
   std::size_t ranks = 4;
@@ -56,9 +36,10 @@ struct ClusterTrainConfig {
   std::size_t iterations = 50;
   float learning_rate = 0.05f;
   std::uint64_t seed = 42;  ///< per-rank batch streams derive from this
-  /// When set, each phase charges the modelled seconds to the rank's
-  /// simulated clock (and emits the matching "cp" leaf span).
-  std::optional<SimComputeModel> sim_compute;
+  /// When set, each phase of a rank's step charges its step_charges() to
+  /// the rank's simulated clock and emits the matching "cp" leaf span;
+  /// without it the clock carries the collectives alone.
+  std::optional<perfmodel::ComputeModel> compute;
   /// Monitor-driven automatic remediation (fftgrad/core/recovery.h).
   /// Disabled by default, in which case the collective op stream is
   /// bit-identical to a build without the recovery layer; when enabled,

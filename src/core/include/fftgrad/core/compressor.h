@@ -71,9 +71,9 @@ class GradientCompressor {
   virtual double theta() const { return 0.0; }
 
   /// Modelled one-sided codec cost per input byte on GPU-class hardware
-  /// (the Sec 3.3 cost model, specialized per algorithm's pipeline). Used
-  /// by the trainer's PaperScale accounting; the default charges one
-  /// elementwise pass at the conversion throughput.
+  /// (the Sec 3.3 cost model, specialized per algorithm's pipeline). Both
+  /// trainers charge it under a perfmodel::ComputeModel; the default
+  /// charges one elementwise pass at the conversion throughput.
   virtual double modeled_seconds_per_byte(
       const perfmodel::PrimitiveThroughputs& t) const {
     return 1.0 / t.conversion.to_double();

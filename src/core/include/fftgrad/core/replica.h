@@ -3,7 +3,9 @@
 // model per rank) share. Replica runs a rank's batch, forward, backward and
 // compress, then decodes every exchanged packet in rank order with the
 // receiver's codec, averages with 1/decoded and applies, each phase under
-// its "trainer" span and wall timer. ReplicaState is what a replica carries
+// its "trainer" span and wall timer; step_charges() is what a
+// perfmodel::ComputeModel charges those phases in simulated time, the same
+// in both trainers. ReplicaState is what a replica carries
 // between iterations: the rollback snapshot, and the head of the rejoin blob
 // and of the trainer checkpoint, which share one CRC framing (frame_state)
 // and one parse (parse_state) released through fits(). Internal to
@@ -22,6 +24,7 @@
 #include "fftgrad/nn/loss.h"
 #include "fftgrad/nn/network.h"
 #include "fftgrad/nn/optimizer.h"
+#include "fftgrad/perfmodel/cost_model.h"
 #include "fftgrad/telemetry/ledger.h"
 #include "fftgrad/telemetry/trace.h"
 #include "fftgrad/util/timer.h"
@@ -35,6 +38,27 @@ inline util::Rng batch_stream(std::uint64_t seed, std::size_t rank) {
 
 /// SGD momentum of both trainers' optimizers.
 inline constexpr float kMomentum = 0.9f;
+
+/// Simulated seconds of the phases of one rank's step.
+struct StepCharges {
+  util::SimSeconds forward{};
+  util::SimSeconds backward{};
+  util::SimSeconds compress{};
+  util::SimSeconds decompress{};
+};
+
+/// What `model` charges a rank whose `codec` compresses a gradient of
+/// `gradient` bytes: the compute split 1:2 between forward and backward
+/// (fwd + bwd ~ 3x fwd on GPU-class substrates), and the codec's modelled
+/// per-byte cost once to compress and once to decompress. Nothing without
+/// a model.
+inline StepCharges step_charges(const std::optional<perfmodel::ComputeModel>& model,
+                                const GradientCompressor& codec, util::Bytes gradient) {
+  if (!model) return {};
+  const util::SimSeconds codec_s(gradient.to_double() *
+                                 codec.modeled_seconds_per_byte(model->throughputs));
+  return {model->compute_s / 3.0, model->compute_s * 2.0 / 3.0, codec_s, codec_s};
+}
 
 /// Wall time of the phases of the current step.
 struct PhaseTimes {

@@ -14,14 +14,15 @@
 //
 // exactly the BSP timeline of Fig 1b/Sec 4, and every term comes from a
 // model, never from this host's clock. Communication is always charged by
-// the NetworkModel on the packets' wire sizes. Compute and codec time are
-// charged only under PaperScale: gradient bytes are rescaled to the paper's
-// real model sizes (AlexNet 250MB, ResNet32 6MB), compute is charged at the
-// paper's measured per-iteration GPU time, and compression through the
-// Sec 3.3 analytic model with GPU-class primitive throughputs. Without it
-// an iteration costs its exchange alone, as in cluster_train without a
-// SimComputeModel. Compression *accuracy* effects are genuine either way:
-// the actual gradients round-trip through the codec.
+// the NetworkModel on the packets' wire sizes, rescaled to
+// `raw_gradient_bytes` (the paper's real model sizes: AlexNet 250MB,
+// ResNet32 6MB) when that is set. Compute and codec time are charged only
+// under a perfmodel::ComputeModel, through step_charges() as in
+// cluster_train: compute at the paper's measured per-iteration GPU time,
+// and the codec through its Sec 3.3 per-byte cost on the same bytes the
+// exchange carries. Without one an iteration costs its exchange alone.
+// Compression *accuracy* effects are genuine either way: the actual
+// gradients round-trip through the codec.
 #pragma once
 
 #include <array>
@@ -45,13 +46,6 @@
 
 namespace fftgrad::core {
 
-/// Paper-scale cost simulation parameters.
-struct PaperScale {
-  double raw_gradient_bytes = 250e6;  ///< wire size of the uncompressed gradient
-  util::SimSeconds compute_seconds{0.140};  ///< per-rank fwd+bwd time per iteration
-  perfmodel::PrimitiveThroughputs throughputs{};  ///< GPU-class defaults
-};
-
 /// How gradient exchange is organized (the paper's Fig 1 dichotomy).
 enum class CommScheme {
   kBspAllgather,     ///< allgather of compressed blocks, update everywhere
@@ -67,7 +61,10 @@ struct TrainerConfig {
   std::size_t param_sync_every = 10;  ///< broadcast params every k iterations
   comm::NetworkModel network = comm::NetworkModel::infiniband_fdr56();
   CommScheme scheme = CommScheme::kBspAllgather;
-  std::optional<PaperScale> paper_scale;
+  std::optional<perfmodel::ComputeModel> compute;
+  /// Size the uncompressed gradient stands for on the wire and in the codec
+  /// charge; unset, the model's own.
+  std::optional<util::Bytes> raw_gradient_bytes;
   std::uint64_t seed = 42;
   bool record_alpha = true;  ///< compute Assumption-3.2 alpha each iteration
 };

@@ -98,18 +98,12 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
 
   const std::size_t grad_size = replica.size();
   const double raw_bytes = static_cast<double>(grad_size) * sizeof(float);
-  // Paper-scale wire-size rescale factor, and the modelled compute and
-  // codec charges of a rank's step (zero without PaperScale). Compression
-  // and decompression are each charged at the codec's own modelled per-byte
-  // cost on the paper-scale message.
-  const std::optional<PaperScale>& paper = config_.paper_scale;
-  const double wire_scale = paper ? paper->raw_gradient_bytes / raw_bytes : 1.0;
-  const util::SimSeconds compute_s = paper ? paper->compute_seconds : util::SimSeconds{};
-  const auto codec_s = [&](const GradientCompressor& codec) {
-    return paper ? util::SimSeconds(2.0 * paper->raw_gradient_bytes *
-                                    codec.modeled_seconds_per_byte(paper->throughputs))
-                 : util::SimSeconds{};
-  };
+  // The wire rescale to the paper-scale gradient; the codec is charged on
+  // the same bytes the exchange carries.
+  const util::Bytes gradient_bytes = config_.raw_gradient_bytes.value_or(util::Bytes(raw_bytes));
+  const double wire_scale = gradient_bytes.to_double() / raw_bytes;
+  const util::SimSeconds compute_s =
+      config_.compute ? config_.compute->compute_s : util::SimSeconds{};
 
   std::vector<std::unique_ptr<GradientCompressor>> compressors;
   std::vector<util::Rng> rank_rngs;
@@ -123,6 +117,7 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
   // deliver it, decoded together once all ranks have compressed.
   std::vector<std::optional<wire::WireFrame>> exchanged(config_.ranks);
   std::vector<util::Bytes> block_bytes(config_.ranks);
+  std::vector<StepCharges> charges(config_.ranks);
 
   TrainResult result;
   util::SimSeconds sim_time{};
@@ -229,7 +224,9 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
         ledger_sum.backward += times.backward;
         ledger_sum.compress += times.compress;
         ledger_ratio_sum += packet.ratio();
-        slowest_rank = std::max(slowest_rank, compute_s + codec_s(*compressors[r]));
+        charges[r] = step_charges(config_.compute, *compressors[r], gradient_bytes);
+        slowest_rank =
+            std::max(slowest_rank, compute_s + (charges[r].compress + charges[r].decompress));
       }
 
       // Each rank of a real run decodes every packet with its own codec;
@@ -311,30 +308,27 @@ TrainResult DistributedTrainer::train(const CompressorFactory& factory,
       telemetry::Tracer& tracer = telemetry::Tracer::global();
       if (tracer.enabled()) {
         // Lay one BSP iteration onto each rank's simulated track, exactly
-        // as the accounting charged it: the modelled compute and codec
-        // phases back to back (under PaperScale), then the bulk-synchronous
-        // exchange ending at the barrier.
+        // as the accounting charged it: the modelled phases that charge
+        // anything back to back, then the bulk-synchronous exchange ending
+        // at the barrier.
         const char* exchange_name =
             config_.scheme == CommScheme::kBspAllgather ? "allgather" : "ps_exchange";
         const util::SimSeconds comm_start = iter_start_sim + slowest_rank;
         const util::SimSeconds comm_end = comm_start + comm_s;
         for (std::size_t r = 0; r < config_.ranks; ++r) {
           const std::int32_t rank = static_cast<std::int32_t>(r);
-          if (paper) {
-            // fwd+bwd ~ 3x fwd on GPU-class substrates, so the paper's
-            // combined compute figure splits 1:2.
-            const util::SimSeconds codec = codec_s(*compressors[r]);
-            const std::pair<const char*, util::SimSeconds> phases[] = {
-                {"forward", compute_s / 3.0},
-                {"backward", compute_s * 2.0 / 3.0},
-                {"compress", codec / 2.0},
-                {"decompress", codec / 2.0}};
-            util::SimSeconds t = iter_start_sim;
-            for (const auto& [name, seconds] : phases) {
-              tracer.record_sim_span(rank, name, "trainer", t.to_double(),
-                                     (t + seconds).to_double());
-              t += seconds;
-            }
+          const StepCharges& cost = charges[r];
+          const std::pair<const char*, util::SimSeconds> phases[] = {
+              {"forward", cost.forward},
+              {"backward", cost.backward},
+              {"compress", cost.compress},
+              {"decompress", cost.decompress}};
+          util::SimSeconds t = iter_start_sim;
+          for (const auto& [name, seconds] : phases) {
+            if (seconds <= util::SimSeconds(0.0)) continue;
+            tracer.record_sim_span(rank, name, "trainer", t.to_double(),
+                                   (t + seconds).to_double());
+            t += seconds;
           }
           tracer.record_sim_span(rank, exchange_name, "comm", comm_start.to_double(),
                                  comm_end.to_double());

@@ -45,6 +45,14 @@ struct PrimitiveThroughputs {
   BytesPerSecond stochastic{10e9};
 };
 
+/// One rank's simulated training step, as both trainers charge it: its
+/// compute, and the throughputs its codec's per-byte cost is charged at
+/// once to compress and once to decompress (Eq. 4's factor 2).
+struct ComputeModel {
+  SimSeconds compute_s{};              ///< a rank's forward + backward per iteration
+  PrimitiveThroughputs throughputs{};  ///< calibrated GPU-class defaults
+};
+
 /// 1/Tm' aggregate of Eq. 1's parenthesised term (simulated seconds per
 /// byte of input gradient).
 double seconds_per_byte(const PrimitiveThroughputs& t);

@@ -27,12 +27,22 @@ constexpr SimSeconds kZeroS{0.0};
 constexpr int kSimPidBase = 100;
 
 bool is_compute(CpCategory c) {
-  return c == CpCategory::kBackprop || c == CpCategory::kFft ||
-         c == CpCategory::kQuantPack || c == CpCategory::kWireCrc;
+  return c == CpCategory::kBackprop || c == CpCategory::kCodec;
 }
 
 bool is_comm(CpCategory c) {
   return c == CpCategory::kCollective || c == CpCategory::kRetry;
+}
+
+/// Leaf-span name -> category; names nothing maps are untracked.
+CpCategory cp_category_for_span(const std::string& name) {
+  if (name == "forward" || name == "backward") return CpCategory::kBackprop;
+  if (name == "compress" || name == "decompress") return CpCategory::kCodec;
+  if (name == "collective") return CpCategory::kCollective;
+  if (name == "retry") return CpCategory::kRetry;
+  if (name == "straggle") return CpCategory::kStraggle;
+  if (name == "barrier" || name == "abandoned") return CpCategory::kBarrierIdle;
+  return CpCategory::kUntracked;
 }
 
 }  // namespace
@@ -40,9 +50,7 @@ bool is_comm(CpCategory c) {
 const char* cp_category_name(CpCategory category) {
   switch (category) {
     case CpCategory::kBackprop: return "backprop";
-    case CpCategory::kFft: return "fft";
-    case CpCategory::kQuantPack: return "quant_pack";
-    case CpCategory::kWireCrc: return "wire_crc";
+    case CpCategory::kCodec: return "codec";
     case CpCategory::kCollective: return "collective";
     case CpCategory::kRetry: return "retry";
     case CpCategory::kStraggle: return "straggle";
@@ -52,19 +60,6 @@ const char* cp_category_name(CpCategory category) {
     case CpCategory::kCount: break;
   }
   return "unknown";
-}
-
-CpCategory cp_category_for_span(const std::string& name) {
-  if (name == "forward" || name == "backward" || name == "apply") return CpCategory::kBackprop;
-  if (name == "fft" || name == "inverse_fft") return CpCategory::kFft;
-  if (name == "quant_pack" || name == "dequant") return CpCategory::kQuantPack;
-  if (name == "wire_crc") return CpCategory::kWireCrc;
-  if (name == "collective") return CpCategory::kCollective;
-  if (name == "retry") return CpCategory::kRetry;
-  if (name == "straggle") return CpCategory::kStraggle;
-  if (name == "straggler_wait") return CpCategory::kStragglerWait;
-  if (name == "barrier" || name == "abandoned") return CpCategory::kBarrierIdle;
-  return CpCategory::kUntracked;
 }
 
 std::uint32_t latest_sim_session(const std::vector<SpanRecord>& records) {

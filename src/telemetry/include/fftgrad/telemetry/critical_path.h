@@ -2,8 +2,8 @@
 //
 // The span tracer records, for every rank, a set of *leaf* spans with
 // category "cp" that partition the rank's simulated clock: modelled compute
-// phases (forward/backward/fft/quant_pack/wire_crc/inverse_fft/dequant/
-// apply, charged by the trainer's SimComputeModel), collective propagation
+// phases (forward/backward/compress/decompress, charged by cluster_train's
+// perfmodel::ComputeModel through core::step_charges), collective propagation
 // ("collective"), per-sender retransmission recovery ("retry", peer = the
 // faulted sender), injected straggler slowdown ("straggle"), and barrier
 // waits ("barrier", op = the barrier generation shared by every rank in the
@@ -49,10 +49,8 @@ namespace fftgrad::telemetry {
 
 /// Categories every nanosecond of the critical path is attributed to.
 enum class CpCategory : int {
-  kBackprop = 0,   ///< forward/backward/apply modelled compute
-  kFft,            ///< FFT + inverse FFT of the sparsifying codec
-  kQuantPack,      ///< quantize/pack + dequant/unpack
-  kWireCrc,        ///< wire framing + CRC
+  kBackprop = 0,   ///< forward/backward modelled compute
+  kCodec,          ///< the codec's modelled compress + decompress
   kCollective,     ///< lossless collective propagation (alpha-beta model)
   kRetry,          ///< retransmission/backoff recovery time
   kStraggle,       ///< injected straggler slowdown on the bounding rank
@@ -64,13 +62,9 @@ enum class CpCategory : int {
 
 inline constexpr std::size_t kCpCategoryCount = static_cast<std::size_t>(CpCategory::kCount);
 
-/// Stable lower-case name ("backprop", "fft", ...), used in reports,
+/// Stable lower-case name ("backprop", "codec", ...), used in reports,
 /// metrics names and the ledger row.
 const char* cp_category_name(CpCategory category);
-
-/// Leaf-span name -> category ("forward" -> kBackprop, ...). Unknown names
-/// map to kUntracked.
-CpCategory cp_category_for_span(const std::string& name);
 
 /// One event extracted from the tracer (or a Chrome-JSON export): either a
 /// "cp" leaf span or a zero-length "cp-edge" publish/consume record.
@@ -125,7 +119,7 @@ struct CpIteration {
 
   util::SimSeconds e2e_s() const { return end_s - start_s; }
   util::SimSeconds category_sum_s() const;
-  /// Compute on the path: backprop + fft + quant/pack + wire/CRC.
+  /// Compute on the path: backprop + codec.
   util::SimSeconds compute_s() const;
   /// Communication on the path: collective propagation + retry recovery.
   util::SimSeconds comm_s() const;
@@ -149,9 +143,9 @@ struct CpAnalysis {
   util::SimSeconds end_s{};             ///< simulated end of the analyzed window
   util::SimSeconds overlap_bound_s{};   ///< sum over iterations
   util::SimSeconds pipeline_bound_s{};  ///< sum over iterations
-  /// Structural problems found while walking (a gap, a dangling barrier).
-  /// Empty on a well-formed trace; surfaced by trace_analyze and the
-  /// analysis layer's validator.
+  /// Structural problems found while walking (an unknown leaf span, a rank
+  /// without spans, a dangling barrier). Empty on a well-formed trace;
+  /// reported by the analysis layer's validator.
   std::vector<std::string> problems;
 
   util::SimSeconds e2e_s() const { return end_s; }

@@ -45,8 +45,8 @@
 //   critpath.overlap_bound_s  perfect-chunking overlap upper bound   [s]
 //   critpath.pipeline_bound_s layer-wise FIFO pipeline bound         [s]
 //   critpath.<category>_s     per-category time on the path          [s]
-//       (categories: backprop, fft, quant_pack, wire_crc, collective,
-//        retry, straggle, straggler_wait, barrier_idle, untracked — see
+//       (categories: backprop, codec, collective, retry, straggle,
+//        straggler_wait, barrier_idle, untracked — see
 //        fftgrad/telemetry/critical_path.h)
 //   profile.samples           host-time stack samples captured       [count]
 //   profile.dropped           samples lost to full rings             [count]

@@ -4,9 +4,10 @@
 // sequential trainer's parameters bit for bit under lossless, sparsifying,
 // quantizing and error-feedback codecs (both run the one step of
 // fftgrad/core/replica.h) whether the rank threads queue their parallel
-// chunks on the pool or run them inline, compressed exchange still learns,
-// and a packet the codec rejects after its checksum passed is left out of
-// the average the way a missing one is.
+// chunks on the pool or run them inline, both charge one
+// perfmodel::ComputeModel the same simulated seconds per step, compressed
+// exchange still learns, and a packet the codec rejects after its checksum
+// passed is left out of the average the way a missing one is.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,6 +115,62 @@ TEST(ClusterTrain, MatchesSequentialTrainerBitForBit) {
                                sequential_params.size() * sizeof(float)))
           << spec << " at " << ranks << " ranks";
     }
+  }
+}
+
+TEST(ClusterTrain, OneComputeModelChargesBothTrainersTheSameStep) {
+  // Each trainer adds, per iteration, compute_s + 2 x gradient bytes x the
+  // codec's modelled seconds per byte to its model-less run: the fold with
+  // its wire unscaled, and cluster_train on a fault-free cluster. A
+  // pass-through codec models no work, so it adds compute_s alone.
+  const perfmodel::ComputeModel model{.compute_s = util::SimSeconds(1e-4)};
+  constexpr std::size_t kRanks = 4;
+  constexpr std::size_t kIterations = 5;
+  nn::SyntheticDataset data({8}, 3, 17);
+  const double gradient_bytes =
+      static_cast<double>(mlp_factory()().param_count() * sizeof(float));
+  for (const bool fft : {true, false}) {
+    const CompressorFactory factory = [fft](std::size_t) -> std::unique_ptr<GradientCompressor> {
+      if (!fft) return std::make_unique<NoopCompressor>();
+      return std::make_unique<FftCompressor>(
+          FftCompressorOptions{.theta = 0.5, .quantizer_bits = 10});
+    };
+    const double expected =
+        model.compute_s.to_double() +
+        2.0 * gradient_bytes * factory(0)->modeled_seconds_per_byte(model.throughputs);
+    if (!fft) {
+      EXPECT_EQ(expected, model.compute_s.to_double());
+    }
+
+    const auto fold_time = [&](const std::optional<perfmodel::ComputeModel>& compute) {
+      TrainerConfig cfg;
+      cfg.ranks = kRanks;
+      cfg.epochs = 1;
+      cfg.iters_per_epoch = kIterations;
+      cfg.test_size = 16;
+      cfg.record_alpha = false;
+      cfg.compute = compute;
+      util::Rng rng(999);
+      DistributedTrainer trainer(nn::models::make_mlp(8, 16, 2, 3, rng), data, cfg);
+      return trainer
+          .train(factory, FixedTheta(factory(0)->theta()), nn::StepLrSchedule({{0, 0.05f}}))
+          .total_sim_time_s.to_double();
+    };
+    const auto cluster_time = [&](const std::optional<perfmodel::ComputeModel>& compute) {
+      comm::SimCluster cluster(comm::NetworkModel::infiniband_fdr56());
+      ClusterTrainConfig cfg;
+      cfg.ranks = kRanks;
+      cfg.iterations = kIterations;
+      cfg.compute = compute;
+      return cluster_train(cluster, cfg, mlp_factory(), factory, data)
+          .rank_sim_times[0]
+          .to_double();
+    };
+    const double iterations = static_cast<double>(kIterations);
+    const double fold_added = (fold_time(model) - fold_time(std::nullopt)) / iterations;
+    const double cluster_added = (cluster_time(model) - cluster_time(std::nullopt)) / iterations;
+    EXPECT_NEAR(fold_added, expected, 1e-12 * expected) << (fft ? "fft" : "none");
+    EXPECT_NEAR(cluster_added, expected, 1e-12 * expected) << (fft ? "fft" : "none");
   }
 }
 

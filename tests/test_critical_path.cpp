@@ -3,8 +3,9 @@
 // the Chrome-JSON round trip, and integration against real cluster_train
 // runs — the acceptance invariants (per-iteration category times sum to
 // the simulated end-to-end time within 1e-6, fig02-band comm share on a
-// lossless run, ledger reconciliation) plus 16-seed determinism and fault
-// attribution under a chaos plan.
+// lossless run, ledger reconciliation), the codec category taken from the
+// codec's own cost model, 16-seed determinism and fault attribution under
+// a chaos plan.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "fftgrad/analysis/critpath_check.h"
 #include "fftgrad/core/baseline_compressors.h"
 #include "fftgrad/core/cluster_trainer.h"
+#include "fftgrad/core/fft_compressor.h"
 #include "fftgrad/nn/models.h"
 #include "fftgrad/telemetry/critical_path.h"
 #include "fftgrad/telemetry/ledger.h"
@@ -143,6 +145,28 @@ TEST(CriticalPath, GapsBecomeUntrackedSegments) {
   EXPECT_DOUBLE_EQ(seconds(analysis, CpCategory::kUntracked), 2.0);  // [0,1] and [2,3]
 }
 
+// A leaf span whose name maps to no category still tiles its window (as
+// untracked), and the validator reports it with the analyzer's other
+// problems, so `trace_analyze --check` fails on a charge site the analyzer
+// does not map.
+TEST(CriticalPath, ValidatorReportsAnUnknownLeafSpan) {
+  std::vector<CpEvent> events;
+  events.push_back(span(0, "backward", 0.0, 1.0, 0));
+  events.push_back(span(0, "inverse_fft", 1.0, 1.5, 0));
+  events.push_back(span(0, "collective", 1.5, 2.0, 0));
+
+  const CpAnalysis analysis = analyze_critical_path(events);
+  EXPECT_DOUBLE_EQ(seconds(analysis, CpCategory::kUntracked), 0.5);
+  ASSERT_EQ(analysis.problems.size(), 1u);
+  // Under the FFTGRAD_ANALYSIS presets each problem also goes through
+  // report_violation, whose default handler aborts.
+  analysis::set_violation_handler(+[](const char*, const std::string&) {});
+  const std::vector<std::string> problems = analysis::validate_critical_path(analysis, events);
+  analysis::set_violation_handler(nullptr);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("unknown cp span 'inverse_fft'"), std::string::npos) << problems[0];
+}
+
 // The exported Chrome JSON must round-trip the cp events (µs timestamps
 // at %.3f precision = nanosecond resolution) back into the same analysis.
 TEST(CriticalPath, ChromeJsonRoundTripsEvents) {
@@ -192,21 +216,24 @@ std::function<nn::Network()> mlp_factory() {
   };
 }
 
-std::function<std::unique_ptr<core::GradientCompressor>(std::size_t)> noop_codec() {
+using CodecFactory = std::function<std::unique_ptr<core::GradientCompressor>(std::size_t)>;
+
+CodecFactory noop_codec() {
   return [](std::size_t) { return std::make_unique<core::NoopCompressor>(); };
 }
 
 /// Run a lossless 4-rank training with the tracer on and return the
 /// analysis of its simulated session.
 CpAnalysis traced_run(const core::ClusterTrainConfig& cfg, const comm::FaultPlan* plan,
-                      std::vector<CpEvent>* events_out = nullptr) {
+                      std::vector<CpEvent>* events_out = nullptr,
+                      const CodecFactory& codec = noop_codec()) {
   Tracer& tracer = Tracer::global();
   tracer.set_enabled(true);
   comm::SimCluster cluster = plan == nullptr
                                  ? comm::SimCluster(comm::NetworkModel::infiniband_fdr56())
                                  : comm::SimCluster(comm::NetworkModel::ethernet_10g(), *plan);
   nn::SyntheticDataset data({8}, 3, 11);
-  core::cluster_train(cluster, cfg, mlp_factory(), noop_codec(), data);
+  core::cluster_train(cluster, cfg, mlp_factory(), codec, data);
   const std::vector<SpanRecord> records = tracer.snapshot();
   tracer.set_enabled(false);
   tracer.clear();
@@ -214,21 +241,6 @@ CpAnalysis traced_run(const core::ClusterTrainConfig& cfg, const comm::FaultPlan
       cp_events_from_records(records, latest_sim_session(records));
   if (events_out != nullptr) *events_out = events;
   return analyze_critical_path(events);
-}
-
-core::SimComputeModel fig02_compute(double total_s) {
-  // Split one iteration's modelled compute across the phases with fig02's
-  // rough proportions (backprop dominates; codec stages small).
-  core::SimComputeModel m;
-  m.forward_s = util::SimSeconds(0.25 * total_s);
-  m.backward_s = util::SimSeconds(0.45 * total_s);
-  m.fft_s = util::SimSeconds(0.08 * total_s);
-  m.quant_pack_s = util::SimSeconds(0.05 * total_s);
-  m.wire_crc_s = util::SimSeconds(0.04 * total_s);
-  m.inverse_fft_s = util::SimSeconds(0.06 * total_s);
-  m.dequant_s = util::SimSeconds(0.03 * total_s);
-  m.apply_s = util::SimSeconds(0.04 * total_s);
-  return m;
 }
 
 // fig02-style lossless 4-rank run: per-iteration category times must sum
@@ -249,7 +261,8 @@ TEST(CriticalPathIntegration, LosslessFig02StyleRunSumsAndReconciles) {
   const double comm_per_iter =
       comm_only.comm_s().to_double() / static_cast<double>(comm_only.iterations.size());
   ASSERT_GT(comm_per_iter, 0.0);
-  cfg.sim_compute = fig02_compute(comm_per_iter / 0.45 - comm_per_iter);
+  cfg.compute =
+      perfmodel::ComputeModel{.compute_s = util::SimSeconds(comm_per_iter / 0.45 - comm_per_iter)};
 
   const std::string ledger_path = ::testing::TempDir() + "critpath_fig02_ledger.jsonl";
   std::remove(ledger_path.c_str());
@@ -285,6 +298,32 @@ TEST(CriticalPathIntegration, LosslessFig02StyleRunSumsAndReconciles) {
   std::remove(ledger_path.c_str());
 }
 
+// The path's codec time is the codec's own modelled cost: its Sec 3.3
+// seconds per byte on the gradient, once to compress and once to
+// decompress per iteration. A pass-through codec puts nothing there.
+TEST(CriticalPathIntegration, CodecCategoryComesFromTheCodecsModel) {
+  core::ClusterTrainConfig cfg;
+  cfg.ranks = 4;
+  cfg.iterations = 4;
+  cfg.seed = 3;
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(1e-4)};
+  const CodecFactory fft = [](std::size_t) {
+    return std::make_unique<core::FftCompressor>(
+        core::FftCompressorOptions{.theta = 0.5, .quantizer_bits = 10});
+  };
+  const double gradient_bytes =
+      static_cast<double>(mlp_factory()().param_count() * sizeof(float));
+  const double expected = static_cast<double>(cfg.iterations) * 2.0 * gradient_bytes *
+                          fft(0)->modeled_seconds_per_byte(cfg.compute->throughputs);
+  ASSERT_GT(expected, 0.0);
+
+  const CpAnalysis with_fft = traced_run(cfg, nullptr, nullptr, fft);
+  EXPECT_NEAR(seconds(with_fft, CpCategory::kCodec), expected, 1e-9 * expected);
+  EXPECT_TRUE(with_fft.problems.empty());
+  const CpAnalysis with_noop = traced_run(cfg, nullptr);
+  EXPECT_EQ(seconds(with_noop, CpCategory::kCodec), 0.0);
+}
+
 // Same seed -> bit-identical serialized analysis, across 16 seeds. The
 // simulated clocks are deterministic, so any nondeterminism would come
 // from the analyzer itself (map ordering, tie-breaks).
@@ -292,14 +331,7 @@ TEST(CriticalPathIntegration, SixteenSeedDeterminism) {
   core::ClusterTrainConfig cfg;
   cfg.ranks = 4;
   cfg.iterations = 3;
-  cfg.sim_compute = core::SimComputeModel{.forward_s = util::SimSeconds(1e-4),
-                                          .backward_s = util::SimSeconds(2e-4),
-                                          .fft_s = util::SimSeconds(5e-5),
-                                          .quant_pack_s = util::SimSeconds(2e-5),
-                                          .wire_crc_s = util::SimSeconds(1e-5),
-                                          .inverse_fft_s = util::SimSeconds(4e-5),
-                                          .dequant_s = util::SimSeconds(2e-5),
-                                          .apply_s = util::SimSeconds(3e-5)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(4.7e-4)};
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     cfg.seed = seed;
     const std::string first = serialize_critpath(traced_run(cfg, nullptr));
@@ -317,8 +349,7 @@ TEST(CriticalPathIntegration, ChaosTimeAttributedToFaultedRank) {
   cfg.ranks = 4;
   cfg.iterations = 12;
   cfg.seed = 9;
-  cfg.sim_compute = core::SimComputeModel{.forward_s = util::SimSeconds(1e-4),
-                                          .backward_s = util::SimSeconds(2e-4)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(3e-4)};
 
   comm::FaultPlan plan;
   plan.seed = 2020;

@@ -281,8 +281,8 @@ TEST(ParameterServer, ScalesWorseThanBspAtHighRankCounts) {
     cfg.test_size = 32;
     cfg.scheme = scheme;
     cfg.record_alpha = false;
-    cfg.paper_scale =
-        core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(0.1)};
+    cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(0.1)};
+    cfg.raw_gradient_bytes = util::Bytes(250e6);
     core::DistributedTrainer trainer(nn::models::make_mlp(8, 16, 2, 2, rng),
                                      nn::SyntheticDataset({8}, 2, 12), cfg);
     nn::StepLrSchedule lr({{0, 0.05f}});

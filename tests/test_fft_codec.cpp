@@ -216,5 +216,23 @@ TEST(FftCodecHeap, WarmRoundTripAllocatesUnderHalfAMegabyte) {
   EXPECT_LT(warm_round_trip_bytes("chunked:65536[fft]", 333834), kBound);
 }
 
+/// A warm chunked decode reuses one packet buffer for its chunks: it
+/// allocates less than half of what a copy of every chunk's bytes would.
+TEST(FftCodecHeap, WarmChunkedDecodeAllocatesUnderHalfItsPacket) {
+  const auto expect_small_decode = [] {
+    const std::unique_ptr<GradientCompressor> codec = make_compressor("chunked:65536[fft]");
+    const std::vector<float> g = gradient(333834, 7);
+    std::vector<float> out(g.size());
+    const Packet packet = codec->compress(g);
+    for (int warm = 0; warm < 2; ++warm) codec->decompress(packet, out);
+    const std::size_t before = g_allocated_bytes.load();
+    codec->decompress(packet, out);
+    EXPECT_LT(g_allocated_bytes.load() - before, packet.wire_bytes() / 2);
+  };
+  expect_small_decode();
+  const parallel::ScopedInlineChunks inline_chunks;
+  expect_small_decode();
+}
+
 }  // namespace
 }  // namespace fftgrad::core

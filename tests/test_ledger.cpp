@@ -225,8 +225,8 @@ TEST(LedgerReconcile, SequentialTrainerReconcilesAndCarriesPaperModel) {
   }
 }
 
-TEST(LedgerReconcile, SequentialTrainerPhaseColumnsAreMeasuredUnderPaperScale) {
-  // Paper scale charges 10 s of modelled compute per iteration to simulated
+TEST(LedgerReconcile, SequentialTrainerPhaseColumnsAreMeasuredUnderAComputeModel) {
+  // The compute model charges 10 s of compute per iteration to simulated
   // time (3.33 s of it forward); the ledger's phase columns are this host's
   // wall times of the same step, with the decode of all 3 packets.
   LedgerSession session("seqphases");
@@ -236,8 +236,8 @@ TEST(LedgerReconcile, SequentialTrainerPhaseColumnsAreMeasuredUnderPaperScale) {
   cfg.epochs = 1;
   cfg.iters_per_epoch = 3;
   cfg.batch_per_rank = 8;
-  cfg.paper_scale =
-      core::PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(10.0)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(10.0)};
+  cfg.raw_gradient_bytes = util::Bytes(250e6);
   core::DistributedTrainer trainer(nn::models::make_mlp(8, 16, 2, 3, rng),
                                    nn::SyntheticDataset({8}, 3, 29), cfg);
   trainer.train(

@@ -81,8 +81,8 @@ TEST(Trainer, FftCompressionStillLearns) {
 TEST(Trainer, CompressedRunIsFasterOnSimClockThanLossless) {
   TrainerConfig cfg = small_config();
   cfg.epochs = 1;
-  cfg.paper_scale =
-      PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(0.05)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(0.05)};
+  cfg.raw_gradient_bytes = util::Bytes(250e6);
   DistributedTrainer trainer = make_trainer(cfg);
   nn::StepLrSchedule lr({{0, 0.05f}});
   const TrainResult lossless = trainer.train(noop_factory(), FixedTheta(0.0), lr);
@@ -116,8 +116,8 @@ TEST(Trainer, SimTimeGrowsWithRankCountAtFixedWork) {
   TrainerConfig cfg = small_config();
   cfg.epochs = 1;
   cfg.iters_per_epoch = 5;
-  cfg.paper_scale =
-      PaperScale{.raw_gradient_bytes = 250e6, .compute_seconds = util::SimSeconds(0.05)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(0.05)};
+  cfg.raw_gradient_bytes = util::Bytes(250e6);
   cfg.ranks = 2;
   const TrainResult small = make_trainer(cfg).train(noop_factory(), FixedTheta(0.0), lr);
   cfg.ranks = 8;

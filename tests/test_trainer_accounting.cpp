@@ -1,6 +1,6 @@
 // Exactness tests for the trainer's simulated-time accounting: the
-// charges must equal the closed-form alpha-beta (+ Sec 3.3 under paper
-// scale) expressions, iteration for iteration.
+// charges must equal the closed-form alpha-beta (+ Sec 3.3 under a compute
+// model) expressions, iteration for iteration.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -29,8 +29,8 @@ TrainerConfig base_config() {
   cfg.test_size = 16;
   cfg.param_sync_every = 10;  // never fires within 2 iterations
   cfg.record_alpha = false;
-  cfg.paper_scale =
-      PaperScale{.raw_gradient_bytes = 8e6, .compute_seconds = util::SimSeconds(0.05)};
+  cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(0.05)};
+  cfg.raw_gradient_bytes = util::Bytes(8e6);
   return cfg;
 }
 
@@ -43,7 +43,7 @@ TEST(Accounting, LosslessBspMatchesClosedForm) {
 
   // Noop: zero codec cost, every rank's block is the full 8MB gradient.
   const comm::NetworkModel& net = cfg.network;
-  const double per_iter = cfg.paper_scale->compute_seconds.to_double() +
+  const double per_iter = cfg.compute->compute_s.to_double() +
                           3.0 * net.p2p_time(util::Bytes(8e6)).to_double();  // (p-1) ring steps
   EXPECT_NEAR(result.total_sim_time_s.to_double(), 2.0 * per_iter, 1e-9);
   EXPECT_NEAR(result.mean_iteration_time_s.to_double(), per_iter, 1e-9);
@@ -63,11 +63,11 @@ TEST(Accounting, FftCodecChargedThroughEquationOne) {
   // Codec: compression + decompression at Eq. 1's per-byte cost on the
   // paper-scale message. Communication: the measured wire ratio rescales
   // the per-rank block.
-  const double spb = perfmodel::seconds_per_byte(cfg.paper_scale->throughputs);
+  const double spb = perfmodel::seconds_per_byte(cfg.compute->throughputs);
   const double codec = 2.0 * 8e6 * spb;
   const double ratio = result.epochs[0].mean_ratio;
   const double block = 8e6 / ratio;
-  const double per_iter = cfg.paper_scale->compute_seconds.to_double() + codec +
+  const double per_iter = cfg.compute->compute_s.to_double() + codec +
                           3.0 * cfg.network.p2p_time(util::Bytes(block)).to_double();
   EXPECT_NEAR(result.mean_iteration_time_s.to_double(), per_iter, per_iter * 0.02);
 }
@@ -81,7 +81,7 @@ TEST(Accounting, ParameterBroadcastFiresOnSchedule) {
   const TrainResult result = trainer.train(
       [](std::size_t) { return std::make_unique<NoopCompressor>(); }, FixedTheta(0.0), lr);
 
-  const double per_iter = cfg.paper_scale->compute_seconds.to_double() +
+  const double per_iter = cfg.compute->compute_s.to_double() +
                           3.0 * cfg.network.p2p_time(util::Bytes(8e6)).to_double();
   const double bcast = cfg.network.broadcast_time(util::Bytes(8e6), cfg.ranks).to_double();
   EXPECT_NEAR(result.total_sim_time_s.to_double(), 10.0 * per_iter + 2.0 * bcast, 1e-9);
@@ -96,15 +96,16 @@ TEST(Accounting, ParameterServerChargesPushAndPull) {
       [](std::size_t) { return std::make_unique<NoopCompressor>(); }, FixedTheta(0.0), lr);
 
   std::vector<util::Bytes> blocks(cfg.ranks, util::Bytes(8e6));
-  const double per_iter = cfg.paper_scale->compute_seconds.to_double() +
+  const double per_iter = cfg.compute->compute_s.to_double() +
                           cfg.network.ps_push_time(blocks).to_double() +
                           cfg.network.ps_pull_time(util::Bytes(8e6), cfg.ranks).to_double();
   EXPECT_NEAR(result.total_sim_time_s.to_double(), 2.0 * per_iter, 1e-9);
 }
 
-TEST(Accounting, WithoutPaperScaleOnlyTheExchangeIsCharged) {
+TEST(Accounting, WithoutAComputeModelOnlyTheExchangeIsCharged) {
   TrainerConfig cfg = base_config();
-  cfg.paper_scale.reset();
+  cfg.compute.reset();
+  cfg.raw_gradient_bytes.reset();
   cfg.param_sync_every = 2;  // fires at iteration 2
   DistributedTrainer trainer = make_trainer(cfg);
   const double raw = static_cast<double>(trainer.model().param_count() * sizeof(float));
@@ -126,7 +127,7 @@ TEST(Accounting, WireScaleKeepsCompressionRatioInvariant) {
   nn::StepLrSchedule lr({{0, 0.01f}});
   auto run = [&](double bytes) {
     TrainerConfig cfg = base_config();
-    cfg.paper_scale->raw_gradient_bytes = bytes;
+    cfg.raw_gradient_bytes = util::Bytes(bytes);
     DistributedTrainer trainer = make_trainer(cfg);
     return trainer
         .train(
