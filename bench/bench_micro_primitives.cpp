@@ -2,7 +2,9 @@
 // model (Tm: precision conversion, Tf: FFT, Ts: top-k selection, Tp: see
 // bench_packing) plus the end-to-end codecs. The measured bytes/second here
 // are this substrate's inputs to the Fig 10 analytic model. BM_Gemm and
-// BM_Conv2dBackward time the NN kernels that set an iteration's compute.
+// BM_Conv2dBackward time the NN kernels that set an iteration's compute;
+// BM_GemmBaseline runs BM_Gemm's shapes on gemm's baseline x86-64 entry
+// point, so one run shows what the AVX2 one gains.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -19,6 +21,7 @@
 #include "fftgrad/telemetry/telemetry.h"
 #include "fftgrad/tensor/ops.h"
 #include "fftgrad/tensor/tensor.h"
+#include "fftgrad/util/cpu.h"
 #include "fftgrad/util/rng.h"
 
 namespace {
@@ -203,29 +206,38 @@ BENCHMARK(BM_TernGradCompressorEndToEnd)->Arg(1 << 18)->UseRealTime();
 /// 144x256x16 TN (W^T dY) and dense forward 16x512x512 NT (x W^T). Runs on
 /// the calling thread, as on a cluster_train rank thread when the ranks fill
 /// the pool; items are multiply-adds.
-void BM_Gemm(benchmark::State& state) {
+void run_gemm(benchmark::State& state, util::Isa isa) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
   const auto k = static_cast<std::size_t>(state.range(2));
+  const bool ta = state.range(3) != 0, tb = state.range(4) != 0;
   const auto a = gradient_like(m * k);
   const auto b = gradient_like(k * n);
   std::vector<float> c(m * n);
   parallel::ScopedInlineChunks inline_chunks;
   for (auto _ : state) {
-    tensor::gemm(m, n, k, 1.0f, a.data(), state.range(3) != 0, b.data(), state.range(4) != 0,
-                 0.0f, c.data());
+    tensor::gemm(isa, m, n, k, 1.0f, a.data(), ta, b.data(), tb, 0.0f, c.data());
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(m * n * k));
 }
-BENCHMARK(BM_Gemm)
-    ->Args({16, 144, 256, 0, 1})
-    ->Args({16, 256, 144, 0, 0})
-    ->Args({144, 256, 16, 1, 0})
-    ->Args({16, 512, 512, 0, 1})
-    ->UseRealTime();
+
+void BM_Gemm(benchmark::State& state) { run_gemm(state, util::native_isa()); }
+void BM_GemmBaseline(benchmark::State& state) { run_gemm(state, util::Isa::kBaseline); }
+
+// ResNetMini's conv dW (B^T), conv forward, conv dcol, and an MLP-512
+// Dense forward.
+void gemm_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({16, 144, 256, 0, 1})
+      ->Args({16, 256, 144, 0, 0})
+      ->Args({144, 256, 16, 1, 0})
+      ->Args({16, 512, 512, 0, 1})
+      ->UseRealTime();
+}
+BENCHMARK(BM_Gemm)->Apply(gemm_shapes);
+BENCHMARK(BM_GemmBaseline)->Apply(gemm_shapes);
 
 /// One ResNetMini residual-block convolution's backward (16 -> 16 channels,
 /// 3x3, 16x16 images, batch 16): per image an im2col, the dW and dcol GEMMs

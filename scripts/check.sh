@@ -94,9 +94,9 @@ for preset in "${presets[@]}"; do
   [[ "$preset" == analyze ]] && continue
   # The labels that get their own reported row below run only there: the
   # full-suite step excludes them, so each test runs once per preset. The
-  # exhaustive label (the fp16 kernel over all 2^32 floats, ~7 s in
-  # Release) has a row under the default preset only: a sanitized build
-  # would take minutes for no new coverage.
+  # exhaustive label (the fp16 kernel and the range float's bulk encode
+  # over all 2^32 floats, ~20 s in Release) has a row under the default
+  # preset only: a sanitized build would take minutes for no new coverage.
   own_rows=(chaos causality exhaustive)
   if [[ "$preset" == default || "$preset" == asan ]]; then
     own_rows+=(ledger recovery critpath profile)

@@ -10,6 +10,10 @@
 # size, so a difference is a behaviour change; the diff names the bench
 # and the changed lines. Benches that print host times have no golden file.
 #
+# Each result line gives the bench's wall time, from its launch to its
+# exit, and the last line the gate's; the benches share the machine, so a
+# bench's time is how long it held the gate up, not its cost alone.
+#
 # To accept an intended change, rerun the bench into its golden file and
 # say why in CHANGES.md, e.g.
 #
@@ -30,9 +34,21 @@ done
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
+# The wall clock in seconds, and the seconds since a reading of it, to
+# 0.1 s. LC_ALL=C keeps the decimal point a point in every locale.
+now() { LC_ALL=C date +%s.%N; }
+elapsed() { LC_ALL=C awk -v a="$1" -v b="$(now)" 'BEGIN { printf "%.1f", b - a }'; }
+
+started=$(now)
 pids=()
 for name in "${names[@]}"; do
-  "$build_dir/bench/$name" > "$tmp/$name.txt" 2> "$tmp/$name.err" &
+  (
+    launched=$(now)
+    status=0
+    "$build_dir/bench/$name" > "$tmp/$name.txt" 2> "$tmp/$name.err" || status=$?
+    elapsed "$launched" > "$tmp/$name.seconds"
+    exit "$status"
+  ) &
   pids+=($!)
 done
 
@@ -48,8 +64,8 @@ for i in "${!names[@]}"; do
     echo "FAIL $name: stdout differs from bench/golden/$name.txt" >&2
     failed=1
   else
-    echo "ok   $name"
+    printf 'ok   %-28s %7s s\n' "$name" "$(cat "$tmp/$name.seconds")"
   fi
 done
-[[ "$failed" == 0 ]] || exit 1
-echo "golden gate ok (${#names[@]} benches)"
+[[ "$failed" == 0 ]] || { echo "golden gate FAILED after $(elapsed "$started") s" >&2; exit 1; }
+echo "golden gate ok (${#names[@]} benches) in $(elapsed "$started") s"

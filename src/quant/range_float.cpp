@@ -17,6 +17,9 @@ constexpr std::size_t kParallelThreshold = 1 << 16;
 std::uint32_t float_bits(float f) { return std::bit_cast<std::uint32_t>(f); }
 float bits_float(std::uint32_t b) { return std::bit_cast<float>(b); }
 
+/// All ones when `c` holds, else zero.
+std::uint32_t all_ones_if(bool c) { return 0u - static_cast<std::uint32_t>(c); }
+
 }  // namespace
 
 RangeFloat::RangeFloat(const RangeFloatParams& params) : params_(params) {
@@ -96,11 +99,36 @@ float RangeFloat::decode(std::uint32_t code) const {
   return bits_float(((pbase_ + offset - 1) << shift_) | 0x80000000u);
 }
 
+// The bulk maps compute what encode(float) and decode(code) compute, as
+// maps of the bits with masks in place of their branches, so the loops run
+// on vector lanes (the fp16 kernel's form, half.cpp). The scalar pair stays
+// the reference they are tested against.
+
 void RangeFloat::encode(std::span<const float> in, std::span<std::uint32_t> out,
                         float scale) const {
   if (in.size() != out.size()) throw std::invalid_argument("RangeFloat::encode: size mismatch");
-  auto run = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = encode(in[i] * scale);
+  // With a the magnitude bits of x = in[i] * scale:
+  //  - positive x is clamped at max, and for positive floats value order
+  //    is bit order, so the clamp is min(a, max's bits);
+  //  - the code is trunc - pbase + 1, saturated at the negative code count
+  //    and moved above the P positive codes when x is negative;
+  //  - a truncation below pbase (zero and underflow) and a NaN give code 0.
+  const std::uint32_t shift = shift_, pbase = pbase_, positives = positive_codes_,
+                      negatives = negative_codes_, max_bits = float_bits(params_.max);
+  const float* src = in.data();
+  std::uint32_t* dst = out.data();
+  auto run = [=](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t bits = float_bits(src[i] * scale);
+      const std::uint32_t a = bits & 0x7fffffffu;
+      const std::uint32_t negative = all_ones_if((bits >> 31) != 0);
+      const std::uint32_t trunc = ((a & negative) | (std::min(a, max_bits) & ~negative)) >> shift;
+      const std::uint32_t offset = trunc - pbase + 1;
+      const std::uint32_t code =
+          ((positives + std::min(offset, negatives)) & negative) | (offset & ~negative);
+      const std::uint32_t zero = all_ones_if(trunc < pbase) | all_ones_if(a > 0x7f800000u);
+      dst[i] = code & ~zero;
+    }
   };
   if (in.size() < kParallelThreshold) {
     run(0, in.size());
@@ -112,8 +140,22 @@ void RangeFloat::encode(std::span<const float> in, std::span<std::uint32_t> out,
 void RangeFloat::decode(std::span<const std::uint32_t> in, std::span<float> out,
                         float scale) const {
   if (in.size() != out.size()) throw std::invalid_argument("RangeFloat::decode: size mismatch");
-  auto run = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = decode(in[i]) * scale;
+  // Code c (its low N bits) above P is negative, with its offset saturated
+  // at the negative code count; the magnitude is (pbase + offset - 1) <<
+  // shift, and code 0 is +0.
+  const std::uint32_t shift = shift_, pbase = pbase_, positives = positive_codes_,
+                      negatives = negative_codes_, code_mask = code_count_ - 1;
+  const std::uint32_t* src = in.data();
+  float* dst = out.data();
+  auto run = [=](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t c = src[i] & code_mask;
+      const std::uint32_t negative = all_ones_if(c > positives);
+      const std::uint32_t offset =
+          (std::min(c - positives, negatives) & negative) | (c & ~negative);
+      const std::uint32_t bits = ((pbase + offset - 1) << shift) | (0x80000000u & negative);
+      dst[i] = bits_float(bits & ~all_ones_if(c == 0)) * scale;
+    }
   };
   if (in.size() < kParallelThreshold) {
     run(0, in.size());

@@ -1,13 +1,15 @@
 // Tensor kernels used by the NN layers: GEMM (the workhorse of Dense and
 // im2col-based Conv2d), axpy-style elementwise updates, and softmax.
 // GEMM is blocked for cache reuse and parallelized across row panels; with
-// transposed B it runs a 4x8 register-blocked kernel on 4-lane vectors.
+// transposed B it runs a register-blocked kernel, 4x8 on the baseline
+// build's 4-lane vectors and 4x16 on AVX2's 8 lanes (util/cpu.h).
 #pragma once
 
 #include <cstddef>
 #include <span>
 
 #include "fftgrad/tensor/tensor.h"
+#include "fftgrad/util/cpu.h"
 
 namespace fftgrad::tensor {
 
@@ -28,8 +30,16 @@ namespace fftgrad::tensor {
 /// 0 * NaN in B never enters C, and a -0 in C survives beta = 1); with
 /// transposed B every product enters the dot product, so the same
 /// 0 * inf makes c NaN.
+///
+/// Runs on util::native_isa()'s entry point.
 void gemm(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
           bool transpose_a, const float* b, bool transpose_b, float beta, float* c);
+
+/// The same product on `isa`'s entry point, which gives the same bits as
+/// every other. Throws std::invalid_argument when this CPU cannot run it.
+void gemm(util::Isa isa, std::size_t m, std::size_t n, std::size_t k, float alpha,
+          const float* a, bool transpose_a, const float* b, bool transpose_b, float beta,
+          float* c);
 
 /// y += alpha * x (sizes must match).
 void axpy(float alpha, std::span<const float> x, std::span<float> y);

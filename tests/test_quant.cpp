@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -304,6 +306,68 @@ TEST(RangeFloat, NegativeSaturationIsTheLastNegativeCode) {
     EXPECT_EQ(codec.encode(-std::numeric_limits<float>::max()), last);
     EXPECT_EQ(codec.encode(-std::numeric_limits<float>::infinity()), last);
     EXPECT_EQ(codec.decode(last), codec.actual_min());
+  }
+}
+
+/// A float's bits (the bulk maps must match the scalar ones bit for bit,
+/// signed zeros included).
+std::uint32_t float_bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+/// The bulk decode maps the code's bits without a branch; it must give
+/// decode(code) * scale for every code of each width, the codes past the
+/// negative cap and bits above the width included.
+TEST(RangeFloat, BulkDecodeMatchesScalarOnEveryCode) {
+  for (int bits : {3, 10, 16, 23}) {
+    // The asymmetric range leaves codes past the negative cap unused.
+    const RangeFloat codec = RangeFloat::tune(bits, -0.25f, 1.0f);
+    const std::uint32_t count = codec.code_count();
+    std::vector<std::uint32_t> codes(std::size_t{count} + 3);
+    for (std::uint32_t c = 0; c < count; ++c) codes[c] = c;
+    codes[count] = count;  // only a bit above the width: code 0
+    codes[count + 1] = count + codec.positive_codes();
+    codes[count + 2] = 0xffffffffu;
+    std::vector<float> out(codes.size());
+    for (float scale : {1.0f, 0.3f}) {
+      codec.decode(codes, out, scale);
+      for (std::size_t i = 0; i < codes.size(); ++i) {
+        ASSERT_EQ(float_bits(out[i]), float_bits(codec.decode(codes[i]) * scale))
+            << "bits " << bits << " scale " << scale << " code " << codes[i];
+      }
+    }
+  }
+}
+
+/// The bulk encode against encode(x * scale) on the values where its masks
+/// matter: signed zeros, eps and max and their neighbours, underflow,
+/// saturation, infinities, NaNs and subnormals, plus gradient-like values.
+/// ctest -L exhaustive runs it on every float.
+TEST(RangeFloat, BulkEncodeMatchesScalarOnEdgeValues) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  util::Rng rng(11);
+  for (const RangeFloat& codec : saturation_codecs()) {
+    const RangeFloatParams& p = codec.params();
+    std::vector<float> in = {0.0f, -0.0f, kInf, -kInf,
+                             std::numeric_limits<float>::quiet_NaN(),
+                             -std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::denorm_min(),
+                             -std::numeric_limits<float>::denorm_min(),
+                             std::numeric_limits<float>::max(), -std::numeric_limits<float>::max()};
+    for (float edge : {p.eps, p.max, p.min, codec.actual_min(), codec.actual_max()}) {
+      for (float v : {edge, -edge}) {
+        in.push_back(v);
+        in.push_back(std::nextafter(v, kInf));
+        in.push_back(std::nextafter(v, -kInf));
+      }
+    }
+    for (int i = 0; i < 4000; ++i) in.push_back(static_cast<float>(rng.normal(0.0, 0.3)));
+    std::vector<std::uint32_t> out(in.size());
+    for (float scale : {1.0f, 0.3f, 3.7f}) {
+      codec.encode(in, out, scale);
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        ASSERT_EQ(out[i], codec.encode(in[i] * scale))
+            << "x " << in[i] << " scale " << scale << " bits " << p.bits;
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include "fftgrad/parallel/thread_pool.h"
 #include "fftgrad/tensor/ops.h"
 #include "fftgrad/tensor/tensor.h"
+#include "fftgrad/util/cpu.h"
 #include "fftgrad/util/rng.h"
 
 namespace fftgrad::tensor {
@@ -207,47 +208,60 @@ void PrintTo(const ExactGemmCase& c, std::ostream* os) {
       << (c.beta == 0.5f ? "half" : c.beta == 0.0f ? "0" : "1");
 }
 
-class GemmBitExact : public ::testing::TestWithParam<ExactGemmCase> {};
+class GemmBitExact : public ::testing::TestWithParam<ExactGemmCase> {
+ protected:
+  /// Every shape runs pooled (from this thread: m*n*k >= 2^18 splits the
+  /// rows over the global pool when it has more than one worker) and inline
+  /// (inside a ScopedInlineChunks), on `isa`'s entry point. B holds -0,
+  /// +-inf and NaN and A exact zeros, so the non-transposed-B path's zero
+  /// skip and the transposed-B path's NaN products both show. The n values
+  /// cover the register blocks of both lane widths, their one-vector tails
+  /// and the scalar edges.
+  static void expect_matches_scalar_loops(util::Isa isa) {
+    const ExactGemmCase c = GetParam();
+    constexpr float kAlpha = 0.75f;
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    for (std::size_t m : {1, 3, 4, 5, 64, 65, 130}) {
+      for (std::size_t n : {1, 7, 8, 9, 12, 27, 256, 257}) {
+        for (std::size_t k : {1, 255, 256, 257, 513}) {
+          util::Rng rng(m * 7919 + n * 131 + k);
+          std::vector<float> a(m * k), b(k * n), c0(m * n);
+          for (float& v : a) v = static_cast<float>(rng.normal());
+          for (float& v : b) v = static_cast<float>(rng.normal());
+          for (float& v : c0) v = static_cast<float>(rng.normal());
+          for (std::size_t i = 0; i < a.size(); i += 5) a[i] = i % 2 == 0 ? 0.0f : -0.0f;
+          for (std::size_t i = 3; i < b.size(); i += 11) b[i] = -0.0f;
+          b[b.size() / 3] = kInf;
+          b[b.size() / 2] = -kInf;
+          b[b.size() - 1] = std::numeric_limits<float>::quiet_NaN();
 
-/// Every shape runs pooled (from this thread: m*n*k >= 2^18 splits the rows
-/// over the global pool when it has more than one worker) and inline (inside
-/// a ScopedInlineChunks). B holds -0, +-inf and NaN and A exact zeros, so
-/// the non-transposed-B path's zero skip and the transposed-B path's NaN
-/// products both show.
-TEST_P(GemmBitExact, MatchesScalarLoopsBitForBit) {
-  const ExactGemmCase c = GetParam();
-  constexpr float kAlpha = 0.75f;
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  for (std::size_t m : {1, 3, 4, 5, 64, 65, 130}) {
-    for (std::size_t n : {1, 7, 8, 9, 256, 257}) {
-      for (std::size_t k : {1, 255, 256, 257, 513}) {
-        util::Rng rng(m * 7919 + n * 131 + k);
-        std::vector<float> a(m * k), b(k * n), c0(m * n);
-        for (float& v : a) v = static_cast<float>(rng.normal());
-        for (float& v : b) v = static_cast<float>(rng.normal());
-        for (float& v : c0) v = static_cast<float>(rng.normal());
-        for (std::size_t i = 0; i < a.size(); i += 5) a[i] = i % 2 == 0 ? 0.0f : -0.0f;
-        for (std::size_t i = 3; i < b.size(); i += 11) b[i] = -0.0f;
-        b[b.size() / 3] = kInf;
-        b[b.size() / 2] = -kInf;
-        b[b.size() - 1] = std::numeric_limits<float>::quiet_NaN();
-
-        std::vector<float> expected = c0, pooled = c0, inlined = c0;
-        scalar_gemm(m, n, k, kAlpha, a.data(), c.ta, b.data(), c.tb, c.beta, expected.data());
-        gemm(m, n, k, kAlpha, a.data(), c.ta, b.data(), c.tb, c.beta, pooled.data());
-        {
-          parallel::ScopedInlineChunks inline_chunks;
-          gemm(m, n, k, kAlpha, a.data(), c.ta, b.data(), c.tb, c.beta, inlined.data());
-        }
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-          ASSERT_EQ(exact_bits(pooled[i]), exact_bits(expected[i]))
-              << "pooled m" << m << " n" << n << " k" << k << " at " << i;
-          ASSERT_EQ(exact_bits(inlined[i]), exact_bits(expected[i]))
-              << "inline m" << m << " n" << n << " k" << k << " at " << i;
+          std::vector<float> expected = c0, pooled = c0, inlined = c0;
+          scalar_gemm(m, n, k, kAlpha, a.data(), c.ta, b.data(), c.tb, c.beta,
+                      expected.data());
+          gemm(isa, m, n, k, kAlpha, a.data(), c.ta, b.data(), c.tb, c.beta, pooled.data());
+          {
+            parallel::ScopedInlineChunks inline_chunks;
+            gemm(isa, m, n, k, kAlpha, a.data(), c.ta, b.data(), c.tb, c.beta, inlined.data());
+          }
+          for (std::size_t i = 0; i < expected.size(); ++i) {
+            ASSERT_EQ(exact_bits(pooled[i]), exact_bits(expected[i]))
+                << "pooled m" << m << " n" << n << " k" << k << " at " << i;
+            ASSERT_EQ(exact_bits(inlined[i]), exact_bits(expected[i]))
+                << "inline m" << m << " n" << n << " k" << k << " at " << i;
+          }
         }
       }
     }
   }
+};
+
+TEST_P(GemmBitExact, MatchesScalarLoopsBitForBit) {
+  expect_matches_scalar_loops(util::Isa::kBaseline);
+}
+
+TEST_P(GemmBitExact, Avx2MatchesScalarLoopsBitForBit) {
+  if (util::native_isa() != util::Isa::kAvx2) GTEST_SKIP() << "this CPU has no AVX2";
+  expect_matches_scalar_loops(util::Isa::kAvx2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Transpositions, GemmBitExact,
@@ -266,7 +280,7 @@ INSTANTIATE_TEST_SUITE_P(Transpositions, GemmBitExact,
 
 /// ops.h's contract: without transposed B a zero entry of op(A) adds
 /// nothing, so 0 * inf never enters C and a -0 in C survives beta = 1; with
-/// transposed B every product enters the dot product. 5 x 9 covers both the
+/// transposed B every product enters the dot product. 5 x 9 covers both a
 /// 4 x 8 register block and the scalar edge rows and columns.
 TEST(Gemm, ZeroEntriesOfASkipOnlyWithoutTransposedB) {
   constexpr std::size_t m = 5, n = 9, k = 2;

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "fftgrad/util/cpu.h"
 #include "fftgrad/util/crc32.h"
 #include "fftgrad/util/rng.h"
 #include "fftgrad/util/stats.h"
@@ -12,6 +13,20 @@
 
 namespace fftgrad::util {
 namespace {
+
+// ---------------------------------------------------------------------------
+// CPU probe
+
+/// A probe that fell back to the baseline kernels on a CPU with AVX2 would
+/// pass every bit-identity test and only show as lost speed.
+TEST(CpuProbe, AgreesWithTheCompilerBuiltin) {
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_EQ(cpu_has_avx2(), __builtin_cpu_supports("avx2") != 0);
+#else
+  EXPECT_FALSE(cpu_has_avx2());
+#endif
+  EXPECT_EQ(native_isa(), cpu_has_avx2() ? Isa::kAvx2 : Isa::kBaseline);
+}
 
 // ---------------------------------------------------------------------------
 // Rng
