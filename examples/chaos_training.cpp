@@ -70,11 +70,11 @@ int main() {
   cfg.iterations = kIterations;
   cfg.learning_rate = 0.05f;
   cfg.seed = 17;
-  // Modelled compute charged to the simulated clocks, so a
-  // FFTGRAD_CRITPATH/FFTGRAD_TRACE run attributes every simulated second
-  // (backprop, codec, collective, retries, straggler waits) instead of
-  // seeing a comm-only timeline. The codec is charged at its own Sec 3.3
-  // cost on this model's gradient.
+  // Modelled compute charged to the simulated clocks, so the critical
+  // path of a FFTGRAD_TRACE run (`run_report --trace`) attributes every
+  // simulated second (backprop, codec, collective, retries, straggler
+  // waits) instead of seeing a comm-only timeline. The codec is charged at
+  // its own Sec 3.3 cost on this model's gradient.
   cfg.compute = perfmodel::ComputeModel{.compute_s = util::SimSeconds(6.6e-3)};
 
   const auto accuracy_of = [&](const std::vector<float>& params) {

@@ -1,44 +1,63 @@
-// run_report: aggregate one or more run-ledger JSONL files into a
-// terminal or Markdown report.
+// run_report: the one reader of the telemetry artifacts a run leaves
+// behind — run-ledger JSONL files, Chrome traces and folded host profiles.
 //
-//   run_report [--markdown] <ledger.jsonl> [more.jsonl ...]
+//   run_report [--trace <trace.json> [--trace <other.json>]] [--session N]
+//              [--profile <file.folded>] [--check] [<ledger.jsonl> ...]
 //
-// Per run: the manifest line, a per-phase time breakdown (mean seconds per
-// iteration), a model-error table per collective kind (predicted vs.
-// charged totals, relative error, retries/failures), and a health summary
-// (alert counts per monitor). With two or more runs, a cross-run diff
-// compares final loss, total simulated time, and mean alpha between the
-// first run and each later one.
+// Ledgers (FFTGRAD_LEDGER, fftgrad/telemetry/ledger.h), per run: the
+// manifest line, a per-phase time breakdown (mean seconds per iteration),
+// a model-error table per collective kind (predicted vs. charged totals,
+// relative error, retries/failures), a health summary (alert counts per
+// monitor) and, when the run saw any, the elastic-recovery summary. With
+// two or more runs, a cross-run diff compares final loss, total simulated
+// time, mean alpha and every summary metric between the first run and
+// each later one.
 //
-// With --profile <file.folded> (output of FFTGRAD_PROFILE=1, see
-// fftgrad/telemetry/profiler.h) a `Hot paths` section is appended: the
-// ranked host self-time table plus a cross-reference of host self-time
-// shares against the simulated critical-path categories of the first
-// ledger run (when one carries a critpath row). --check-profile
-// additionally validates the folded file — parseable, at least one
-// sample, render/parse round-trip stable — and fails the exit status when
-// it is not; the profile can also be inspected standalone, with no ledger
-// arguments at all.
+// --trace (FFTGRAD_TRACE, fftgrad/telemetry/critical_path.h): the
+// critical-path report of the trace's newest simulated session, or of
+// session N: the category attribution of the simulated end-to-end time,
+// the overlap and pipeline bounds, and the per-iteration and per-rank
+// tables. A second --trace adds the category diff of the second trace
+// against the first. Each ledger's last run is reconciled against the
+// first trace's communication on the path.
 //
-// Exit status: 0 on success, 1 on unreadable/invalid input. Schema
-// problems found by validate_ledger are printed but only warn — a
-// truncated run (no summary row) still reports its surviving prefix.
-#include <cctype>
+// --profile (FFTGRAD_PROFILE, fftgrad/telemetry/profiler.h): the ranked
+// host self-time table, then host self-time per critical-path category
+// beside the first trace's share of the simulated path.
+//
+// --check: fail the exit status unless every trace's critical path passes
+// analysis::validate_critical_path (the analyzer's own problems,
+// contiguity, the 1e-6 category sum, happens-before support), the profile
+// has samples and survives its folded render/parse round trip, and every
+// ledger passes validate_ledger.
+//
+// Every table is a util::TableWriter table. Exit status: 0 on success, 1
+// on unreadable or invalid input or a failed --check. Without --check,
+// ledger schema problems only warn, so a damaged ledger still reports
+// what it holds.
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "fftgrad/analysis/critpath_check.h"
+#include "fftgrad/telemetry/critical_path.h"
 #include "fftgrad/telemetry/ledger.h"
 #include "fftgrad/telemetry/profiler.h"
 #include "fftgrad/util/table.h"
 
 namespace {
 
+using fftgrad::telemetry::CpAnalysis;
+using fftgrad::telemetry::CpCategory;
 using fftgrad::telemetry::JsonValue;
 using fftgrad::telemetry::LedgerRun;
+using fftgrad::util::SimSeconds;
 
 struct RunDigest {
   std::string source;
@@ -50,8 +69,8 @@ struct RunDigest {
   double mean_alpha = 0.0;
   double mean_ratio = 0.0;
   std::size_t alerts = 0;
-  /// Flattened numeric fields of the summary + critpath rows ("dotted"
-  /// keys), compared key-wise in the cross-run diff. Runs from different
+  /// Flattened numeric fields of the summary row ("dotted" keys),
+  /// compared key-wise in the cross-run diff. Runs from different
   /// code versions may carry different keys; the diff reports those as
   /// added/removed instead of erroring.
   std::vector<std::pair<std::string, double>> metrics;
@@ -97,39 +116,9 @@ double mean_over(const std::vector<JsonValue>& rows, const char* object_key, con
   return sum / static_cast<double>(rows.size());
 }
 
-void print_heading(bool markdown, const std::string& text) {
-  if (markdown) {
-    std::cout << "\n## " << text << "\n\n";
-  } else {
-    std::cout << "\n=== " << text << " ===\n";
-  }
-}
+void print_heading(const std::string& text) { std::cout << "\n=== " << text << " ===\n"; }
 
-void print_table(bool markdown, const fftgrad::util::TableWriter& table) {
-  // TableWriter's pipe-separated layout is already valid Markdown except
-  // for the header separator row; synthesize one by echoing the header.
-  const std::string rendered = table.to_string();
-  if (!markdown) {
-    std::cout << rendered;
-    return;
-  }
-  const std::size_t eol = rendered.find('\n');
-  if (eol == std::string::npos) {
-    std::cout << rendered;
-    return;
-  }
-  std::cout << "|" << rendered.substr(0, eol) << "|\n|";
-  for (char c : rendered.substr(0, eol)) std::cout << (c == '|' ? '|' : '-');
-  std::cout << "|\n";
-  for (std::size_t at = eol + 1; at < rendered.size();) {
-    const std::size_t next = rendered.find('\n', at);
-    const std::size_t end = next == std::string::npos ? rendered.size() : next;
-    std::cout << "|" << rendered.substr(at, end - at) << "|\n";
-    at = end + 1;
-  }
-}
-
-RunDigest report_run(const LedgerRun& run, const std::string& source, bool markdown) {
+RunDigest report_run(const LedgerRun& run, const std::string& source) {
   RunDigest digest;
   digest.source = source;
   digest.trainer = run.manifest.string_or("trainer", "?");
@@ -137,7 +126,7 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
   digest.iterations = run.iterations.size();
   digest.alerts = run.alerts.size();
 
-  print_heading(markdown, digest.trainer + " / " + digest.compressor + " (" + source + ")");
+  print_heading(digest.trainer + " / " + digest.compressor + " (" + source + ")");
   const JsonValue* network = run.manifest.find("network");
   std::cout << "ranks=" << static_cast<long long>(number_of(run.manifest, "ranks"))
             << " seed=" << static_cast<long long>(number_of(run.manifest, "seed"))
@@ -147,7 +136,6 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
   // Flatten before the cut-off-run early return: a run with a summary but
   // no iteration rows still participates in the key-wise cross-run diff.
   flatten_numbers(run.summary, "", digest.metrics);
-  flatten_numbers(run.critpath, "critpath", digest.metrics);
   if (run.iterations.empty()) {
     std::cout << "(no iteration rows — run was cut off before the first step)\n";
     return digest;
@@ -159,7 +147,7 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
   digest.mean_alpha = mean_over(run.iterations, "roundtrip", "alpha");
   digest.mean_ratio = mean_over(run.iterations, "roundtrip", "ratio");
 
-  print_heading(markdown, "Per-phase breakdown (mean s/iter)");
+  print_heading("Per-phase breakdown (mean s/iter)");
   {
     fftgrad::util::TableWriter table(
         {"forward", "backward", "compress", "decompress", "sim_total"});
@@ -169,13 +157,13 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
                    mean_over(run.iterations, "phases", "compress_s"),
                    mean_over(run.iterations, "phases", "decompress_s"),
                    digest.sim_time_s / static_cast<double>(run.iterations.size())});
-    print_table(markdown, table);
+    std::cout << table.to_string();
   }
 
   // Model-error table: per collective kind, predicted vs charged totals
   // over every iteration row (recomputed from the rows rather than trusting
   // the summary, so truncated runs still report).
-  print_heading(markdown, "Model vs measured per collective");
+  print_heading("Model vs measured per collective");
   {
     struct KindAgg {
       double predicted = 0.0, charged = 0.0, paper = 0.0;
@@ -216,10 +204,10 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
                      static_cast<long long>(agg.retries),
                      static_cast<long long>(agg.failed)});
     }
-    print_table(markdown, table);
+    std::cout << table.to_string();
   }
 
-  print_heading(markdown, "Health summary");
+  print_heading("Health summary");
   {
     fftgrad::util::TableWriter table({"monitor", "alerts", "first_iter", "detail"});
     std::vector<std::pair<std::string, std::pair<std::size_t, double>>> monitors;
@@ -239,13 +227,13 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
       }
     }
     if (monitors.empty()) {
-      std::cout << (markdown ? "All monitors quiet.\n" : "all monitors quiet\n");
+      std::cout << "all monitors quiet\n";
     } else {
       for (std::size_t i = 0; i < monitors.size(); ++i) {
         table.add_row({monitors[i].first, static_cast<long long>(monitors[i].second.first),
                        monitors[i].second.second, first_message[i]});
       }
-      print_table(markdown, table);
+      std::cout << table.to_string();
     }
   }
   // Elastic-recovery summary: the controller's automatic remediations
@@ -292,7 +280,7 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
     }
 
     if (!remedies.empty() || transfers > 0) {
-      print_heading(markdown, "Elastic recovery");
+      print_heading("Elastic recovery");
       if (!remedies.empty()) {
         fftgrad::util::TableWriter table({"cause -> action", "count", "cost_s",
                                           "mean_iters_to_recover", "unrecovered"});
@@ -302,7 +290,7 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
                          agg.iters_to_recover / static_cast<double>(agg.count),
                          static_cast<long long>(agg.unrecovered)});
         }
-        print_table(markdown, table);
+        std::cout << table.to_string();
       }
       if (transfers > 0) {
         const double rel = transfer_predicted > 0.0
@@ -314,28 +302,6 @@ RunDigest report_run(const LedgerRun& run, const std::string& source, bool markd
                   << transfer_predicted << " s vs charged " << transfer_charged
                   << " s (rel error " << rel << "), failed " << transfer_failed << "\n";
       }
-    }
-  }
-  // Critical-path row (written by the analyzer when FFTGRAD_CRITPATH is
-  // set — see fftgrad/telemetry/critical_path.h). Older ledgers have none.
-  if (run.critpath.kind == JsonValue::Kind::kObject) {
-    print_heading(markdown, "Critical path");
-    std::cout << "e2e " << number_of(run.critpath, "e2e_s") << " s over "
-              << static_cast<long long>(number_of(run.critpath, "iterations"))
-              << " iterations, comm share " << number_of(run.critpath, "comm_share")
-              << ", overlap bound " << number_of(run.critpath, "overlap_bound_s")
-              << " s, pipeline bound " << number_of(run.critpath, "pipeline_bound_s")
-              << " s\n";
-    const JsonValue* categories = run.critpath.find("categories");
-    if (categories != nullptr && !categories->object.empty()) {
-      fftgrad::util::TableWriter table({"category", "on_path_s", "share"});
-      table.set_double_format("%.6g");
-      const double e2e = number_of(run.critpath, "e2e_s");
-      for (const auto& [name, value] : categories->object) {
-        if (value.kind != JsonValue::Kind::kNumber) continue;
-        table.add_row({name, value.number, e2e > 0.0 ? value.number / e2e : 0.0});
-      }
-      print_table(markdown, table);
     }
   }
   std::cout << "final loss " << digest.final_loss << ", mean alpha " << digest.mean_alpha
@@ -358,40 +324,24 @@ bool read_file(const std::string& path, std::string& out) {
   return ok;
 }
 
-bool contains(const std::string& text, const char* needle) {
-  return text.find(needle) != std::string::npos;
+/// The critical-path category a sample's innermost span belongs to, read
+/// from the span category its folded stack carries: `codec` spans and the
+/// trainer's compress/decompress phases are codec, the trainer's other
+/// phases backprop, and `comm` spans collective (SimCluster charges their
+/// simulated time there). Samples outside those spans have none.
+std::optional<CpCategory> critpath_category_for(const fftgrad::telemetry::FoldedStack& stack) {
+  if (stack.category == "codec") return CpCategory::kCodec;
+  if (stack.category == "comm") return CpCategory::kCollective;
+  if (stack.category != "trainer") return std::nullopt;
+  return stack.span == "compress" || stack.span == "decompress" ? CpCategory::kCodec
+                                                                : CpCategory::kBackprop;
 }
 
-/// Coarse mapping of a sample's span onto the critical-path analyzer's
-/// simulated categories (fftgrad/telemetry/critical_path.h), so host
-/// self-time shares line up row-by-row with the simulated shares. Every
-/// codec span (the trainer's compress/decompress, a codec's own, its fft.*
-/// stages, framing and CRC) is `codec`.
-std::string critpath_category_for(const fftgrad::telemetry::FoldedStack& stack) {
-  std::string span;
-  span.reserve(stack.span.size());
-  for (char c : stack.span) {
-    span += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (span.empty()) return "other";
-  for (const char* codec : {"compress", "fft", "quant", "sparse", "topk", "crc", "wire",
-                            "encode", "decode"}) {
-    if (contains(span, codec)) return "codec";
-  }
-  if (span == "forward" || span == "backward" || span == "apply") return "backprop";
-  if (contains(span, "allgather") || contains(span, "allreduce") ||
-      contains(span, "broadcast") || contains(span, "gather") ||
-      contains(span, "barrier") || contains(span, "collective")) {
-    return "collective";
-  }
-  return "other";
-}
-
-/// The `Hot paths` section: ranked host self-time plus the cross-reference
-/// against the first run's simulated critical-path categories. Returns the
-/// process exit status (non-zero only in --check-profile mode).
-int report_profile(const std::string& path, bool markdown, bool check,
-                   const std::vector<RunDigest>& digests) {
+/// The `Hot paths` section: the ranked host self-time table, then host
+/// self-time per critical-path category beside `critical_path`'s share of
+/// the simulated path (when a trace was given). Returns the process exit
+/// status.
+int report_profile(const std::string& path, bool check, const CpAnalysis* critical_path) {
   using fftgrad::telemetry::FoldedStack;
   std::string text;
   if (!read_file(path, text)) {
@@ -422,62 +372,43 @@ int report_profile(const std::string& path, bool markdown, bool check,
     }
   }
 
-  print_heading(markdown, "Hot paths (host self-time)");
+  print_heading("Hot paths (host self-time)");
   std::cout << stacks.size() << " folded stacks, " << total << " samples from " << path
             << "\n";
-  const std::vector<fftgrad::telemetry::HotPath> ranked =
-      fftgrad::telemetry::hot_paths_from(stacks);
-  {
-    fftgrad::util::TableWriter table(
-        {"function", "self", "self%", "total%", "top span", "simd candidate"});
-    table.set_double_format("%.1f");
-    const std::size_t rows = ranked.size() < 15 ? ranked.size() : 15;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const fftgrad::telemetry::HotPath& hot = ranked[i];
-      table.add_row({hot.symbol, static_cast<long long>(hot.self_samples), hot.self_pct,
-                     hot.total_pct, hot.top_span.empty() ? "-" : hot.top_span,
-                     hot.simd_hint.empty() ? "-" : hot.simd_hint});
-    }
-    print_table(markdown, table);
-  }
+  std::cout << fftgrad::telemetry::render_hot_paths(fftgrad::telemetry::hot_paths_from(stacks));
 
-  // Host share per simulated category, next to the critical-path share of
-  // the first reported run (zeros when no run carried a critpath row).
-  // Divergence between the columns is the point: host-heavy / sim-light
-  // categories are where SIMD work on the codec kernels pays off on the host
-  // without the simulation predicting it.
-  std::vector<std::pair<std::string, std::uint64_t>> by_category;
+  // Divergence between the host and path columns is the point: host-heavy,
+  // path-light categories are where host-side SIMD work pays off without
+  // the simulation predicting it.
+  std::vector<std::pair<std::optional<CpCategory>, std::uint64_t>> by_category;
   for (const FoldedStack& stack : stacks) {
-    const std::string category = critpath_category_for(stack);
+    const std::optional<CpCategory> category = critpath_category_for(stack);
     bool found = false;
-    for (auto& [name, count] : by_category) {
-      if (name == category) {
+    for (auto& [seen, count] : by_category) {
+      if (seen == category) {
         count += stack.count;
         found = true;
       }
     }
     if (!found) by_category.emplace_back(category, stack.count);
   }
-  print_heading(markdown, "Host self-time vs simulated critical path");
-  const double* e2e =
-      digests.empty() ? nullptr : find_metric(digests[0].metrics, "critpath.e2e_s");
-  fftgrad::util::TableWriter table(
-      {"category", "host_samples", "host_share", "critpath_share"});
+  print_heading("Host self-time vs simulated critical path");
+  fftgrad::util::TableWriter table({"category", "host_samples", "host_share", "path_share"});
   table.set_double_format("%.3f");
-  for (const auto& [name, count] : by_category) {
-    double sim_share = 0.0;
-    if (e2e != nullptr && *e2e > 0.0) {
-      const double* on_path = find_metric(digests[0].metrics, "critpath.categories." + name);
-      if (on_path != nullptr) sim_share = *on_path / *e2e;
+  for (const auto& [category, count] : by_category) {
+    fftgrad::util::TableWriter::Cell path_share = "-";
+    if (category && critical_path != nullptr && critical_path->e2e_s() > SimSeconds(0.0)) {
+      path_share =
+          critical_path->total_s[static_cast<std::size_t>(*category)] / critical_path->e2e_s();
     }
-    table.add_row({name, static_cast<long long>(count),
+    table.add_row({category ? fftgrad::telemetry::cp_category_name(*category) : "other",
+                   static_cast<long long>(count),
                    total > 0 ? static_cast<double>(count) / static_cast<double>(total) : 0.0,
-                   sim_share});
+                   path_share});
   }
-  print_table(markdown, table);
-  if (e2e == nullptr) {
-    std::cout << "(no ledger critpath row to cross-reference — pass a ledger recorded "
-                 "with FFTGRAD_CRITPATH)\n";
+  std::cout << table.to_string();
+  if (critical_path == nullptr) {
+    std::cout << "(pass --trace <trace.json> for the simulated path's share)\n";
   }
   if (check) {
     std::cout << "profile check passed: " << stacks.size() << " stacks, " << total
@@ -486,46 +417,114 @@ int report_profile(const std::string& path, bool markdown, bool check,
   return 0;
 }
 
+struct Trace {
+  std::string path;
+  std::vector<fftgrad::telemetry::CpEvent> events;
+  CpAnalysis analysis;
+};
+
+/// Load and analyze one trace's cp events; false (with a message) when
+/// the file is unreadable or holds no simulated session.
+bool load_trace(Trace& trace, std::int64_t session) {
+  try {
+    trace.events = fftgrad::telemetry::cp_events_from_chrome_json(trace.path, session);
+  } catch (const std::exception& error) {
+    std::cerr << "run_report: " << trace.path << ": " << error.what() << "\n";
+    return false;
+  }
+  if (trace.events.empty()) {
+    std::cerr << "run_report: " << trace.path
+              << ": no simulated cp events (was the run traced with FFTGRAD_TRACE set?)\n";
+    return false;
+  }
+  trace.analysis = fftgrad::telemetry::analyze_critical_path(trace.events);
+  return true;
+}
+
+/// --check on one trace: the analysis layer's structural validator.
+bool check_trace(const Trace& trace) {
+  const std::vector<std::string> problems =
+      fftgrad::analysis::validate_critical_path(trace.analysis, trace.events);
+  for (const std::string& problem : problems) {
+    std::cerr << "run_report: check: " << trace.path << ": " << problem << "\n";
+  }
+  if (!problems.empty()) return false;
+  std::cout << "\ncheck: critical path is structurally valid (" << trace.analysis.iterations.size()
+            << " iterations, category sums within 1e-6)\n";
+  return true;
+}
+
+/// Each ledger's last run against the trace's communication on the path.
+void report_reconciliation(const Trace& trace,
+                           const std::vector<std::pair<std::string, LedgerRun>>& last_runs) {
+  print_heading("Ledger reconciliation vs comm on path (" + trace.path + ")");
+  fftgrad::util::TableWriter table(
+      {"ledger", "ledger_charged_s", "path_comm_s", "abs_diff_s", "rel_diff"});
+  table.set_double_format("%.9f");
+  for (const auto& [path, run] : last_runs) {
+    const fftgrad::telemetry::CpLedgerReconcile reconcile =
+        fftgrad::telemetry::reconcile_with_ledger(trace.analysis, run);
+    if (!reconcile.compared) {
+      table.add_row({path, "-", "-", "-", "-"});
+      continue;
+    }
+    table.add_row({path, reconcile.ledger_charged_s.to_double(),
+                   reconcile.path_comm_s.to_double(), reconcile.abs_diff_s.to_double(),
+                   reconcile.rel_diff});
+  }
+  std::cout << table.to_string();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool markdown = false;
-  bool check_profile = false;
-  std::string profile_path;
-  std::vector<std::string> paths;
   const char* usage =
-      "usage: run_report [--markdown] [--profile <file.folded>] [--check-profile] "
-      "[<ledger.jsonl> ...]\n";
+      "usage: run_report [--trace <trace.json> [--trace <other.json>]] [--session N]\n"
+      "                  [--profile <file.folded>] [--check] [<ledger.jsonl> ...]\n";
+  std::vector<Trace> traces;
+  std::int64_t session = -1;
+  std::string profile_path;
+  bool check = false;
+  std::vector<std::string> ledger_paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--markdown" || arg == "-m") {
-      markdown = true;
-    } else if (arg == "--profile") {
-      if (i + 1 >= argc) {
-        std::cerr << "run_report: --profile needs a folded-stack file argument\n";
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (arg == "--trace" && value != nullptr) {
+      traces.push_back(Trace{value, {}, {}});
+      ++i;
+    } else if (arg == "--session" && value != nullptr) {
+      const char* last = value + std::strlen(value);
+      const auto [end, error] = std::from_chars(value, last, session);
+      if (error != std::errc() || end != last || session < 0) {
+        std::cerr << "run_report: --session needs a non-negative integer, not '" << value
+                  << "'\n";
         return 1;
       }
-      profile_path = argv[++i];
-    } else if (arg == "--check-profile") {
-      check_profile = true;
+      ++i;
+    } else if (arg == "--profile" && value != nullptr) {
+      profile_path = value;
+      ++i;
+    } else if (arg == "--check") {
+      check = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << usage;
       return 0;
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::cerr << "run_report: unknown option or missing value: '" << arg << "'\n" << usage;
+      return 1;
     } else {
-      paths.push_back(arg);
+      ledger_paths.push_back(arg);
     }
   }
-  if (check_profile && profile_path.empty()) {
-    std::cerr << "run_report: --check-profile needs --profile <file.folded>\n";
-    return 1;
-  }
-  if (paths.empty() && profile_path.empty()) {
+  if (traces.size() > 2 || (ledger_paths.empty() && traces.empty() && profile_path.empty())) {
     std::cerr << usage;
     return 1;
   }
 
+  int status = 0;
   std::vector<RunDigest> digests;
-  for (const std::string& path : paths) {
+  std::vector<std::pair<std::string, LedgerRun>> last_runs;
+  for (const std::string& path : ledger_paths) {
     std::vector<LedgerRun> runs;
     try {
       runs = fftgrad::telemetry::read_ledger_file(path);
@@ -534,17 +533,19 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const std::string& problem : fftgrad::telemetry::validate_ledger(runs)) {
-      std::cerr << "run_report: schema warning: " << path << ": " << problem << "\n";
+      std::cerr << "run_report: " << (check ? "check: " : "schema warning: ") << path << ": "
+                << problem << "\n";
+      if (check) status = 1;
     }
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const std::string source =
           runs.size() == 1 ? path : path + "#" + std::to_string(i);
-      digests.push_back(report_run(runs[i], source, markdown));
+      digests.push_back(report_run(runs[i], source));
     }
+    if (!runs.empty()) last_runs.emplace_back(path, runs.back());
   }
-
   if (digests.size() >= 2) {
-    print_heading(markdown, "Cross-run diff (vs " + digests[0].source + ")");
+    print_heading("Cross-run diff (vs " + digests[0].source + ")");
     fftgrad::util::TableWriter table({"run", "compressor", "d_final_loss", "d_sim_time_s",
                                       "d_mean_alpha", "alerts"});
     table.set_double_format("%+.4g");
@@ -555,14 +556,13 @@ int main(int argc, char** argv) {
                      digests[i].mean_alpha - digests[0].mean_alpha,
                      static_cast<long long>(digests[i].alerts)});
     }
-    print_table(markdown, table);
+    std::cout << table.to_string();
 
-    // Key-wise summary/critpath comparison. Runs recorded by different
-    // code versions carry different keys — those become added/removed
-    // rows, so a renamed metric degrades to information, not an error.
+    // Key-wise summary comparison. Runs recorded by different code
+    // versions carry different keys — those become added/removed rows, so
+    // a renamed metric degrades to information, not an error.
     for (std::size_t i = 1; i < digests.size(); ++i) {
-      print_heading(markdown, "Summary metrics: " + digests[i].source + " vs " +
-                                  digests[0].source);
+      print_heading("Summary metrics: " + digests[i].source + " vs " + digests[0].source);
       fftgrad::util::TableWriter metric_table({"metric", "base", "other", "delta"});
       metric_table.set_double_format("%.6g");
       std::vector<std::string> added, removed;
@@ -579,7 +579,7 @@ int main(int argc, char** argv) {
       for (const auto& [key, value] : digests[i].metrics) {
         if (find_metric(digests[0].metrics, key) == nullptr) added.push_back(key);
       }
-      print_table(markdown, metric_table);
+      std::cout << metric_table.to_string();
       for (const std::string& key : removed) {
         std::cout << "removed (only in " << digests[0].source << "): " << key << "\n";
       }
@@ -589,8 +589,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!profile_path.empty()) {
-    return report_profile(profile_path, markdown, check_profile, digests);
+  for (Trace& trace : traces) {
+    if (!load_trace(trace, session)) return 1;
+    print_heading("Critical path (" + trace.path + ")");
+    std::cout << fftgrad::telemetry::render_critpath_report(trace.analysis);
+    if (check && !check_trace(trace)) status = 1;
   }
-  return 0;
+  if (traces.size() == 2) {
+    print_heading("Critical-path diff (" + traces[1].path + " vs " + traces[0].path + ")");
+    std::cout << fftgrad::telemetry::render_critpath_diff(traces[0].analysis,
+                                                          traces[1].analysis);
+  }
+  if (!traces.empty() && !last_runs.empty()) report_reconciliation(traces[0], last_runs);
+
+  if (!profile_path.empty() &&
+      report_profile(profile_path, check, traces.empty() ? nullptr : &traces[0].analysis) != 0) {
+    status = 1;
+  }
+  return status;
 }

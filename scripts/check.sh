@@ -129,19 +129,18 @@ for preset in "${presets[@]}"; do
     # The critpath label proves the cross-rank critical-path analyzer's
     # invariants in-process (hand-built DAGs, per-category sums within
     # 1e-6 of the simulated end-to-end time, 16-seed determinism, fault
-    # attribution); the gate script then re-checks an exported trace end
-    # to end through trace_analyze --check.
+    # attribution).
     run_step "$preset" critpath ctest --preset "$preset" -j "$jobs" -L critpath
-    build_dir="build"; [[ "$preset" == asan ]] && build_dir="build-asan"
-    run_step "$preset" critpath-e2e scripts/critpath_gate.sh "$build_dir"
     # The profile label covers the host-time sampling profiler: folded
     # grammar round trip, hot-path ranking, the disabled-path
     # zero-allocation contract, SIGPROF span attribution, and multi-rank
-    # rank attribution. The gate script then runs chaos_training under
-    # FFTGRAD_PROFILE=1 and validates the folded output + hot-path report
-    # end to end through run_report --check-profile.
+    # rank attribution.
     run_step "$preset" profile ctest --preset "$preset" -j "$jobs" -L profile
-    run_step "$preset" profile-e2e scripts/profile_gate.sh "$build_dir"
+    # The telemetry gate then runs chaos_training once with the tracer,
+    # the ledger and the profiler on, and reads all three artifacts back
+    # through one run_report --check.
+    build_dir="build"; [[ "$preset" == asan ]] && build_dir="build-asan"
+    run_step "$preset" telemetry-e2e scripts/telemetry_gate.sh "$build_dir"
   fi
   if [[ "$preset" == default ]]; then
     run_step "$preset" exhaustive ctest --preset "$preset" -j "$jobs" -L exhaustive

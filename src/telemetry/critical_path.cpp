@@ -8,7 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "fftgrad/telemetry/metrics.h"
+#include "fftgrad/util/table.h"
 
 namespace fftgrad::telemetry {
 
@@ -460,131 +460,94 @@ CpAnalysis analyze_critical_path(const std::vector<CpEvent>& events) {
 
 namespace {
 
-void append_category_table(std::string& out,
-                           const std::array<SimSeconds, kCpCategoryCount>& totals,
-                           SimSeconds e2e, bool markdown) {
-  if (markdown) {
-    out += "| category | seconds | share |\n|---|---:|---:|\n";
-  } else {
-    out += "  category        seconds      share\n";
-  }
-  for (std::size_t c = 0; c < kCpCategoryCount; ++c) {
-    if (totals[c] <= SimSeconds(0.0)) continue;
-    const double share = e2e > SimSeconds(0.0) ? totals[c] / e2e : 0.0;
-    char line[160];
-    if (markdown) {
-      std::snprintf(line, sizeof(line), "| %s | %.6f | %.1f%% |\n",
-                    cp_category_name(static_cast<CpCategory>(c)), totals[c].to_double(),
-                    share * 100.0);
-    } else {
-      std::snprintf(line, sizeof(line), "  %-14s %10.6f   %6.1f%%\n",
-                    cp_category_name(static_cast<CpCategory>(c)), totals[c].to_double(),
-                    share * 100.0);
-    }
-    out += line;
-  }
+std::string printed(const char* format, double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), format, value);
+  return buffer;
+}
+
+std::string percent(double share) { return printed("%.1f%%", share * 100.0); }
+
+SimSeconds windowed_e2e_s(const CpAnalysis& analysis) {
+  SimSeconds e2e{};
+  for (const CpIteration& it : analysis.iterations) e2e += it.e2e_s();
+  return e2e;
 }
 
 }  // namespace
 
-std::string render_critpath_report(const CpAnalysis& analysis, bool markdown) {
+std::string render_critpath_report(const CpAnalysis& analysis) {
+  const SimSeconds e2e = windowed_e2e_s(analysis);
   std::string out;
-  SimSeconds e2e{};
-  for (const CpIteration& it : analysis.iterations) e2e += it.e2e_s();
-
-  out += markdown ? "# Critical path\n\n" : "critical path\n=============\n";
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%send-to-end %.6f s over %zu window(s); compute %.6f s, comm %.6f s "
+                "end-to-end %.6f s over %zu window(s); compute %.6f s, comm %.6f s "
                 "(comm share %.1f%%)\n",
-                markdown ? "\n" : "", e2e.to_double(), analysis.iterations.size(),
-                analysis.compute_s().to_double(), analysis.comm_s().to_double(),
-                analysis.comm_share() * 100.0);
+                e2e.to_double(), analysis.iterations.size(), analysis.compute_s().to_double(),
+                analysis.comm_s().to_double(), analysis.comm_share() * 100.0);
   out += line;
   std::snprintf(line, sizeof(line),
                 "overlap upper bound %.6f s (perfect chunking); pipeline bound %.6f s "
-                "(layer-wise FIFO)\n\n",
+                "(layer-wise FIFO, one stage per compute span on the path)\n",
                 analysis.overlap_bound_s.to_double(), analysis.pipeline_bound_s.to_double());
   out += line;
 
-  out += markdown ? "## Totals\n\n" : "totals\n";
-  append_category_table(out, analysis.total_s, e2e, markdown);
-
-  out += markdown ? "\n## Iterations\n\n" : "\niterations\n";
-  if (markdown) {
-    out += "| iter | e2e s | compute s | comm s | comm share | overlap bound s | pipeline "
-           "bound s |\n|---:|---:|---:|---:|---:|---:|---:|\n";
-  } else {
-    out += "  iter      e2e s  compute s     comm s   share  overlap s  pipeline s\n";
+  util::TableWriter totals({"category", "seconds", "share"});
+  totals.set_double_format("%.6f");
+  for (std::size_t c = 0; c < kCpCategoryCount; ++c) {
+    if (analysis.total_s[c] <= kZeroS) continue;
+    totals.add_row({cp_category_name(static_cast<CpCategory>(c)),
+                    analysis.total_s[c].to_double(),
+                    percent(e2e > kZeroS ? analysis.total_s[c] / e2e : 0.0)});
   }
+  out += "\ntotals\n" + totals.to_string();
+
+  util::TableWriter iterations({"iter", "e2e_s", "compute_s", "comm_s", "comm_share",
+                                "overlap_bound_s", "pipeline_bound_s"});
+  iterations.set_double_format("%.6f");
   for (const CpIteration& it : analysis.iterations) {
-    const char* fmt = markdown ? "| %lld | %.6f | %.6f | %.6f | %.1f%% | %.6f | %.6f |\n"
-                               : "  %4lld %10.6f %10.6f %10.6f  %5.1f%% %10.6f  %10.6f\n";
-    std::snprintf(line, sizeof(line), fmt, static_cast<long long>(it.iteration),
-                  it.e2e_s().to_double(), it.compute_s().to_double(),
-                  it.comm_s().to_double(), it.comm_share() * 100.0,
-                  it.overlap_bound_s.to_double(), it.pipeline_bound_s.to_double());
-    out += line;
+    iterations.add_row({static_cast<long long>(it.iteration), it.e2e_s().to_double(),
+                        it.compute_s().to_double(), it.comm_s().to_double(),
+                        percent(it.comm_share()), it.overlap_bound_s.to_double(),
+                        it.pipeline_bound_s.to_double()});
   }
+  out += "\niterations\n" + iterations.to_string();
 
-  out += markdown ? "\n## Ranks\n\n" : "\nranks\n";
-  if (markdown) {
-    out += "| rank | on path s | busy s | idle s |\n|---:|---:|---:|---:|\n";
-  } else {
-    out += "  rank  on path s     busy s     idle s\n";
-  }
+  util::TableWriter ranks({"rank", "on_path_s", "busy_s", "idle_s"});
+  ranks.set_double_format("%.6f");
   for (const CpRankSummary& r : analysis.ranks) {
     SimSeconds busy{};
     for (std::size_t c = 0; c < kCpCategoryCount; ++c) {
       if (static_cast<CpCategory>(c) != CpCategory::kBarrierIdle) busy += r.busy_s[c];
     }
-    const char* fmt = markdown ? "| %d | %.6f | %.6f | %.6f |\n"
-                               : "  %4d %10.6f %10.6f %10.6f\n";
-    std::snprintf(line, sizeof(line), fmt, r.rank, r.on_path_s.to_double(), busy.to_double(),
-                  r.idle_s.to_double());
-    out += line;
+    ranks.add_row({static_cast<long long>(r.rank), r.on_path_s.to_double(), busy.to_double(),
+                   r.idle_s.to_double()});
   }
+  out += "\nranks\n" + ranks.to_string();
 
   if (!analysis.problems.empty()) {
-    out += markdown ? "\n## Problems\n\n" : "\nproblems\n";
-    for (const std::string& p : analysis.problems) {
-      out += markdown ? "- " + p + "\n" : "  ! " + p + "\n";
-    }
+    out += "\nproblems\n";
+    for (const std::string& p : analysis.problems) out += "  ! " + p + "\n";
   }
   return out;
 }
 
-std::string render_critpath_diff(const CpAnalysis& before, const CpAnalysis& after,
-                                 bool markdown) {
-  std::string out;
-  out += markdown ? "## Critical-path diff\n\n" : "critical-path diff\n";
-  if (markdown) {
-    out += "| category | before s | after s | delta s |\n|---|---:|---:|---:|\n";
-  } else {
-    out += "  category        before s    after s    delta s\n";
-  }
-  char line[192];
+std::string render_critpath_diff(const CpAnalysis& before, const CpAnalysis& after) {
+  util::TableWriter table({"category", "before_s", "after_s", "delta_s"});
+  table.set_double_format("%.6f");
   for (std::size_t c = 0; c < kCpCategoryCount; ++c) {
     const double b = before.total_s[c].to_double();
     const double a = after.total_s[c].to_double();
     if (b <= 0.0 && a <= 0.0) continue;
-    const char* fmt = markdown ? "| %s | %.6f | %.6f | %+.6f |\n"
-                               : "  %-14s %10.6f %10.6f %+10.6f\n";
-    std::snprintf(line, sizeof(line), fmt, cp_category_name(static_cast<CpCategory>(c)), b, a,
-                  a - b);
-    out += line;
+    table.add_row({cp_category_name(static_cast<CpCategory>(c)), b, a, printed("%+.6f", a - b)});
   }
-  SimSeconds e2e_before{};
-  SimSeconds e2e_after{};
-  for (const CpIteration& it : before.iterations) e2e_before += it.e2e_s();
-  for (const CpIteration& it : after.iterations) e2e_after += it.e2e_s();
+  char line[192];
   std::snprintf(line, sizeof(line),
-                "%send-to-end %+.6f s; overlap bound %+.6f s; pipeline bound %+.6f s\n",
-                markdown ? "\n" : "", (e2e_after - e2e_before).to_double(),
+                "end-to-end %+.6f s; overlap bound %+.6f s; pipeline bound %+.6f s\n",
+                (windowed_e2e_s(after) - windowed_e2e_s(before)).to_double(),
                 (after.overlap_bound_s - before.overlap_bound_s).to_double(),
                 (after.pipeline_bound_s - before.pipeline_bound_s).to_double());
-  out += line;
-  return out;
+  return table.to_string() + line;
 }
 
 std::string serialize_critpath(const CpAnalysis& analysis) {
@@ -614,40 +577,6 @@ std::string serialize_critpath(const CpAnalysis& analysis) {
     out += line;
   }
   return out;
-}
-
-void publish_critpath_metrics(const CpAnalysis& analysis) {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  if (!reg.enabled()) return;
-  SimSeconds e2e{};
-  for (const CpIteration& it : analysis.iterations) e2e += it.e2e_s();
-  reg.gauge("critpath.e2e_s").set(e2e.to_double());
-  reg.gauge("critpath.iterations").set(static_cast<double>(analysis.iterations.size()));
-  reg.gauge("critpath.comm_share").set(analysis.comm_share());
-  reg.gauge("critpath.overlap_bound_s").set(analysis.overlap_bound_s.to_double());
-  reg.gauge("critpath.pipeline_bound_s").set(analysis.pipeline_bound_s.to_double());
-  for (std::size_t c = 0; c < kCpCategoryCount; ++c) {
-    if (analysis.total_s[c] <= SimSeconds(0.0)) continue;
-    reg.gauge(std::string("critpath.") + cp_category_name(static_cast<CpCategory>(c)) + "_s")
-        .set(analysis.total_s[c].to_double());
-  }
-}
-
-LedgerCritpath ledger_critpath_from(const CpAnalysis& analysis) {
-  LedgerCritpath row;
-  row.iterations = analysis.iterations.size();
-  for (const CpIteration& it : analysis.iterations) row.e2e_s += it.e2e_s();
-  row.compute_s = analysis.compute_s();
-  row.comm_s = analysis.comm_s();
-  row.comm_share = analysis.comm_share();
-  row.overlap_bound_s = analysis.overlap_bound_s;
-  row.pipeline_bound_s = analysis.pipeline_bound_s;
-  for (std::size_t c = 0; c < kCpCategoryCount; ++c) {
-    if (analysis.total_s[c] <= SimSeconds(0.0)) continue;
-    row.category_s.emplace_back(cp_category_name(static_cast<CpCategory>(c)),
-                                analysis.total_s[c]);
-  }
-  return row;
 }
 
 CpLedgerReconcile reconcile_with_ledger(const CpAnalysis& analysis, const LedgerRun& run) {

@@ -30,11 +30,19 @@
 //                      a FIFO two-machine pipeline where comm chunk j may
 //                      start once the j-th compute segment has finished.
 //                      Exact on a 2-layer pipeline (see tests).
+// The pipeline bound counts each compute leaf span on the path as one
+// pipeline stage, so it depends on how finely the trainer splits its
+// compute into spans, not only on the seconds: splitting one compute span
+// into two halves leaves e2e, the category totals and the overlap bound
+// as they were and can raise the pipeline bound (see tests). On the
+// chaos_training run the same 0.396 s of compute read 0.024742 s as eight
+// spans per iteration and 0.007895 s as four.
 //
-// Consumers: examples/trace_analyze (report/diff), publish_critpath_metrics
-// (critpath.* gauges), RunLedger::record_critpath (ledger "critpath" row),
-// reconcile_with_ledger (charged-vs-path comm check), and the analysis
-// layer's validate_critical_path (structural + happens-before checks).
+// The analysis is read from an exported Chrome trace by examples/run_report
+// (`--trace`: report, diff, ledger reconciliation, `--check`), which renders
+// it with render_critpath_report/render_critpath_diff and checks it with
+// the analysis layer's validate_critical_path (structural + happens-before
+// checks).
 #pragma once
 
 #include <array>
@@ -62,8 +70,8 @@ enum class CpCategory : int {
 
 inline constexpr std::size_t kCpCategoryCount = static_cast<std::size_t>(CpCategory::kCount);
 
-/// Stable lower-case name ("backprop", "codec", ...), used in reports,
-/// metrics names and the ledger row.
+/// Stable lower-case name ("backprop", "codec", ...), used in the report
+/// and in run_report's host-profile cross-reference.
 const char* cp_category_name(CpCategory category);
 
 /// One event extracted from the tracer (or a Chrome-JSON export): either a
@@ -114,7 +122,8 @@ struct CpIteration {
   util::SimSeconds end_s{};
   std::array<util::SimSeconds, kCpCategoryCount> category_s{};
   util::SimSeconds overlap_bound_s{};   ///< min(compute, comm) on the path
-  util::SimSeconds pipeline_bound_s{};  ///< e2e - other - flow-shop makespan
+  util::SimSeconds pipeline_bound_s{};  ///< e2e - other - flow-shop makespan,
+                                        ///< one stage per compute span
   std::vector<CpSegment> path;          ///< in increasing time order
 
   util::SimSeconds e2e_s() const { return end_s - start_s; }
@@ -159,27 +168,19 @@ struct CpAnalysis {
 /// iterations) when there are no leaf spans.
 CpAnalysis analyze_critical_path(const std::vector<CpEvent>& events);
 
-/// Human-readable report: totals, per-iteration table, per-rank flame
-/// summary, bounds, problems. Markdown when `markdown`, aligned plain text
-/// otherwise.
-std::string render_critpath_report(const CpAnalysis& analysis, bool markdown);
+/// Human-readable report: the end-to-end and bound lines, then one
+/// util::TableWriter table each for the category totals, the iterations
+/// and the per-rank flame summary, then any problems. Seconds print with
+/// six decimals, shares with one.
+std::string render_critpath_report(const CpAnalysis& analysis);
 
-/// Cross-run diff of two analyses (category deltas, bound deltas).
-std::string render_critpath_diff(const CpAnalysis& before, const CpAnalysis& after,
-                                 bool markdown);
+/// Cross-run diff of two analyses: a TableWriter table of category
+/// seconds before, after and their delta, then the e2e and bound deltas.
+std::string render_critpath_diff(const CpAnalysis& before, const CpAnalysis& after);
 
 /// Deterministic structural serialization (fixed-precision numbers), used
 /// by the determinism tests: equal strings <=> equal analyses.
 std::string serialize_critpath(const CpAnalysis& analysis);
-
-/// Export gauges: critpath.e2e_s, critpath.comm_share,
-/// critpath.overlap_bound_s, critpath.pipeline_bound_s,
-/// critpath.iterations, and critpath.<category>_s per category.
-void publish_critpath_metrics(const CpAnalysis& analysis);
-
-/// Build the aggregate `critpath` ledger row (see
-/// RunLedger::record_critpath in ledger.h) from an analysis.
-LedgerCritpath ledger_critpath_from(const CpAnalysis& analysis);
 
 /// Reconciliation of the path's communication time against the ledger's
 /// charged collective costs. On a lossless symmetric run the two agree:

@@ -100,22 +100,6 @@ struct LedgerCollective {
   std::uint64_t failed = 0;   ///< excluded or undeliverable contributions
 };
 
-/// Critical-path summary appended after a run by the analyzer (see
-/// fftgrad/telemetry/critical_path.h): the per-category attribution of the
-/// simulated end-to-end time plus the overlap upper bounds. Recorded as a
-/// `critpath` row tied to the most recent run.
-struct LedgerCritpath {
-  std::uint64_t iterations = 0;
-  util::SimSeconds e2e_s{};
-  util::SimSeconds compute_s{};
-  util::SimSeconds comm_s{};
-  double comm_share = 0.0;  ///< dimensionless fraction of e2e_s
-  util::SimSeconds overlap_bound_s{};
-  util::SimSeconds pipeline_bound_s{};
-  /// (category name, simulated time on the critical path), analyzer order.
-  std::vector<std::pair<std::string, util::SimSeconds>> category_s;
-};
-
 /// One automatic remediation taken by a recovery controller (see
 /// fftgrad/core/recovery.h): which monitor condition caused it, what action
 /// was applied, what it cost in simulated time, and how many iterations the
@@ -214,10 +198,6 @@ class RunLedger {
 
   /// Buffer one collective pairing; drained into the next iteration row.
   void record_collective(const LedgerCollective& sample);
-  /// Write a `critpath` summary row. Usually called after end_run() (the
-  /// analyzer runs on the finished trace); the row is stamped with the
-  /// most recent run id either way.
-  void record_critpath(const LedgerCritpath& row);
   /// Write the iteration row (with the buffered collectives) and run the
   /// health monitors on it.
   void end_iteration(const LedgerIteration& row);
@@ -302,8 +282,7 @@ struct LedgerRun {
   std::vector<JsonValue> iterations;
   std::vector<JsonValue> alerts;
   std::vector<JsonValue> remediations;  ///< recovery-controller actions
-  JsonValue summary;   ///< kNull when the run was cut off before end_run()
-  JsonValue critpath;  ///< kNull when no critical-path row was recorded
+  JsonValue summary;  ///< kNull when the run was cut off before end_run()
 };
 
 /// Load every run from a ledger JSONL file. Throws std::runtime_error on

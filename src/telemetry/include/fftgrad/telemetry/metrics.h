@@ -39,15 +39,6 @@
 //       (monitors: nan_gradient, nonfinite_loss, alpha_bound,
 //        ratio_collapse, model_drift, residual_growth — see
 //        fftgrad/telemetry/ledger.h)
-//   critpath.e2e_s            critical-path end-to-end time          [s]
-//   critpath.iterations       iteration windows analyzed             [count]
-//   critpath.comm_share       comm on the critical path / e2e        [ratio]
-//   critpath.overlap_bound_s  perfect-chunking overlap upper bound   [s]
-//   critpath.pipeline_bound_s layer-wise FIFO pipeline bound         [s]
-//   critpath.<category>_s     per-category time on the path          [s]
-//       (categories: backprop, codec, collective, retry, straggle,
-//        straggler_wait, barrier_idle, untracked — see
-//        fftgrad/telemetry/critical_path.h)
 //   profile.samples           host-time stack samples captured       [count]
 //   profile.dropped           samples lost to full rings             [count]
 //   profile.truncated         stacks deeper than the capture limit   [count]

@@ -24,10 +24,13 @@
 //
 // Wiring: FFTGRAD_PROFILE=1 (telemetry::init_from_env()) starts sampling
 // and writes FFTGRAD_PROFILE_OUT (default profile.folded) plus
-// <out>.report.txt at exit; FFTGRAD_PROFILE_HZ overrides the rate.
-// `examples/run_report --profile <folded>` renders the hot-path section
-// and cross-references host self-time against the simulated critical
-// path. See DESIGN.md "Host-time profiling".
+// <out>.report.txt at exit; FFTGRAD_PROFILE_HZ overrides the rate. The
+// report's header carries the sampler's own accounting (samples, rate,
+// threads, dropped, truncated), which the folded file does not.
+// `examples/run_report --profile <folded>` renders the same hot-path
+// table through render_hot_paths and, with `--trace`, sets host
+// self-time per critical-path category beside the simulated path's
+// share. See DESIGN.md "Host-time profiling".
 #pragma once
 
 #include <atomic>
@@ -177,7 +180,8 @@ std::string render_folded(const std::vector<FoldedStack>& stacks);
 /// folded file, and by Profiler::hot_paths on live data).
 std::vector<HotPath> hot_paths_from(const std::vector<FoldedStack>& stacks);
 
-/// The hot-path table rendered as text (top_n rows).
+/// The hot-path table as a util::TableWriter table (top_n rows), shared
+/// by the at-exit report and run_report.
 std::string render_hot_paths(const std::vector<HotPath>& paths, std::size_t top_n = 20);
 
 /// SIMD-candidate matcher: maps a (demangled) symbol to the kernel family

@@ -15,12 +15,16 @@
 //                           folded stacks (flamegraph input) plus a
 //                           hot-path report at exit. A value other than
 //                           0/1 doubles as the output path. Rate from
-//                           FFTGRAD_PROFILE_HZ (default 97), output path
-//                           from FFTGRAD_PROFILE_OUT (default
-//                           profile.folded; report at <out>.report.txt).
-//                           See fftgrad/telemetry/profiler.h.
+//                           FFTGRAD_PROFILE_HZ (an integer in [1, 1000],
+//                           default 97; any other value warns and keeps
+//                           97), output path from FFTGRAD_PROFILE_OUT
+//                           (default profile.folded; report at
+//                           <out>.report.txt). See
+//                           fftgrad/telemetry/profiler.h.
 // With none of the variables set, telemetry stays disabled and every
 // TraceSpan / metric update / ledger hook is a single relaxed atomic check.
+// examples/run_report reads what these write back: ledgers, traces (the
+// critical path, fftgrad/telemetry/critical_path.h) and folded profiles.
 #pragma once
 
 #include "fftgrad/telemetry/ledger.h"

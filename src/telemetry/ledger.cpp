@@ -202,32 +202,6 @@ void RunLedger::record_collective(const LedgerCollective& sample) {
   pending_collectives_.push_back(sample);
 }
 
-void RunLedger::record_critpath(const LedgerCritpath& row) {
-  if (!enabled()) return;
-  util::LockGuard<util::Mutex> lock(mutex_);
-  // The analyzer runs after end_run() closed the run; attribute the row to
-  // the most recently opened run either way.
-  const std::uint64_t run = run_id_ != 0 ? run_id_ : next_run_id_;
-  std::ostringstream out;
-  out << "{\"type\":\"critpath\",\"run\":" << run << ",\"iterations\":" << row.iterations
-      << ",\"e2e_s\":" << json_number(row.e2e_s.to_double())
-      << ",\"compute_s\":" << json_number(row.compute_s.to_double())
-      << ",\"comm_s\":" << json_number(row.comm_s.to_double())
-      << ",\"comm_share\":" << json_number(row.comm_share)
-      << ",\"overlap_bound_s\":" << json_number(row.overlap_bound_s.to_double())
-      << ",\"pipeline_bound_s\":" << json_number(row.pipeline_bound_s.to_double())
-      << ",\"categories\":{";
-  bool first = true;
-  for (const auto& [name, seconds] : row.category_s) {
-    out << (first ? "" : ",") << json_string(name) << ":"
-        << json_number(seconds.to_double());
-    first = false;
-  }
-  out << "}}";
-  write_line_locked(out.str());
-  if (file_ != nullptr) std::fflush(static_cast<std::FILE*>(file_));
-}
-
 void RunLedger::alert_locked(const char* monitor, std::uint64_t iteration, double value,
                              double bound, const std::string& message) {
   ++alert_counts_[monitor];

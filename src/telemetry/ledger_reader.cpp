@@ -264,8 +264,6 @@ std::vector<LedgerRun> read_ledger_file(const std::string& path) {
       runs.back().remediations.push_back(std::move(row));
     } else if (type == "summary") {
       runs.back().summary = std::move(row);
-    } else if (type == "critpath") {
-      runs.back().critpath = std::move(row);
     } else {
       throw std::runtime_error(path + ":" + std::to_string(line_no) + ": unknown row type '" +
                                type + "'");
@@ -377,18 +375,6 @@ std::vector<std::string> validate_ledger(const std::vector<LedgerRun>& runs) {
       const JsonValue* collectives = run.summary.find("collectives");
       if (collectives == nullptr || collectives->kind != JsonValue::Kind::kObject) {
         complain(i, "summary row missing 'collectives' object");
-      }
-    }
-    if (run.critpath.kind == JsonValue::Kind::kObject) {
-      for (const char* key : {"iterations", "e2e_s", "comm_s", "comm_share",
-                              "overlap_bound_s", "pipeline_bound_s"}) {
-        if (!is_number(run.critpath.find(key))) {
-          complain(i, std::string("critpath row missing numeric field '") + key + "'");
-        }
-      }
-      const JsonValue* categories = run.critpath.find("categories");
-      if (categories == nullptr || categories->kind != JsonValue::Kind::kObject) {
-        complain(i, "critpath row missing 'categories' object");
       }
     }
   }

@@ -1,11 +1,12 @@
 #include "fftgrad/telemetry/telemetry.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <string>
 
-#include "fftgrad/telemetry/critical_path.h"
 #include "fftgrad/telemetry/ledger.h"
 #include "fftgrad/telemetry/profiler.h"
 #include "fftgrad/util/logging.h"
@@ -19,11 +20,6 @@ std::string& trace_path() {
 }
 
 std::string& metrics_path() {
-  static std::string path;
-  return path;
-}
-
-std::string& critpath_path() {
   static std::string path;
   return path;
 }
@@ -55,43 +51,22 @@ void finalize_profiler_configured() {
   util::log_info() << "telemetry: profile to " << out << " (report: " << report_path << ")";
 }
 
-/// FFTGRAD_CRITPATH=<path>: at exit, run the critical-path analyzer over
-/// the newest simulated session, write the report to <path> (Markdown when
-/// it ends in .md), publish the critpath.* gauges, and append the ledger's
-/// critpath row. Runs before the metrics export and the ledger close so
-/// both outputs carry the analysis.
-void analyze_critpath_configured() {
-  if (critpath_path().empty()) return;
-  const std::vector<SpanRecord> records = Tracer::global().snapshot();
-  const std::vector<CpEvent> events =
-      cp_events_from_records(records, latest_sim_session(records));
-  const CpAnalysis analysis = analyze_critical_path(events);
-  publish_critpath_metrics(analysis);
-  if (RunLedger::global().enabled()) {
-    RunLedger::global().record_critpath(ledger_critpath_from(analysis));
+/// FFTGRAD_PROFILE_HZ: an integer in [1, 1000]. Anything else (a
+/// malformed number, a fraction, an exponent, a value out of range) warns
+/// and keeps the default rate.
+int profile_hz_from_env() {
+  const char* value = std::getenv("FFTGRAD_PROFILE_HZ");
+  if (value == nullptr || *value == '\0') return Profiler::kDefaultHz;
+  const char* last = value + std::strlen(value);
+  int hz = 0;
+  const auto [end, error] = std::from_chars(value, last, hz);
+  if (error != std::errc() || end != last || hz < 1 || hz > 1000) {
+    util::log_warn() << "telemetry: ignoring FFTGRAD_PROFILE_HZ='" << value
+                     << "' (want an integer in [1, 1000]); sampling at "
+                     << Profiler::kDefaultHz << " Hz";
+    return Profiler::kDefaultHz;
   }
-  const std::string& path = critpath_path();
-  const bool markdown = path.size() >= 3 && path.compare(path.size() - 3, 3, ".md") == 0;
-  const std::string report = render_critpath_report(analysis, markdown);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    util::log_warn() << "telemetry: cannot write critical-path report to '" << path << "'";
-    return;
-  }
-  std::fwrite(report.data(), 1, report.size(), f);
-  std::fclose(f);
-}
-
-double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    util::log_warn() << "telemetry: ignoring malformed " << name << "='" << value << "'";
-    return fallback;
-  }
-  return parsed;
+  return hz;
 }
 
 }  // namespace
@@ -107,26 +82,14 @@ void init_from_env() {
     const char* trace = std::getenv("FFTGRAD_TRACE");
     const char* metrics = std::getenv("FFTGRAD_METRICS");
     const char* ledger = std::getenv("FFTGRAD_LEDGER");
-    const char* critpath = std::getenv("FFTGRAD_CRITPATH");
     const char* profile = std::getenv("FFTGRAD_PROFILE");
     const bool profile_on =
         profile != nullptr && *profile != '\0' && std::string(profile) != "0";
-    if (trace == nullptr && metrics == nullptr && ledger == nullptr && critpath == nullptr &&
-        !profile_on) {
-      return;
-    }
+    if (trace == nullptr && metrics == nullptr && ledger == nullptr && !profile_on) return;
     if (trace != nullptr && *trace != '\0') {
       trace_path() = trace;
       Tracer::global().set_enabled(true);
       util::log_info() << "telemetry: tracing to " << trace_path();
-    }
-    if (critpath != nullptr && *critpath != '\0') {
-      // The analyzer consumes tracer records, so tracing must collect even
-      // when no trace file was requested.
-      critpath_path() = critpath;
-      Tracer::global().set_enabled(true);
-      MetricsRegistry::global().set_enabled(true);
-      util::log_info() << "telemetry: critical-path report to " << critpath_path();
     }
     if (trace != nullptr || metrics != nullptr) {
       MetricsRegistry::global().set_enabled(true);
@@ -151,9 +114,7 @@ void init_from_env() {
         profile_out_path() = "profile.folded";
       }
       MetricsRegistry::global().set_enabled(true);
-      const int hz = static_cast<int>(env_double(
-          "FFTGRAD_PROFILE_HZ", static_cast<double>(Profiler::kDefaultHz)));
-      if (!Profiler::global().start(hz)) profile_out_path().clear();
+      if (!Profiler::global().start(profile_hz_from_env())) profile_out_path().clear();
     }
     if (ledger != nullptr && *ledger != '\0') {
       if (RunLedger::global().open(ledger)) {
@@ -162,7 +123,6 @@ void init_from_env() {
     }
     std::atexit([] {
       finalize_profiler_configured();
-      analyze_critpath_configured();
       export_configured();
       RunLedger::global().close();
     });

@@ -130,6 +130,30 @@ TEST(CriticalPath, PipelineBoundExactOnTwoLayerPipeline) {
   EXPECT_DOUBLE_EQ(it.pipeline_bound_s.to_double(), 3.0);
 }
 
+// The pipeline bound counts each compute span on the path as one stage:
+// splitting one compute span into two halves leaves e2e, every category
+// total and the overlap bound as they were and moves only the pipeline
+// bound, here from 0 to 2 s (the collective may start once the first half
+// is done).
+TEST(CriticalPath, PipelineBoundCountsEachComputeSpanAsAStage) {
+  const CpEvent comm = span(0, "collective", 4.0, 6.0, 0);
+  const CpAnalysis whole = analyze_critical_path({span(0, "backward", 0.0, 4.0, 0), comm});
+  const CpAnalysis halves = analyze_critical_path(
+      {span(0, "backward", 0.0, 2.0, 0), span(0, "backward", 2.0, 4.0, 0), comm});
+  ASSERT_EQ(whole.iterations.size(), 1u);
+  ASSERT_EQ(halves.iterations.size(), 1u);
+  EXPECT_DOUBLE_EQ(halves.e2e_s().to_double(), 6.0);
+  EXPECT_DOUBLE_EQ(whole.e2e_s().to_double(), 6.0);
+  for (std::size_t c = 0; c < kCpCategoryCount; ++c) {
+    EXPECT_DOUBLE_EQ(halves.total_s[c].to_double(), whole.total_s[c].to_double())
+        << cp_category_name(static_cast<CpCategory>(c));
+  }
+  EXPECT_DOUBLE_EQ(whole.overlap_bound_s.to_double(), 2.0);
+  EXPECT_DOUBLE_EQ(halves.overlap_bound_s.to_double(), 2.0);
+  EXPECT_DOUBLE_EQ(whole.pipeline_bound_s.to_double(), 0.0);
+  EXPECT_DOUBLE_EQ(halves.pipeline_bound_s.to_double(), 2.0);
+}
+
 // Untracked gaps: simulated time not covered by any cp span must still be
 // tiled (category sums stay exact) and flagged as untracked.
 TEST(CriticalPath, GapsBecomeUntrackedSegments) {
@@ -147,7 +171,7 @@ TEST(CriticalPath, GapsBecomeUntrackedSegments) {
 
 // A leaf span whose name maps to no category still tiles its window (as
 // untracked), and the validator reports it with the analyzer's other
-// problems, so `trace_analyze --check` fails on a charge site the analyzer
+// problems, so `run_report --check` fails on a charge site the analyzer
 // does not map.
 TEST(CriticalPath, ValidatorReportsAnUnknownLeafSpan) {
   std::vector<CpEvent> events;
@@ -390,27 +414,133 @@ TEST(CriticalPathIntegration, ChaosTimeAttributedToFaultedRank) {
             0.0);
 }
 
-// Report/diff renderers: headline sections present in both flavors, and
-// the diff of an analysis against itself is all-zero deltas.
+std::string printed(const char* format, double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), format, value);
+  return buffer;
+}
+
+/// The TableWriter tables in `text`: each is its run of consecutive lines
+/// that start with '|'.
+std::vector<std::vector<std::string>> tables_in(const std::string& text) {
+  std::vector<std::vector<std::string>> tables;
+  bool in_table = false;
+  for (std::size_t at = 0; at < text.size();) {
+    std::size_t end = text.find('\n', at);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(at, end - at);
+    at = end + 1;
+    const bool row = !line.empty() && line[0] == '|';
+    if (row && !in_table) tables.emplace_back();
+    if (row) tables.back().push_back(line);
+    in_table = row;
+  }
+  return tables;
+}
+
+bool is_separator(const std::string& line) {
+  return line.find_first_not_of("|-") == std::string::npos;
+}
+
+/// The trimmed cells of one table row: "| a | b |" -> {"a", "b"}.
+std::vector<std::string> cells_of(const std::string& line) {
+  std::vector<std::string> cells;
+  for (std::size_t at = 1; at < line.size();) {
+    const std::size_t bar = line.find('|', at);
+    if (bar == std::string::npos) break;
+    const std::string cell = line.substr(at, bar - at);
+    const std::size_t first = cell.find_first_not_of(' ');
+    const std::size_t last = cell.find_last_not_of(' ');
+    cells.push_back(first == std::string::npos ? "" : cell.substr(first, last - first + 1));
+    at = bar + 1;
+  }
+  return cells;
+}
+
+using Row = std::vector<std::string>;
+
+/// Every table has one header, one separator line right under it and no
+/// other separator.
+void expect_one_separator_each(const std::vector<std::vector<std::string>>& tables) {
+  for (const std::vector<std::string>& table : tables) {
+    ASSERT_GE(table.size(), 2u);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      EXPECT_EQ(is_separator(table[i]), i == 1) << table[i];
+    }
+  }
+}
+
+// Report/diff renderers: each section is one TableWriter table (header,
+// one separator line), and every printed number is the analysis field at
+// the printed precision: seconds with six decimals, shares with one.
 TEST(CriticalPath, ReportAndDiffRender) {
   std::vector<CpEvent> events;
-  events.push_back(span(0, "backward", 0.0, 2.0, 0));
-  events.push_back(span(0, "collective", 2.0, 3.0, 0));
+  events.push_back(span(0, "backward", 0.0, 1.2345678, 0));
+  events.push_back(span(0, "collective", 1.2345678, 2.0000004, 0));
+  events.push_back(span(1, "backward", 0.0, 0.5, 0));  // off the path
   const CpAnalysis analysis = analyze_critical_path(events);
+  ASSERT_EQ(analysis.iterations.size(), 1u);
+  const CpIteration& it = analysis.iterations[0];
+  const auto sec = [](util::SimSeconds s) { return printed("%.6f", s.to_double()); };
+  const auto pct = [](double share) { return printed("%.1f%%", share * 100.0); };
+  const auto total = [](const CpAnalysis& a, CpCategory c) {
+    return a.total_s[static_cast<std::size_t>(c)];
+  };
 
-  const std::string plain = render_critpath_report(analysis, false);
-  EXPECT_NE(plain.find("critical path"), std::string::npos);
-  EXPECT_NE(plain.find("backprop"), std::string::npos);
-  const std::string markdown = render_critpath_report(analysis, true);
-  EXPECT_NE(markdown.find("# Critical path"), std::string::npos);
+  const std::string report = render_critpath_report(analysis);
+  EXPECT_NE(report.find("one stage per compute span"), std::string::npos) << report;
+  const std::vector<std::vector<std::string>> tables = tables_in(report);
+  ASSERT_EQ(tables.size(), 3u) << report;  // totals, iterations, ranks
+  expect_one_separator_each(tables);
 
-  const std::string diff = render_critpath_diff(analysis, analysis, false);
-  EXPECT_NE(diff.find("+0.000000"), std::string::npos);
+  const std::vector<std::string>& totals = tables[0];
+  EXPECT_EQ(cells_of(totals[0]), (Row{"category", "seconds", "share"}));
+  ASSERT_EQ(totals.size(), 4u);
+  const util::SimSeconds backprop = total(analysis, CpCategory::kBackprop);
+  const util::SimSeconds collective = total(analysis, CpCategory::kCollective);
+  EXPECT_EQ(cells_of(totals[2]), (Row{"backprop", sec(backprop), pct(backprop / it.e2e_s())}));
+  EXPECT_EQ(cells_of(totals[3]),
+            (Row{"collective", sec(collective), pct(collective / it.e2e_s())}));
+  EXPECT_EQ(sec(backprop), "1.234568");
 
-  const LedgerCritpath row = ledger_critpath_from(analysis);
-  EXPECT_EQ(row.iterations, 1u);
-  EXPECT_DOUBLE_EQ(row.e2e_s.to_double(), 3.0);
-  EXPECT_DOUBLE_EQ(row.comm_s.to_double(), 1.0);
+  const std::vector<std::string>& iterations = tables[1];
+  EXPECT_EQ(cells_of(iterations[0]), (Row{"iter", "e2e_s", "compute_s", "comm_s", "comm_share",
+                                          "overlap_bound_s", "pipeline_bound_s"}));
+  ASSERT_EQ(iterations.size(), 3u);
+  EXPECT_EQ(cells_of(iterations[2]),
+            (Row{"0", sec(it.e2e_s()), sec(it.compute_s()), sec(it.comm_s()),
+                 pct(it.comm_share()), sec(it.overlap_bound_s), sec(it.pipeline_bound_s)}));
+
+  const std::vector<std::string>& ranks = tables[2];
+  EXPECT_EQ(cells_of(ranks[0]), (Row{"rank", "on_path_s", "busy_s", "idle_s"}));
+  ASSERT_EQ(ranks.size(), 2u + analysis.ranks.size());
+  for (std::size_t i = 0; i < analysis.ranks.size(); ++i) {
+    const CpRankSummary& r = analysis.ranks[i];
+    util::SimSeconds busy{};
+    for (util::SimSeconds v : r.busy_s) busy += v;  // no barrier time here
+    EXPECT_EQ(cells_of(ranks[2 + i]),
+              (Row{std::to_string(r.rank), sec(r.on_path_s), sec(busy), sec(r.idle_s)}));
+  }
+
+  // The diff against a run whose collective took 0.5 s longer.
+  events[1].end_s = util::SimSeconds(2.5000004);
+  const CpAnalysis slower = analyze_critical_path(events);
+  const util::SimSeconds slower_collective = total(slower, CpCategory::kCollective);
+  const std::string diff = render_critpath_diff(analysis, slower);
+  const std::vector<std::vector<std::string>> diff_tables = tables_in(diff);
+  ASSERT_EQ(diff_tables.size(), 1u) << diff;
+  expect_one_separator_each(diff_tables);
+  const std::vector<std::string>& categories = diff_tables[0];
+  EXPECT_EQ(cells_of(categories[0]), (Row{"category", "before_s", "after_s", "delta_s"}));
+  ASSERT_EQ(categories.size(), 4u);
+  EXPECT_EQ(cells_of(categories[2]), (Row{"backprop", sec(backprop), sec(backprop), "+0.000000"}));
+  EXPECT_EQ(cells_of(categories[3]),
+            (Row{"collective", sec(collective), sec(slower_collective),
+                 printed("%+.6f", (slower_collective - collective).to_double())}));
+  EXPECT_NE(diff.find("end-to-end " +
+                      printed("%+.6f", (slower.e2e_s() - analysis.e2e_s()).to_double()) + " s"),
+            std::string::npos)
+      << diff;
 }
 
 }  // namespace

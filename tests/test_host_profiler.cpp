@@ -7,8 +7,9 @@
 // allocates nothing (counting operator new), start/stop collects samples
 // attributed to a known hot loop's span (exercised under TSan by the tsan
 // preset — the handler/collector handoff is the interesting race surface),
-// and a multi-rank SimCluster run attributes each rank thread's samples to
-// the correct rank track.
+// a multi-rank SimCluster run attributes each rank thread's samples to
+// the correct rank track, and a malformed FFTGRAD_PROFILE_HZ keeps the
+// default rate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +23,7 @@
 #include "fftgrad/comm/sim_cluster.h"
 #include "fftgrad/parallel/parallel_for.h"
 #include "fftgrad/telemetry/profiler.h"
+#include "fftgrad/telemetry/telemetry.h"
 #include "fftgrad/telemetry/trace.h"
 
 // ---------------------------------------------------------------------------
@@ -186,9 +188,25 @@ TEST(HotPaths, RankingSelfTotalAndSpan) {
       EXPECT_EQ(path.top_span, "apply");
     }
   }
-  const std::string table = telemetry::render_hot_paths(ranked);
-  EXPECT_NE(table.find("quantize"), std::string::npos);
-  EXPECT_NE(table.find("simd candidate"), std::string::npos);
+  // The table both the at-exit report and run_report print: a header, one
+  // separator line, then one row per symbol in rank order.
+  const std::string table = telemetry::render_hot_paths(ranked, 2);
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < table.size();) {
+    const std::size_t end = table.find('\n', at);
+    lines.push_back(table.substr(at, end - at));
+    at = end + 1;
+  }
+  ASSERT_EQ(lines.size(), 4u) << table;
+  EXPECT_EQ(lines[0].rfind("| function ", 0), 0u) << lines[0];
+  EXPECT_NE(lines[0].find("| simd candidate"), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[1].find_first_not_of("|-"), std::string::npos) << lines[1];
+  EXPECT_EQ(lines[2].rfind("| quantize ", 0), 0u) << lines[2];
+  EXPECT_NE(lines[2].find("| 7 "), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find("| 70.0 "), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find("| compress "), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find("(SIMD candidate)"), std::string::npos) << lines[2];
+  EXPECT_EQ(lines[3].rfind("| step ", 0), 0u) << lines[3];
 }
 
 // Must run before any test that calls Profiler::start(): the disabled-path
@@ -347,6 +365,23 @@ TEST(HostProfiler, MultiRankClusterRankAttribution) {
     attributed += stack.count;
   }
   EXPECT_GT(attributed, 0u) << "no sample landed on any rank track";
+}
+
+// FFTGRAD_PROFILE_HZ takes an integer in [1, 1000]. Anything else warns
+// and keeps the default rate: a float parser would read "1e3" as 1000 Hz,
+// and 1e10, inf or nan as an undefined conversion to int. Last in the
+// file: init_from_env() configures the process once, and it starts the
+// global profiler.
+TEST(HostProfiler, MalformedRateFromTheEnvironmentKeepsTheDefault) {
+  const std::string out = ::testing::TempDir() + "profile_rate_env.folded";
+  ASSERT_EQ(setenv("FFTGRAD_PROFILE", "1", 1), 0);
+  ASSERT_EQ(setenv("FFTGRAD_PROFILE_OUT", out.c_str(), 1), 0);
+  ASSERT_EQ(setenv("FFTGRAD_PROFILE_HZ", "1e3", 1), 0);
+  telemetry::init_from_env();
+  Profiler& profiler = Profiler::global();
+  EXPECT_TRUE(profiler.running());
+  EXPECT_EQ(profiler.stats().hz, Profiler::kDefaultHz);
+  profiler.stop();
 }
 
 }  // namespace
